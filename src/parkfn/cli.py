@@ -14,7 +14,10 @@ import json
 import os
 import sys
 from importlib import resources
-from typing import Optional, Sequence
+from itertools import product
+from operator import itemgetter
+from types import ModuleType
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle, pq, twodim, vector
 from .errors import ParkfnError, SearchSpaceTooLarge
@@ -40,47 +43,137 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _read_instance(args) -> dict:
+    """The instance JSON object; its "a", "b" and "u" must be arrays of JSON integers."""
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
+    if not isinstance(data, dict):
+        raise ValueError(f"the instance must be a JSON object, got {type(data).__name__}")
+    for key in ("a", "b", "u"):
+        entries = data.get(key, [])
+        if not isinstance(entries, list) or any(type(e) is not int for e in entries):
+            raise ValueError(f"{key!r} must be an array of integers, got {entries!r}")
+    return data
 
 
-def _classical_boundary(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
+def _vector_instance(family: str, data: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(a, u) of a classical or vector instance; classical has u = (1, ..., n)."""
+    a = tuple(data["a"])
+    return a, (tuple(range(1, len(a) + 1)) if family == "classical" else tuple(data["u"]))
 
 
 def _resolve_cap(args) -> Optional[int]:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("PARKFN_SEARCH_CAP")
     return int(env) if env else None
 
 
-def _weights_from_args(args, data: Optional[dict] = None) -> twodim.WeightMatrix:
-    """Weight grid from --affine/--matrix-file flags or from instance JSON."""
-    if data is not None and "U" in data:
-        return twodim.WeightMatrix.from_json_dict(data["U"])
-    if data is not None and "affine" in data:
-        return twodim.affine_weight_matrix(twodim.AffineWeightSpec.from_json_dict(data["affine"]))
+# ---------------------------------------------------------------------------
+# Family parameters and the closed-form table
+# ---------------------------------------------------------------------------
+
+_AFFINE_KEYS = ("a", "b", "c", "d", "s", "t", "p", "q")
+_affine_values = itemgetter(*_AFFINE_KEYS)
+
+
+def _params_from_args(args) -> dict:
+    """Family parameters from the flags; for vector, --s/--b/--n wins over --u."""
+    if args.family == "classical":
+        if args.n is None:
+            raise ValueError("classical family needs --n")
+        return {"n": args.n}
+    if args.family == "vector":
+        if args.s is not None and args.b is not None and args.n is not None:
+            return {"s": args.s, "b": args.b, "n": args.n}
+        u = _parse_int_list(args.u or "")
+        if not u:
+            raise ValueError("vector family needs --u or the triple --s/--b/--n")
+        return {"u": u}
+    if args.family == "pq":
+        if args.p is None or args.q is None:
+            raise ValueError("pq family needs --p and --q")
+        return {"p": args.p, "q": args.q}
     if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            return twodim.WeightMatrix.from_json_dict(json.load(fh))
-    if args.affine:
-        coeffs = _parse_int_list(args.affine)
-        if len(coeffs) != 6:
-            raise ValueError("--affine needs six integers a,b,c,d,s,t")
-        if args.p is None or args.q is None:
-            raise ValueError("--affine also needs --p and --q")
-        return twodim.affine_weight_matrix(twodim.AffineWeightSpec(*coeffs, args.p, args.q))
-    raise ValueError("twodim family needs --affine with --p/--q, --matrix-file, or an embedded grid")
-
-
-def _affine_spec_from_args(args) -> twodim.AffineWeightSpec:
+            return {"weights": twodim.WeightMatrix.from_json_dict(json.load(fh))}
     coeffs = _parse_int_list(args.affine or "")
     if len(coeffs) != 6 or args.p is None or args.q is None:
-        raise ValueError("formula counts for twodim need --affine a,b,c,d,s,t plus --p and --q")
-    return twodim.AffineWeightSpec(*coeffs, args.p, args.q)
+        raise ValueError("twodim family needs --matrix-file, or --affine a,b,c,d,s,t with --p and --q")
+    return dict(zip(_AFFINE_KEYS, coeffs + (args.p, args.q)))
+
+
+def _arith_u(s: int, b: int, n: int) -> tuple[int, ...]:
+    return tuple(s + b * i for i in range(n))
+
+
+def _arith_args(params: dict) -> tuple[int, int, int]:
+    """(s, b, n) of a vector boundary given by the triple or by an arithmetic u."""
+    if "u" not in params:
+        return params["s"], params["b"], params["n"]
+    u = params["u"]
+    s, b = u[0], (u[1] - u[0] if len(u) > 1 else 0)
+    if _arith_u(s, b, len(u)) != u:
+        raise ValueError(f"--u {u} is not an arithmetic progression; no closed form applies")
+    return s, b, len(u)
+
+
+def _affine(params: dict) -> twodim.AffineWeightSpec:
+    if "weights" in params:
+        raise ValueError("twodim closed forms need --affine a,b,c,d,s,t with --p and --q")
+    return twodim.AffineWeightSpec(*_affine_values(params))
+
+
+def _weights(params: dict) -> twodim.WeightMatrix:
+    return params["weights"] if "weights" in params else twodim.affine_weight_matrix(_affine(params))
+
+
+class _Family(NamedTuple):
+    module: ModuleType
+    formulas: tuple[str, str, str, str]  # closed-form names, in pf, ipf, ppf, ippf order
+    formula_args: Callable[[dict], tuple]
+    spec_kwargs: Callable[[dict], dict]  # FamilySpec keywords for the oracle
+
+
+_ARITH_FORMULAS = ("count_pf_arith", "count_ipf_arith", "count_ppf_arith", "count_ippf_arith")
+
+# Closed forms are named, not bound, so each call goes through the module
+# attribute as it is at call time.
+_FAMILIES = {
+    "classical": _Family(
+        vector, _ARITH_FORMULAS, lambda params: (1, 1, params["n"]), lambda params: {"n": params["n"]}
+    ),
+    "vector": _Family(
+        vector,
+        _ARITH_FORMULAS,
+        _arith_args,
+        lambda params: {"u": params["u"] if "u" in params else _arith_u(params["s"], params["b"], params["n"])},
+    ),
+    "pq": _Family(
+        pq,
+        ("count_pq_pf", "count_pq_ipf", "count_pq_ppf", "count_pq_ippf"),
+        lambda params: (params["p"], params["q"]),
+        lambda params: {"p": params["p"], "q": params["q"]},
+    ),
+    "twodim": _Family(
+        twodim,
+        ("count_affine_pf", "count_affine_ipf", "count_affine_ppf", "count_affine_ippf"),
+        lambda params: (_affine(params),),
+        lambda params: {"weights": _weights(params)},
+    ),
+}
+
+
+def _formula(family: str, params: dict, variant: int) -> int:
+    """Closed-form count; ``variant`` indexes (pf, ipf, ppf, ippf)."""
+    entry = _FAMILIES[family]
+    return getattr(entry.module, entry.formulas[variant])(*entry.formula_args(params))
+
+
+def _family_spec(family: str, params: dict, variant: int) -> FamilySpec:
+    return FamilySpec(family, variant >= 2, variant % 2 == 1, **_FAMILIES[family].spec_kwargs(params))
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +184,18 @@ def _affine_spec_from_args(args) -> twodim.AffineWeightSpec:
 def _cmd_check(args) -> int:
     data = _read_instance(args)
     if args.family in ("classical", "vector"):
-        a = tuple(data["a"])
-        u = _classical_boundary(len(a)) if args.family == "classical" else tuple(data["u"])
+        a, u = _vector_instance(args.family, data)
         out: dict = {"member": vector.is_vector_pf(a, u), "prime": vector.is_prime_vector_pf(a, u)}
     elif args.family == "pq":
         pair = pq.PQPair.from_json_dict(data)
         out = {"member": pq.is_pq_pf(pair), "prime": pq.is_pq_prime(pair)}
     else:
-        weights = _weights_from_args(args, data)
+        if "U" in data:
+            weights = twodim.WeightMatrix.from_json_dict(data["U"])
+        elif "affine" in data:
+            weights = twodim.affine_weight_matrix(twodim.AffineWeightSpec.from_json_dict(data["affine"]))
+        else:
+            weights = _weights(_params_from_args(args))
         a, b = tuple(data["a"]), tuple(data["b"])
         member, witness = twodim.is_u_pf(a, b, weights)
         out = {"member": member}
@@ -115,10 +212,7 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.family not in ("classical", "vector"):
         raise ValueError("simulate supports the classical and vector families")
-    data = _read_instance(args)
-    a = tuple(data["a"])
-    u = _classical_boundary(len(a)) if args.family == "classical" else tuple(data["u"])
-    outcome = vector.simulate_capacity_parking(a, u)
+    outcome = vector.simulate_capacity_parking(*_vector_instance(args.family, _read_instance(args)))
     if outcome.success:
         _emit({"assignment": list(outcome.assignment)})
     else:
@@ -129,9 +223,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_decompose(args) -> int:
     data = _read_instance(args)
     if args.family in ("classical", "vector"):
-        a = tuple(data["a"])
-        u = _classical_boundary(len(a)) if args.family == "classical" else tuple(data["u"])
-        _emit(vector.decompose(a, u).to_json_dict())
+        _emit(vector.decompose(*_vector_instance(args.family, data)).to_json_dict())
     elif args.family == "pq":
         _emit(pq.decompose_pq(pq.PQPair.from_json_dict(data)).to_json_dict())
     else:
@@ -139,88 +231,19 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _family_spec_from_args(args) -> FamilySpec:
-    prime, increasing = args.prime, args.increasing
-    if args.family == "classical":
-        if args.n is None:
-            raise ValueError("classical family needs --n")
-        return FamilySpec("classical", prime, increasing, n=args.n)
-    if args.family == "vector":
-        if args.u:
-            u = _parse_int_list(args.u)
-        elif args.s is not None and args.b is not None and args.n is not None:
-            u = tuple(args.s + args.b * i for i in range(args.n))
-        else:
-            raise ValueError("vector family needs --u or the triple --s/--b/--n")
-        return FamilySpec("vector", prime, increasing, u=u)
-    if args.family == "pq":
-        if args.p is None or args.q is None:
-            raise ValueError("pq family needs --p and --q")
-        return FamilySpec("pq", prime, increasing, p=args.p, q=args.q)
-    return FamilySpec("twodim", prime, increasing, weights=_weights_from_args(args))
-
-
-def _formula_count(args) -> int:
-    prime, increasing = args.prime, args.increasing
-    if args.family in ("classical", "vector"):
-        if args.family == "classical":
-            if args.n is None:
-                raise ValueError("classical family needs --n")
-            s, b, n = 1, 1, args.n
-        elif args.s is not None and args.b is not None and args.n is not None:
-            s, b, n = args.s, args.b, args.n
-        elif args.u:
-            u = _parse_int_list(args.u)
-            s, b = u[0], (u[1] - u[0] if len(u) > 1 else 0)
-            if tuple(s + b * i for i in range(len(u))) != u:
-                raise ValueError(f"--u {u} is not an arithmetic progression; no closed form applies")
-            n = len(u)
-        else:
-            raise ValueError("vector formula counts need --s/--b/--n or an arithmetic --u")
-        table = {
-            (False, False): vector.count_pf_arith,
-            (False, True): vector.count_ipf_arith,
-            (True, False): vector.count_ppf_arith,
-            (True, True): vector.count_ippf_arith,
-        }
-        return table[(prime, increasing)](s, b, n)
-    if args.family == "pq":
-        if args.p is None or args.q is None:
-            raise ValueError("pq family needs --p and --q")
-        table = {
-            (False, False): pq.count_pq_pf,
-            (False, True): pq.count_pq_ipf,
-            (True, False): pq.count_pq_ppf,
-            (True, True): pq.count_pq_ippf,
-        }
-        return table[(prime, increasing)](args.p, args.q)
-    spec = _affine_spec_from_args(args)
-    table = {
-        (False, False): twodim.count_affine_pf,
-        (False, True): twodim.count_affine_ipf,
-        (True, False): twodim.count_affine_ppf,
-        (True, True): twodim.count_affine_ippf,
-    }
-    return table[(prime, increasing)](spec)
-
-
 def _cmd_count(args) -> int:
+    params, variant = _params_from_args(args), 2 * args.prime + args.increasing
     if args.method == "formula":
-        print(_formula_count(args))
-        return EXIT_OK
-    spec = _family_spec_from_args(args)
-    report = oracle.count(spec, cap=_resolve_cap(args), shards=args.shards)
-    print(report.count)
+        print(_formula(args.family, params, variant))
+    else:
+        print(oracle.count(_family_spec(args.family, params, variant), cap=_resolve_cap(args)).count)
     return EXIT_OK
 
 
 def _cmd_list(args) -> int:
-    spec = _family_spec_from_args(args)
+    spec = _family_spec(args.family, _params_from_args(args), 2 * args.prime + args.increasing)
     for instance in oracle.enumerate_members(spec, cap=_resolve_cap(args)):
-        if len(instance) == 1:
-            _emit({"a": list(instance[0])})
-        else:
-            _emit({"a": list(instance[0]), "b": list(instance[1])})
+        _emit(dict(zip(("a", "b"), map(list, instance))))
     return EXIT_OK
 
 
@@ -239,9 +262,14 @@ def load_suite(name: str) -> dict:
 
 _QUANTITY_LABELS = ("pf", "ipf", "ppf", "ippf")
 
-
-def _variant(quantity: str) -> tuple[bool, bool]:
-    return ("pp" in quantity, quantity.startswith("i"))
+# Suite grid family -> (its family in the closed-form table, grid keys in row order).
+_GRIDS = {
+    "classical": ("classical", ("n",)),
+    "vector-arith": ("vector", ("s", "b", "n")),
+    "pq": ("pq", ("p", "q")),
+    "pq-ppf-sum": ("pq", ("p", "q")),
+    "affine": ("twodim", _AFFINE_KEYS),
+}
 
 
 def expand_suite(manifest: dict):
@@ -249,44 +277,19 @@ def expand_suite(manifest: dict):
 
     Each row is (family, params dict, quantity); the runner computes the
     closed-form value and the reference value (oracle count, or the
-    alternative formula for the ``ppf-sum`` rows).
+    alternative formula for the ``ppf-sum`` rows).  The quantities of one
+    grid point share its params dict.
     """
     rows = []
     for grid in manifest["grids"]:
         family = grid["family"]
-        if family == "classical":
-            for n in grid["n"]:
-                for quantity in grid["quantities"]:
-                    rows.append((family, {"n": n}, quantity))
-        elif family == "vector-arith":
-            for s in grid["s"]:
-                for b in grid["b"]:
-                    for n in grid["n"]:
-                        for quantity in grid["quantities"]:
-                            rows.append((family, {"s": s, "b": b, "n": n}, quantity))
-        elif family == "pq":
-            for p in grid["p"]:
-                for q in grid["q"]:
-                    for quantity in grid["quantities"]:
-                        rows.append((family, {"p": p, "q": q}, quantity))
-        elif family == "pq-ppf-sum":
-            for p in grid["p"]:
-                for q in grid["q"]:
-                    rows.append((family, {"p": p, "q": q}, "ppf-sum"))
-        elif family == "affine":
-            for a in grid["a"]:
-                for b in grid["b"]:
-                    for c in grid["c"]:
-                        for d in grid["d"]:
-                            for s in grid["s"]:
-                                for t in grid["t"]:
-                                    for p in grid["p"]:
-                                        for q in grid["q"]:
-                                            params = {"a": a, "b": b, "c": c, "d": d, "s": s, "t": t, "p": p, "q": q}
-                                            for quantity in grid["quantities"]:
-                                                rows.append((family, params, quantity))
-        else:
+        if family not in _GRIDS:
             raise ValueError(f"unknown grid family {family!r}")
+        keys = _GRIDS[family][1]
+        quantities = ("ppf-sum",) if family == "pq-ppf-sum" else grid["quantities"]
+        for values in product(*(grid[key] for key in keys)):
+            params = dict(zip(keys, values))
+            rows.extend((family, params, quantity) for quantity in quantities)
     return rows
 
 
@@ -294,47 +297,10 @@ def run_row(family: str, params: dict, quantity: str, cap: Optional[int]) -> tup
     """(formula value, reference value) for one verification row."""
     if family == "pq-ppf-sum":
         return pq.count_pq_ppf(params["p"], params["q"]), pq.count_pq_ppf_sum(params["p"], params["q"])
-    prime, increasing = _variant(quantity)
-    if family == "classical":
-        s, b, n = 1, 1, params["n"]
-        formula = {
-            (False, False): vector.count_pf_arith,
-            (False, True): vector.count_ipf_arith,
-            (True, False): vector.count_ppf_arith,
-            (True, True): vector.count_ippf_arith,
-        }[(prime, increasing)](s, b, n)
-        spec = FamilySpec("classical", prime, increasing, n=n)
-    elif family == "vector-arith":
-        s, b, n = params["s"], params["b"], params["n"]
-        formula = {
-            (False, False): vector.count_pf_arith,
-            (False, True): vector.count_ipf_arith,
-            (True, False): vector.count_ppf_arith,
-            (True, True): vector.count_ippf_arith,
-        }[(prime, increasing)](s, b, n)
-        spec = FamilySpec("vector", prime, increasing, u=tuple(s + b * i for i in range(n)))
-    elif family == "pq":
-        formula = {
-            (False, False): pq.count_pq_pf,
-            (False, True): pq.count_pq_ipf,
-            (True, False): pq.count_pq_ppf,
-            (True, True): pq.count_pq_ippf,
-        }[(prime, increasing)](params["p"], params["q"])
-        spec = FamilySpec("pq", prime, increasing, p=params["p"], q=params["q"])
-    elif family == "affine":
-        aspec = twodim.AffineWeightSpec(
-            params["a"], params["b"], params["c"], params["d"], params["s"], params["t"], params["p"], params["q"]
-        )
-        formula = {
-            (False, False): twodim.count_affine_pf,
-            (False, True): twodim.count_affine_ipf,
-            (True, False): twodim.count_affine_ppf,
-            (True, True): twodim.count_affine_ippf,
-        }[(prime, increasing)](aspec)
-        spec = FamilySpec("twodim", prime, increasing, weights=twodim.affine_weight_matrix(aspec))
-    else:
+    if family not in _GRIDS:
         raise ValueError(f"unknown row family {family!r}")
-    return formula, oracle.count(spec, cap=cap).count
+    family, variant = _GRIDS[family][0], _QUANTITY_LABELS.index(quantity)
+    return _formula(family, params, variant), oracle.count(_family_spec(family, params, variant), cap=cap).count
 
 
 def _params_text(params: dict) -> str:
@@ -343,14 +309,10 @@ def _params_text(params: dict) -> str:
 
 def _cmd_verify(args) -> int:
     manifest = load_suite(args.suite)
-    rows = expand_suite(manifest)
     cap = _resolve_cap(args)
     results = []
-    all_pass = True
-    for family, params, quantity in rows:
+    for family, params, quantity in expand_suite(manifest):
         formula, reference = run_row(family, params, quantity, cap)
-        ok = formula == reference
-        all_pass = all_pass and ok
         results.append(
             {
                 "family": family,
@@ -358,23 +320,18 @@ def _cmd_verify(args) -> int:
                 "quantity": quantity,
                 "formula": formula,
                 "oracle": reference,
-                "pass": ok,
+                "pass": formula == reference,
             }
         )
+    passed = sum(1 for row in results if row["pass"])
+    all_pass = passed == len(results)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"suite": manifest["name"], "version": manifest["version"], "rows": results, "all_pass": all_pass},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+        _emit({"suite": manifest["name"], "version": manifest["version"], "rows": results, "all_pass": all_pass})
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=["family", "params", "quantity", "formula", "oracle", "pass"])
         writer.writeheader()
         for row in results:
             writer.writerow(row)
-    passed = sum(1 for row in results if row["pass"])
     print(f"suite {manifest['name']}: {passed}/{len(results)} rows pass", file=sys.stderr)
     return EXIT_OK if all_pass else EXIT_DISAGREEMENT
 
@@ -384,7 +341,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_family_arguments(sub: argparse.ArgumentParser) -> None:
+def _add_family_arguments(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--family", required=True, choices=("classical", "vector", "pq", "twodim"))
     sub.add_argument("--n", type=int, help="length (classical, or arithmetic vector boundary)")
     sub.add_argument("--u", help="comma-separated capacity vector, e.g. 1,2,4")
@@ -396,32 +353,23 @@ def _add_family_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--matrix-file", help="JSON weight grid {p,q,nodes}")
     sub.add_argument("--prime", action="store_true")
     sub.add_argument("--increasing", action="store_true")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="parkfn", description="Parking-function toolkit: check, simulate, decompose, count, list, verify.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, needs_instance in (("check", True), ("simulate", True), ("decompose", True)):
-        sub = subs.add_parser(name)
-        _add_family_arguments(sub)
-        if needs_instance:
-            sub.add_argument("--file", help="instance JSON (defaults to stdin)")
-
-    count_p = subs.add_parser("count")
-    _add_family_arguments(count_p)
+    for name in ("check", "simulate", "decompose"):
+        _add_family_arguments(subs.add_parser(name)).add_argument("--file", help="instance JSON (defaults to stdin)")
+    count_p = _add_family_arguments(subs.add_parser("count"))
     count_p.add_argument("--method", choices=("formula", "oracle"), default="formula")
-    count_p.add_argument("--shards", type=int, default=1)
-    count_p.add_argument("--cap", type=int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
-
-    list_p = subs.add_parser("list")
-    _add_family_arguments(list_p)
-    list_p.add_argument("--cap", type=int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
-
+    list_p = _add_family_arguments(subs.add_parser("list"))
     verify_p = subs.add_parser("verify")
     verify_p.add_argument("--suite", required=True)
     verify_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    verify_p.add_argument("--cap", type=int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
+    for sub in (count_p, list_p, verify_p):
+        sub.add_argument("--cap", type=int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
     return parser
 
 

@@ -42,18 +42,6 @@ def stable_sort_indices(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(range(len(s)), key=lambda i: (s[i], i)))
 
 
-def rank_of_value(sorted_s: Sequence[int], bound: int) -> int:
-    """Number of entries of a sorted sequence that are < ``bound``."""
-    lo, hi = 0, len(sorted_s)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_s[mid] < bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 @dataclass(frozen=True)
 class LatticePath:
     """Monotone lattice path from (0,0), encoded as a step word over {N, E}."""
@@ -141,21 +129,7 @@ def weakly_above(upper: LatticePath, lower: LatticePath) -> bool:
         raise DimensionMismatch(
             f"paths end at ({upper.width},{upper.height}) vs ({lower.width},{lower.height})"
         )
-    return all(
-        hu >= hl
-        for hu, hl in zip(_north_counts_before_easts(upper), _north_counts_before_easts(lower))
-    )
-
-
-def _north_counts_before_easts(p: LatticePath) -> list[int]:
-    counts = []
-    n = 0
-    for ch in p.steps:
-        if ch == "N":
-            n += 1
-        else:
-            counts.append(n)
-    return counts
+    return all(hu >= hl for hu, hl in zip(upper.horizontal_step_ys(), lower.horizontal_step_ys()))
 
 
 def common_points(p: LatticePath, q: LatticePath) -> tuple[Point, ...]:

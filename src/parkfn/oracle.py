@@ -53,6 +53,7 @@ class FamilySpec:
         if self.family == "classical":
             if self.n is None or self.n < 1:
                 raise ValueError("classical family needs n >= 1")
+            object.__setattr__(self, "u", tuple(range(1, self.n + 1)))
         elif self.family == "vector":
             if self.u is None:
                 raise ValueError("vector family needs a capacity vector u")
@@ -90,7 +91,6 @@ class EnumerationReport:
     count: int
     search_space: int
     elapsed: float
-    shards: int = 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,16 +98,12 @@ class EnumerationReport:
             "count": self.count,
             "search_space": self.search_space,
             "elapsed": self.elapsed,
-            "shards": self.shards,
         }
 
 
 def _shapes_and_bounds(spec: FamilySpec, extra_bound: int) -> tuple[tuple[int, int], ...]:
     """(length, exclusive entry bound) for each sequence of a candidate."""
-    if spec.family == "classical":
-        assert spec.n is not None
-        return ((spec.n, spec.n + extra_bound),)
-    if spec.family == "vector":
+    if spec.family in ("classical", "vector"):
         assert spec.u is not None
         return ((len(spec.u), spec.u[-1] + extra_bound),)
     if spec.family == "pq":
@@ -122,9 +118,8 @@ def _shapes_and_bounds(spec: FamilySpec, extra_bound: int) -> tuple[tuple[int, i
 
 def _predicate(spec: FamilySpec):
     if spec.family in ("classical", "vector"):
-        u = tuple(range(1, spec.n + 1)) if spec.family == "classical" else spec.u
         member = is_prime_vector_pf if spec.prime else is_vector_pf
-        return lambda seqs: member(seqs[0], u)
+        return lambda seqs: member(seqs[0], spec.u)
     if spec.family == "pq":
         member = is_pq_prime if spec.prime else is_pq_pf
         return lambda seqs: member(PQPair(seqs[0], seqs[1]))
@@ -134,10 +129,14 @@ def _predicate(spec: FamilySpec):
     return lambda seqs: is_u_pf(seqs[0], seqs[1], weights)[0]
 
 
-def _space_size(spec: FamilySpec, extra_bound: int) -> int:
+def _checked_space(spec: FamilySpec, extra_bound: int, cap: Optional[int]) -> int:
+    """Nominal candidate count; raises when it exceeds the cap."""
     total = 1
     for length, bound in _shapes_and_bounds(spec, extra_bound):
         total *= comb(bound + length - 1, length) if spec.increasing else bound**length
+    cap = DEFAULT_SEARCH_CAP if cap is None else cap
+    if total > cap:
+        raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
     return total
 
 
@@ -145,10 +144,7 @@ def enumerate_members(
     spec: FamilySpec, *, cap: Optional[int] = None, extra_bound: int = 0
 ) -> Iterator[Instance]:
     """Yield exactly the members, in lexicographic order of the flattened tuple."""
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
-    space = _space_size(spec, extra_bound)
-    if space > cap:
-        raise SearchSpaceTooLarge(f"{space} candidates exceed the cap of {cap}")
+    _checked_space(spec, extra_bound, cap)
     member = _predicate(spec)
     shapes = _shapes_and_bounds(spec, extra_bound)
     per_seq = [
@@ -162,33 +158,19 @@ def enumerate_members(
             yield candidate
 
 
-def count(
-    spec: FamilySpec,
-    *,
-    cap: Optional[int] = None,
-    shards: int = 1,
-    extra_bound: int = 0,
-) -> EnumerationReport:
+def count(spec: FamilySpec, *, cap: Optional[int] = None, extra_bound: int = 0) -> EnumerationReport:
     """Count the members of the family over the full candidate space.
 
-    Counting sweeps weakly increasing candidates once per shard, weighing a
-    candidate by its number of distinct rearrangements (1 in the increasing
-    variants).  The shard of a candidate is its first entry mod ``shards``,
-    so the total is independent of the shard count.
+    Counting sweeps weakly increasing candidates once, weighing a candidate
+    by its number of distinct rearrangements (1 in the increasing variants).
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    cap = DEFAULT_SEARCH_CAP if cap is None else cap
-    space = _space_size(spec, extra_bound)
-    if space > cap:
-        raise SearchSpaceTooLarge(f"{space} candidates exceed the cap of {cap}")
+    space = _checked_space(spec, extra_bound, cap)
     start = time.perf_counter()
     if spec.family == "twodim":
-        counts = _twodim_grid_counts(spec.weights, extra_bound, shards)
-        total = counts[(spec.prime, spec.increasing)]
+        total = _twodim_grid_counts(spec.weights, extra_bound)[(spec.prime, spec.increasing)]
     else:
-        total = sum(_count_shard(spec, shard, shards, extra_bound) for shard in range(shards))
-    return EnumerationReport(spec, total, space, time.perf_counter() - start, shards)
+        total = _count_sorted(spec, extra_bound)
+    return EnumerationReport(spec, total, space, time.perf_counter() - start)
 
 
 def _rearrangements(sorted_tuple: Seq) -> int:
@@ -204,14 +186,12 @@ def _rearrangements(sorted_tuple: Seq) -> int:
     return total
 
 
-def _count_shard(spec: FamilySpec, shard: int, shards: int, extra_bound: int) -> int:
+def _count_sorted(spec: FamilySpec, extra_bound: int) -> int:
     member = _predicate(spec)
     shapes = _shapes_and_bounds(spec, extra_bound)
     outer_len, outer_bound = shapes[0]
     total = 0
     for sa in combinations_with_replacement(range(outer_bound), outer_len):
-        if (sa[0] if sa else 0) % shards != shard:
-            continue
         wa = 1 if spec.increasing else _rearrangements(sa)
         if len(shapes) == 1:
             if member((sa,)):
@@ -230,9 +210,7 @@ def _count_shard(spec: FamilySpec, shard: int, shards: int, extra_bound: int) ->
 
 
 @lru_cache(maxsize=128)
-def _twodim_grid_counts(
-    weights: WeightMatrix, extra_bound: int, shards: int
-) -> dict[tuple[bool, bool], int]:
+def _twodim_grid_counts(weights: WeightMatrix, extra_bound: int) -> dict[tuple[bool, bool], int]:
     """All four counts (prime x increasing) for one weight grid, in one sweep.
 
     Reachability of (p, q) through admissible edges is evaluated for every
@@ -240,6 +218,10 @@ def _twodim_grid_counts(
     b-candidate) replace the per-pair walk.  The prime sweep runs the
     two-path DP over anti-diagonals with the same arrays.  Semantics match
     ``is_u_pf`` / ``is_u_prime(direct)`` exactly; the tests compare the two.
+
+    No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
+    partial sum of the weighted reduction, so int64 is exact below 2**63;
+    larger spaces reduce in Python ints (``dtype=object``).
     """
     p, q = weights.p, weights.q
     bu = weights.max_u + extra_bound
@@ -252,9 +234,9 @@ def _twodim_grid_counts(
     na, nb = len(cand_a), len(cand_b)
     arr_a = np.array(cand_a, dtype=np.int64).reshape(na, p)
     arr_b = np.array(cand_b, dtype=np.int64).reshape(nb, q)
-    wa = np.array([_rearrangements(t) for t in cand_a], dtype=np.int64)
-    wb = np.array([_rearrangements(t) for t in cand_b], dtype=np.int64)
-    shard_a = (arr_a[:, 0] % shards) if p else np.zeros(na, dtype=np.int64)
+    dtype = np.int64 if bu**p * bv**q < 2**63 else object
+    wa = np.array([_rearrangements(t) for t in cand_a], dtype=dtype)
+    wb = np.array([_rearrangements(t) for t in cand_b], dtype=dtype)
 
     u_grid = np.array([[weights.u(k, l) for l in range(q + 1)] for k in range(p)], dtype=np.int64)
     v_grid = np.array([[weights.v(k, l) for l in range(q)] for k in range(p + 1)], dtype=np.int64)
@@ -269,17 +251,10 @@ def _twodim_grid_counts(
     )
 
     out = dict(zero)
-    for shard in range(shards):
-        rows = shard_a == shard
-        if not rows.any():
-            continue
-        wa_rows = wa[rows]
-        for prime, grid in ((False, member), (True, member_prime)):
-            if grid is None:
-                continue
-            sub = grid[rows]
-            out[(prime, False)] += int(wa_rows @ sub.astype(np.int64) @ wb)
-            out[(prime, True)] += int(sub.sum())
+    for prime, grid in ((False, member), (True, member_prime)):
+        if grid is not None:
+            out[(prime, False)] = int(wa @ grid.astype(dtype) @ wb)
+            out[(prime, True)] = int(grid.sum())
     return out
 
 

@@ -8,6 +8,7 @@ for p = 0 or q = 0 follow the all-zero degenerate pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from .core import (
     common_points,
     order_statistics,
     path_of_increasing,
-    rank_of_value,
     stable_sort_indices,
     transpose,
     weakly_above,
@@ -62,9 +62,9 @@ class PQPair:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PQPair":
         pair = cls(tuple(data["a"]), tuple(data["b"]))
-        if "p" in data and int(data["p"]) != pair.p:
+        if "p" in data and data["p"] != pair.p:
             raise ValueError(f"declared p = {data['p']} but |a| = {pair.p}")
-        if "q" in data and int(data["q"]) != pair.q:
+        if "q" in data and data["q"] != pair.q:
             raise ValueError(f"declared q = {data['q']} but |b| = {pair.q}")
         return pair
 
@@ -77,9 +77,9 @@ def is_pq_pf(pair: PQPair) -> bool:
     pair is the single member.
     """
     sa, sb = order_statistics(pair.a), order_statistics(pair.b)
-    if any(rank_of_value(sa, i + 1) < sb[i] for i in range(pair.q)):
+    if any(bisect_left(sa, i + 1) < sb[i] for i in range(pair.q)):
         return False
-    if any(rank_of_value(sb, i + 1) < sa[i] for i in range(pair.p)):
+    if any(bisect_left(sb, i + 1) < sa[i] for i in range(pair.p)):
         return False
     return True
 
@@ -108,9 +108,9 @@ def is_pq_prime(pair: PQPair) -> bool:
     if 0 not in pair.a or 0 not in pair.b:
         return False
     sa, sb = order_statistics(pair.a), order_statistics(pair.b)
-    if any(rank_of_value(sa, i) <= sb[i] for i in range(1, pair.q)):
+    if any(bisect_left(sa, i) <= sb[i] for i in range(1, pair.q)):
         return False
-    if any(rank_of_value(sb, i) <= sa[i] for i in range(1, pair.p)):
+    if any(bisect_left(sb, i) <= sa[i] for i in range(1, pair.p)):
         return False
     return True
 

@@ -9,12 +9,13 @@ closed-form counts for arithmetic-progression boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .core import Point, Seq, as_seq, order_statistics, path_of_increasing, rank_of_value, stable_sort_indices
+from .core import Point, Seq, as_seq, order_statistics, path_of_increasing, stable_sort_indices
 from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunction
 
 
@@ -59,7 +60,7 @@ def is_prime_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
     if not is_vector_pf(aa, uu):
         return False
     sa = order_statistics(aa)
-    return all(rank_of_value(sa, uu[i]) > i + 1 for i in range(len(uu) - 1))
+    return all(bisect_left(sa, uu[i]) > i + 1 for i in range(len(uu) - 1))
 
 
 def prime_reduction(u: Sequence[int]) -> Seq:
@@ -219,22 +220,23 @@ def compose(d: VectorPrimeDecomposition) -> tuple[Seq, Seq]:
 # ---------------------------------------------------------------------------
 
 
-def _check_arith(s: int, b: int, n: int, min_n: int) -> None:
+def _check_arith(s: int, b: int, n: int) -> None:
+    """The boundary must be a valid capacity vector, as ``validate_capacity`` asks."""
     if s < 1:
         raise ValueError("the arithmetic boundary needs s >= 1")
-    if b < 0 or n < min_n:
-        raise ValueError(f"need b >= 0 and n >= {min_n}")
+    if b < 0 or n < 1:
+        raise ValueError("need b >= 0 and n >= 1")
 
 
 def count_pf_arith(s: int, b: int, n: int) -> int:
     """Number of parking functions for the boundary u_i = s + b*i: s(s+bn)^(n-1)."""
-    _check_arith(s, b, n, 0)
+    _check_arith(s, b, n)
     return exact.as_integer(Fraction(s) * exact.power(s + b * n, n - 1))
 
 
 def count_ipf_arith(s: int, b: int, n: int) -> int:
     """Number of increasing parking functions for u_i = s + b*i."""
-    _check_arith(s, b, n, 0)
+    _check_arith(s, b, n)
     m = s + n * (b + 1)
     return exact.as_integer(Fraction(s, m) * exact.binomial(m, n))
 
@@ -245,7 +247,7 @@ def count_ippf_arith(s: int, b: int, n: int) -> int:
     Evaluated over exact rationals; intermediate terms may be negative when
     s < b, but the total is asserted integral.
     """
-    _check_arith(s, b, n, 1)
+    _check_arith(s, b, n)
     k = (b + 1) * (n - 1)
     total = Fraction(s - b, n) * exact.binomial(s + k, n - 1) + Fraction(b, n) * exact.binomial(k, n - 1)
     return exact.as_integer(total)
@@ -253,5 +255,5 @@ def count_ippf_arith(s: int, b: int, n: int) -> int:
 
 def count_ppf_arith(s: int, b: int, n: int) -> int:
     """Number of prime parking functions for u_i = s + b*i, with 0^0 = 1."""
-    _check_arith(s, b, n, 1)
+    _check_arith(s, b, n)
     return (s - b) * (s + (n - 1) * b) ** (n - 1) + b**n * (n - 1) ** (n - 1)

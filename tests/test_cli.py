@@ -1,10 +1,14 @@
 """Command-line interface: golden outputs, exit codes, byte stability."""
 
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkfn.cli import main
 
@@ -216,6 +220,22 @@ def test_count_vector_u_flag_detects_arithmetic(capsys):
     assert code == 1 and "arithmetic" in err
 
 
+@pytest.mark.parametrize("method", ["formula", "oracle"])
+def test_count_vector_triple_wins_over_u(capsys, method):
+    argv = ["count", "--family", "vector", "--u", "1,1,4", "--s", "2", "--b", "1", "--n", "2", "--method", method]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == "8\n"
+
+
+@pytest.mark.parametrize("method", ["formula", "oracle"])
+@pytest.mark.parametrize(
+    "family_args", [["--family", "classical"], ["--family", "vector", "--s", "1", "--b", "1"]], ids=["classical", "vector"]
+)
+def test_count_needs_n_at_least_one(capsys, method, family_args):
+    code, out, err = run_cli(capsys, ["count", *family_args, "--n", "0", "--method", method])
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_count_pq_and_twodim(capsys):
     code, out, _ = run_cli(capsys, ["count", "--family", "pq", "--p", "3", "--q", "4"])
     assert code == 0 and out == "12800\n"
@@ -271,13 +291,23 @@ def test_verify_pq_small_suite(capsys):
     assert all(line.endswith("True") for line in out.splitlines()[1:])
 
 
-def test_verify_json_format_is_stable(capsys):
-    code, out1, _ = run_cli(capsys, ["verify", "--suite", "classical", "--format", "json"])
+# sha256 of `parkfn verify --suite S --format json` stdout, as recorded with the
+# benchmark (bench/workloads.py SUITE_DIGESTS); the output must stay byte-identical.
+SUITE_DIGESTS = {
+    "classical": "656ea79bc9f097f4323f621b44354b83905350282d3231db2444d040bd5bc796",
+    "vector-arith": "ca9eca686312b89b910bd1cffdd7a879d6fac753f1a9a5c2bea9e328fc64233d",
+    "pq-small": "2445cd0c8d8f462ccb2e5efa18ff73bf32e0b9924c09001fcc62f5397be38dc2",
+    "affine-2d": "c3b1219be5b623f2b4f442306cd0232e676c7d116fc19c2eb7d7fc8ee5ff9d90",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+def test_verify_json_format_is_stable(capsys, suite):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--format", "json"])
     assert code == 0
-    code, out2, _ = run_cli(capsys, ["verify", "--suite", "classical", "--format", "json"])
-    assert out1 == out2
-    doc = json.loads(out1)
-    assert doc["all_pass"] is True and doc["suite"] == "classical" and doc["version"] == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite]
+    doc = json.loads(out)
+    assert doc["all_pass"] is True and doc["suite"] == suite and doc["version"] == 1
 
 
 def test_verify_unknown_suite(capsys):
@@ -299,6 +329,47 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run_cli(capsys, ["check", "--family", "pq", "--file", str(path)])
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "family,instance",
+    [
+        ("pq", [1, 2]),
+        ("pq", "x"),
+        ("vector", {"a": [1.7, 0], "u": [1, 2]}),
+        ("vector", {"a": [True, 0], "u": [1, 2]}),
+        ("vector", {"a": ["0", 0], "u": [1, 2]}),
+        ("vector", {"a": [0, 0], "u": [1, 2.0]}),
+        ("pq", {"a": [0], "b": [False]}),
+        ("classical", {"a": 3}),
+        ("pq", {"a": [0], "b": [0], "p": [1]}),
+    ],
+)
+def test_non_integer_instances_exit_one(capsys, monkeypatch, family, instance):
+    code, out, err = run_cli(capsys, ["check", "--family", family], stdin_obj=instance, monkeypatch=monkeypatch)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats(-3, 64) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["check", "simulate", "decompose"]),
+    family=st.sampled_from(["classical", "vector", "pq", "twodim"]),
+    instance=st.dictionaries(st.sampled_from(["a", "b", "u", "p", "q"]), _JSON_VALUES, max_size=5) | _JSON_VALUES,
+)
+def test_fuzzed_instances_exit_zero_or_one(command, family, instance):
+    argv = [command, "--family", family, "--affine", "0,1,1,0,1,1", "--p", "2", "--q", "2"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", _FakeStdin(json.dumps(instance)))
+        mp.setattr("sys.stdout", io.StringIO())
+        mp.setattr("sys.stderr", io.StringIO())
+        assert main(argv) in (0, 1)
 
 
 def test_module_entry_point_subprocess():

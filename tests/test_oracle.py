@@ -1,4 +1,4 @@
-"""Brute-force oracle: enumeration order, count consistency, sharding, bounds."""
+"""Brute-force oracle: enumeration order, count consistency, bounds, exact reduction."""
 
 import json
 from itertools import product
@@ -70,13 +70,6 @@ def test_count_golden_values():
     assert oracle.count(FamilySpec("pq", p=3, q=4)).count == 12800
 
 
-def test_shard_invariance():
-    for spec in SMALL_SPECS:
-        base = oracle.count(spec, shards=1).count
-        for shards in (2, 8):
-            assert oracle.count(spec, shards=shards).count == base, (spec, shards)
-
-
 def test_bound_slack_changes_nothing():
     # widening every entry bound by one must not admit new members
     for spec in SMALL_SPECS:
@@ -109,6 +102,10 @@ def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("classical")
     with pytest.raises(ValueError):
+        FamilySpec("classical", n=0)
+    with pytest.raises(ValueError):
+        FamilySpec("vector", u=())
+    with pytest.raises(ValueError):
         FamilySpec("vector", u=(3, 2))
     with pytest.raises(ValueError):
         FamilySpec("pq", p=2)
@@ -124,7 +121,6 @@ def test_report_serialization():
     json.dumps(data)
     assert data["count"] == report.count
     assert data["spec"]["family"] == "pq"
-    assert data["shards"] == 1
     report = oracle.count(FamilySpec("twodim", weights=u0_matrix(1, 1)))
     assert report.to_json_dict()["spec"]["weights"]["nodes"]
 
@@ -137,3 +133,19 @@ def test_twodim_counts_cross_check_scalar_predicates():
         for b in product(range(grid.max_v), repeat=2):
             by_predicate += twodim.is_u_pf(a, b, grid)[0]
     assert oracle.count(FamilySpec("twodim", weights=grid)).count == by_predicate
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (0, 0, 0, 0, 1, 2, 1, 63),  # pf = 2**63, one past the int64 range
+        (0, 0, 0, 0, 1, 3, 1, 40),  # pf = 3**40 > 2**63
+        (0, 0, 0, 0, 1, 4, 1, 40),  # rearrangement weights up to 40! do not fit int64
+    ],
+)
+def test_twodim_counts_past_int64_are_exact(grid):
+    aspec = AffineWeightSpec(*grid)
+    weights = affine_weight_matrix(aspec)
+    counts = [oracle.count(FamilySpec("twodim", prime, weights=weights), cap=10**30).count for prime in (False, True)]
+    assert counts == [twodim.count_affine_pf(aspec), twodim.count_affine_ppf(aspec)]
+    assert counts[0] >= 2**63

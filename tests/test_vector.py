@@ -218,12 +218,11 @@ def test_count_pf_arith(s, b, n, expected):
 
 @pytest.mark.parametrize(
     "s,b,n,expected",
-    [(1, 1, 4, 14), (1, 1, 0, 1), (2, 1, 2, 5)],
+    [(1, 1, 4, 14), (3, 2, 1, 3), (2, 1, 2, 5)],
 )
 def test_count_ipf_arith(s, b, n, expected):
     assert vector.count_ipf_arith(s, b, n) == expected
-    if n:
-        assert brute_pf(tuple(s + b * i for i in range(n)), increasing=True) == expected
+    assert brute_pf(tuple(s + b * i for i in range(n)), increasing=True) == expected
 
 
 @pytest.mark.parametrize(
@@ -258,7 +257,7 @@ def test_counts_match_brute_force_on_grid():
 def test_count_preconditions():
     with pytest.raises(ValueError):
         vector.count_pf_arith(0, 1, 3)
-    with pytest.raises(ValueError):
-        vector.count_ppf_arith(1, 1, 0)
-    with pytest.raises(ValueError):
-        vector.count_ippf_arith(1, 1, 0)
+    # n >= 1 in all four closed forms, as for capacity vectors and the oracle
+    for formula in (vector.count_pf_arith, vector.count_ipf_arith, vector.count_ppf_arith, vector.count_ippf_arith):
+        with pytest.raises(ValueError):
+            formula(1, 1, 0)
