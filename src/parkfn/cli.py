@@ -20,6 +20,7 @@ from types import ModuleType
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle, pq, twodim, vector
+from .core import json_ints
 from .errors import ParkfnError, SearchSpaceTooLarge
 from .oracle import FamilySpec
 
@@ -52,9 +53,7 @@ def _read_instance(args) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"the instance must be a JSON object, got {type(data).__name__}")
     for key in ("a", "b", "u"):
-        entries = data.get(key, [])
-        if not isinstance(entries, list) or any(type(e) is not int for e in entries):
-            raise ValueError(f"{key!r} must be an array of integers, got {entries!r}")
+        json_ints(data.get(key, []), repr(key))
     return data
 
 

@@ -28,6 +28,18 @@ def as_seq(entries: Iterable[int]) -> Seq:
     return out
 
 
+def json_ints(value: object, name: str, length: Optional[int] = None) -> Seq:
+    """``value`` as a tuple, if it is a JSON array of ``length`` (any, if None) integers.
+
+    Parsed JSON gives bool, float and str entries their own types, so
+    ``true``, ``1.0`` and ``"1"`` are refused (ValueError), never coerced.
+    """
+    if not isinstance(value, list) or any(type(e) is not int for e in value) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise ValueError(f"{name} must be an array of {size}integers, got {value!r}")
+    return tuple(value)
+
+
 def order_statistics(s: Sequence[int]) -> Seq:
     """Weakly increasing rearrangement of ``s`` (its order statistics)."""
     return tuple(sorted(s))

@@ -2,16 +2,16 @@
 
 This is the ground truth every closed-form count is checked against: it never
 consults a formula, only the membership predicates.  Entry bounds are the
-provably sufficient ones (an entry at or beyond the bound can never belong to
-a member), and a slack mode widens them by one so tests can assert the bounds
-lose nothing.
+provably sufficient ones: an entry at or beyond the bound can never belong to
+a member.
 
 ``enumerate_members`` is definitional: it walks every candidate tuple in
 lexicographic order and filters by the predicate.  ``count`` exploits that
 every predicate depends only on order statistics, so it sweeps weakly
-increasing candidates and weighs each by its number of rearrangements; for
-the two-dimensional family the sweep is additionally vectorized over the
-candidate pair grid.  Equality of the two routes is asserted in the tests.
+increasing candidates of the same generator and weighs each member by its
+number of rearrangements; for the two-dimensional family the sweep is
+additionally vectorized over the candidate pair grid.  Equality of the two
+routes is asserted in the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, factorial
-from typing import Iterator, Optional
+from math import comb, factorial, prod
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .vector import is_prime_vector_pf, is_vector_pf, validate_capacity
 DEFAULT_SEARCH_CAP = 10**8
 
 Instance = tuple[Seq, ...]  # (a,) for one-sequence families, (a, b) for pairs
+Shapes = tuple[tuple[int, int], ...]  # (length, exclusive entry bound) per sequence
 
 
 @dataclass(frozen=True)
@@ -101,75 +102,69 @@ class EnumerationReport:
         }
 
 
-def _shapes_and_bounds(spec: FamilySpec, extra_bound: int) -> tuple[tuple[int, int], ...]:
-    """(length, exclusive entry bound) for each sequence of a candidate."""
-    if spec.family in ("classical", "vector"):
-        assert spec.u is not None
-        return ((len(spec.u), spec.u[-1] + extra_bound),)
+def _family(spec: FamilySpec) -> tuple[Shapes, Callable[[Instance], bool]]:
+    """Candidate shapes and membership test; predicates are this module's globals at call time."""
     if spec.family == "pq":
-        assert spec.p is not None and spec.q is not None
-        return ((spec.p, spec.q + 1 + extra_bound), (spec.q, spec.p + 1 + extra_bound))
-    assert spec.weights is not None
-    return (
-        (spec.weights.p, spec.weights.max_u + extra_bound),
-        (spec.weights.q, spec.weights.max_v + extra_bound),
-    )
+        pair_test = is_pq_prime if spec.prime else is_pq_pf
+        return ((spec.p, spec.q + 1), (spec.q, spec.p + 1)), lambda c: pair_test(PQPair(*c))
+    if spec.family == "twodim":
+        weights = spec.weights
+        shapes = ((weights.p, weights.max_u), (weights.q, weights.max_v))
+        if spec.prime:
+            return shapes, lambda c: is_u_prime(c[0], c[1], weights, method="direct")
+        return shapes, lambda c: is_u_pf(c[0], c[1], weights)[0]
+    u = spec.u
+    vector_test = is_prime_vector_pf if spec.prime else is_vector_pf
+    return ((len(u), u[-1]),), lambda c: vector_test(c[0], u)
 
 
-def _predicate(spec: FamilySpec):
-    if spec.family in ("classical", "vector"):
-        member = is_prime_vector_pf if spec.prime else is_vector_pf
-        return lambda seqs: member(seqs[0], spec.u)
-    if spec.family == "pq":
-        member = is_pq_prime if spec.prime else is_pq_pf
-        return lambda seqs: member(PQPair(seqs[0], seqs[1]))
-    weights = spec.weights
-    if spec.prime:
-        return lambda seqs: is_u_prime(seqs[0], seqs[1], weights, method="direct")
-    return lambda seqs: is_u_pf(seqs[0], seqs[1], weights)[0]
+def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
+    """Every candidate, lazily, in lexicographic order of the flattened tuple.
+
+    Each sequence runs over the weakly increasing tuples or over the full box.
+    """
+    def seqs(length: int, bound: int) -> Iterator[Seq]:
+        return combinations_with_replacement(range(bound), length) if increasing else product(range(bound), repeat=length)
+
+    if len(shapes) == 1:
+        return ((a,) for a in seqs(*shapes[0]))
+    return ((a, b) for a in seqs(*shapes[0]) for b in seqs(*shapes[1]))
 
 
-def _checked_space(spec: FamilySpec, extra_bound: int, cap: Optional[int]) -> int:
+def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
     """Nominal candidate count; raises when it exceeds the cap."""
-    total = 1
-    for length, bound in _shapes_and_bounds(spec, extra_bound):
-        total *= comb(bound + length - 1, length) if spec.increasing else bound**length
+    total = prod(comb(bound + length - 1, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
     return total
 
 
-def enumerate_members(
-    spec: FamilySpec, *, cap: Optional[int] = None, extra_bound: int = 0
-) -> Iterator[Instance]:
-    """Yield exactly the members, in lexicographic order of the flattened tuple."""
-    _checked_space(spec, extra_bound, cap)
-    member = _predicate(spec)
-    shapes = _shapes_and_bounds(spec, extra_bound)
-    per_seq = [
-        combinations_with_replacement(range(bound), length)
-        if spec.increasing
-        else product(range(bound), repeat=length)
-        for length, bound in shapes
-    ]
-    for candidate in product(*per_seq):
-        if member(candidate):
-            yield candidate
+def enumerate_members(spec: FamilySpec, *, cap: Optional[int] = None) -> Iterator[Instance]:
+    """Exactly the members, lazily, in lexicographic order of the flattened tuple.
+
+    Candidates are generated one at a time, so memory stays flat however
+    large the space; the cap is checked at the call, before the first one.
+    """
+    shapes, member = _family(spec)
+    _checked_space(spec, shapes, cap)
+    return filter(member, _sweep(shapes, spec.increasing))
 
 
-def count(spec: FamilySpec, *, cap: Optional[int] = None, extra_bound: int = 0) -> EnumerationReport:
+def count(spec: FamilySpec, *, cap: Optional[int] = None) -> EnumerationReport:
     """Count the members of the family over the full candidate space.
 
-    Counting sweeps weakly increasing candidates once, weighing a candidate
-    by its number of distinct rearrangements (1 in the increasing variants).
+    Counting sweeps weakly increasing candidates once, weighing a member by
+    the rearrangements of each of its sequences (1 in the increasing variants).
     """
-    space = _checked_space(spec, extra_bound, cap)
+    shapes, member = _family(spec)
+    space = _checked_space(spec, shapes, cap)
     start = time.perf_counter()
     if spec.family == "twodim":
-        total = _twodim_grid_counts(spec.weights, extra_bound)[(spec.prime, spec.increasing)]
+        total = _twodim_grid_counts(shapes, spec.weights)[(spec.prime, spec.increasing)]
     else:
-        total = _count_sorted(spec, extra_bound)
+        members = filter(member, _sweep(shapes, True))
+        total = sum(1 for _ in members) if spec.increasing else sum(prod(map(_rearrangements, c)) for c in members)
     return EnumerationReport(spec, total, space, time.perf_counter() - start)
 
 
@@ -186,31 +181,13 @@ def _rearrangements(sorted_tuple: Seq) -> int:
     return total
 
 
-def _count_sorted(spec: FamilySpec, extra_bound: int) -> int:
-    member = _predicate(spec)
-    shapes = _shapes_and_bounds(spec, extra_bound)
-    outer_len, outer_bound = shapes[0]
-    total = 0
-    for sa in combinations_with_replacement(range(outer_bound), outer_len):
-        wa = 1 if spec.increasing else _rearrangements(sa)
-        if len(shapes) == 1:
-            if member((sa,)):
-                total += wa
-            continue
-        inner_len, inner_bound = shapes[1]
-        for sb in combinations_with_replacement(range(inner_bound), inner_len):
-            if member((sa, sb)):
-                total += wa * (1 if spec.increasing else _rearrangements(sb))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Vectorized sweep for the two-dimensional family
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=128)
-def _twodim_grid_counts(weights: WeightMatrix, extra_bound: int) -> dict[tuple[bool, bool], int]:
+def _twodim_grid_counts(shapes: Shapes, weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     """All four counts (prime x increasing) for one weight grid, in one sweep.
 
     Reachability of (p, q) through admissible edges is evaluated for every
@@ -223,9 +200,7 @@ def _twodim_grid_counts(weights: WeightMatrix, extra_bound: int) -> dict[tuple[b
     partial sum of the weighted reduction, so int64 is exact below 2**63;
     larger spaces reduce in Python ints (``dtype=object``).
     """
-    p, q = weights.p, weights.q
-    bu = weights.max_u + extra_bound
-    bv = weights.max_v + extra_bound
+    (p, bu), (q, bv) = shapes
     cand_a = list(combinations_with_replacement(range(bu), p))
     cand_b = list(combinations_with_replacement(range(bv), q))
     zero = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}

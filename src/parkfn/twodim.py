@@ -15,7 +15,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from . import exact
-from .core import LatticePath, Seq, as_seq, order_statistics
+from .core import LatticePath, Seq, as_seq, json_ints, order_statistics
 from .errors import DegenerateGrid, DimensionMismatch, NonMonotoneWeights
 
 
@@ -65,9 +65,13 @@ class WeightMatrix:
         return {"p": self.p, "q": self.q, "nodes": [[list(node) for node in row] for row in self.rows]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "WeightMatrix":
-        rows = tuple(tuple((int(n[0]), int(n[1])) for n in row) for row in data["nodes"])
-        return cls(int(data["p"]), int(data["q"]), rows)
+    def from_json_dict(cls, data: object) -> "WeightMatrix":
+        """Parse ``{"p", "q", "nodes"}``; anything but JSON integers raises ValueError."""
+        nodes = data.get("nodes") if isinstance(data, dict) else None
+        if not isinstance(nodes, list) or not all(isinstance(row, list) for row in nodes):
+            raise ValueError("a weight grid must be an object whose 'nodes' is an array of rows")
+        p, q = json_ints([data.get("p"), data.get("q")], "the grid's 'p' and 'q'")
+        return cls(p, q, tuple(tuple(json_ints(node, "a grid node", 2) for node in row) for row in nodes))
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,11 @@ class AffineWeightSpec:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d, "s": self.s, "t": self.t, "p": self.p, "q": self.q}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "AffineWeightSpec":
-        return cls(*(int(data[key]) for key in "abcdstpq"))
+    def from_json_dict(cls, data: object) -> "AffineWeightSpec":
+        """Parse ``{"a", ..., "t", "p", "q"}``; anything but JSON integers raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"an affine grid must be a JSON object, got {data!r}")
+        return cls(*json_ints([data.get(key) for key in "abcdstpq"], "the affine grid's a, b, c, d, s, t, p, q"))
 
 
 def affine_weight_matrix(spec: AffineWeightSpec) -> WeightMatrix:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .core import Point, Seq, as_seq, order_statistics, path_of_increasing, stable_sort_indices
+from .core import Point, Seq, as_seq, order_statistics, stable_sort_indices
 from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunction
 
 
@@ -89,18 +89,13 @@ def simulate_capacity_parking(a: Sequence[int], u: Sequence[int]) -> ParkingOutc
     that exits the lot.
     """
     aa, uu = _checked(a, u)
-    capacity = [0] * uu[-1]
-    for entry in uu:
-        capacity[entry - 1] += 1
+    free = [entry - 1 for entry in uu]  # one sorted slot per unit of capacity
     assignment = []
     for car, preferred in enumerate(aa):
-        spot = preferred
-        while spot < len(capacity) and capacity[spot] == 0:
-            spot += 1
-        if spot >= len(capacity):
+        slot = bisect_left(free, preferred)
+        if slot == len(free):
             return ParkingOutcome(failed_car=car)
-        capacity[spot] -= 1
-        assignment.append(spot)
+        assignment.append(free.pop(slot))
     return ParkingOutcome(assignment=tuple(assignment))
 
 
@@ -118,9 +113,9 @@ def split_points(a: Sequence[int], u: Sequence[int]) -> tuple[Point, ...]:
     aa, uu = _checked(a, u)
     if not is_vector_pf(aa, uu):
         raise NotParkingFunction(f"{aa} is not a parking function for {uu}")
-    markers = {Point(0, 0)} | {Point(uu[i], i + 1) for i in range(len(uu))}
-    path = path_of_increasing(order_statistics(aa), uu[-1])
-    return tuple(sorted(markers & set(path.vertices())))
+    # (u_i, i+1) is on the path when exactly i+1 entries lie below u_i
+    sa = order_statistics(aa)
+    return (Point(0, 0),) + tuple(Point(uu[i], i + 1) for i in range(len(uu)) if bisect_left(sa, uu[i]) == i + 1)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,22 @@ def test_check_twodim_matrix_file(tmp_path, capsys):
     assert code == 0 and out == '{"member":true,"prime":false,"witness":"ENEN"}\n'
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"p": 1, "q": 1, "nodes": 5},
+        {"p": 1, "q": 1, "nodes": [5, 5]},
+        {"p": 1, "q": 1, "nodes": [[[1, 1], [1.5, 1]], [[1, 2], [2, 2]]]},
+        {"p": True, "q": 1, "nodes": [[[1, 1], [1, 1]], [[1, 2], [2, 2]]]},
+        [1, 1],
+    ],
+)
+def test_count_matrix_file_needs_json_integers(tmp_path, capsys, grid):
+    path = write_instance(tmp_path, grid, "grid.json")
+    code, out, err = run_cli(capsys, ["count", "--family", "twodim", "--matrix-file", path, "--method", "oracle"])
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_list_twodim_prime(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -143,6 +159,13 @@ def test_simulate_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["simulate", "--family", "vector", "--file", path])
     assert code == 0
     assert out == '{"failed_car":1}\n'
+
+
+def test_simulate_huge_capacity_allocates_nothing(capsys, monkeypatch):
+    # the lot is never laid out spot by spot, so u[-1] = 10**19 costs nothing
+    instance = {"a": [0, 5], "u": [1, 10**19]}
+    code, out, _ = run_cli(capsys, ["simulate", "--family", "vector"], stdin_obj=instance, monkeypatch=monkeypatch)
+    assert code == 0 and out == '{"assignment":[0,9999999999999999999]}\n'
 
 
 def test_simulate_rejects_pair_families(tmp_path, capsys):
@@ -187,6 +210,16 @@ def test_decompose_pq_golden(tmp_path, capsys):
         "offset": [0, 0],
     }
     assert got["components"][4] == {"A": [], "B": [0], "a": [], "b": [0], "offset": [6, 4]}
+
+
+def test_decompose_huge_capacity_allocates_nothing(capsys, monkeypatch):
+    instance = {"a": [0, 5], "u": [1, 10**19]}
+    code, out, _ = run_cli(capsys, ["decompose", "--family", "vector"], stdin_obj=instance, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["components"] == [
+        {"B": [0], "a": [0], "offset": 0, "u": [1]},
+        {"B": [1], "a": [4], "offset": 1, "u": [9999999999999999999]},
+    ]
 
 
 def test_decompose_rejects_non_member(tmp_path, capsys):
@@ -343,6 +376,15 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
         ("pq", {"a": [0], "b": [False]}),
         ("classical", {"a": 3}),
         ("pq", {"a": [0], "b": [0], "p": [1]}),
+        ("twodim", {"a": [0], "b": [0], "U": 5}),
+        ("twodim", {"a": [0], "b": [0], "U": {"p": 1, "q": 1, "nodes": [[[1]]]}}),
+        ("twodim", {"a": [0], "b": [0], "U": {"p": 1, "q": 1, "nodes": [[[1, 1], [True, 1]], [[1, 2], [2, 2]]]}}),
+        ("twodim", {"a": [0], "b": [0], "U": {"p": 1, "q": 1, "nodes": [[[1, 1], [1.5, 1]], [[1, 2], [2, 2]]]}}),
+        ("twodim", {"a": [0], "b": [0], "affine": [1, 2]}),
+        ("twodim", {"a": [0], "b": [0], "affine": {"a": "1", "b": 0, "c": 0, "d": 0, "s": 1, "t": 1, "p": 1, "q": 1}}),
+        ("twodim", {"a": [0], "b": [0], "affine": {"a": 0, "b": True, "c": 0, "d": 0, "s": 1, "t": 1, "p": 1, "q": 1}}),
+        ("twodim", {"a": [0], "b": [0], "affine": {"a": 0, "b": 0, "c": 0, "d": 0, "s": 1.9, "t": 1, "p": 1, "q": 1}}),
+        ("twodim", {"a": [0], "b": [0], "affine": {"a": 0, "b": 0, "c": 0, "d": 0, "s": 1, "t": 1, "p": 1}}),
     ],
 )
 def test_non_integer_instances_exit_one(capsys, monkeypatch, family, instance):
@@ -357,11 +399,19 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# Embedded "U"/"affine" grids: their integers stay in the small range above,
+# as a grid allocates (p+1)(q+1) nodes.
+_GRID_OBJECTS = st.dictionaries(st.sampled_from([*"abcdstpq", "nodes"]), _JSON_VALUES, max_size=9)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     command=st.sampled_from(["check", "simulate", "decompose"]),
     family=st.sampled_from(["classical", "vector", "pq", "twodim"]),
-    instance=st.dictionaries(st.sampled_from(["a", "b", "u", "p", "q"]), _JSON_VALUES, max_size=5) | _JSON_VALUES,
+    instance=st.dictionaries(
+        st.sampled_from(["a", "b", "u", "p", "q", "U", "affine"]), _JSON_VALUES | _GRID_OBJECTS, max_size=7
+    )
+    | _JSON_VALUES,
 )
 def test_fuzzed_instances_exit_zero_or_one(command, family, instance):
     argv = [command, "--family", family, "--affine", "0,1,1,0,1,1", "--p", "2", "--q", "2"]

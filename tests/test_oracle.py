@@ -1,6 +1,7 @@
 """Brute-force oracle: enumeration order, count consistency, bounds, exact reduction."""
 
 import json
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -70,10 +71,43 @@ def test_count_golden_values():
     assert oracle.count(FamilySpec("pq", p=3, q=4)).count == 12800
 
 
-def test_bound_slack_changes_nothing():
-    # widening every entry bound by one must not admit new members
+def _widened_box(spec):
+    """(length, entry bound) per sequence, one wider than the oracle's, and the public predicate."""
+    if spec.family in ("classical", "vector"):
+        test = vector.is_prime_vector_pf if spec.prime else vector.is_vector_pf
+        return [(len(spec.u), spec.u[-1] + 1)], lambda a: test(a, spec.u)
+    if spec.family == "pq":
+        test = pq.is_pq_prime if spec.prime else pq.is_pq_pf
+        return [(spec.p, spec.q + 2), (spec.q, spec.p + 2)], lambda a, b: test(pq.PQPair(a, b))
+    w = spec.weights
+    shapes = [(w.p, w.max_u + 1), (w.q, w.max_v + 1)]
+    if spec.prime:
+        return shapes, lambda a, b: twodim.is_u_prime(a, b, w, method="direct")
+    return shapes, lambda a, b: twodim.is_u_pf(a, b, w)[0]
+
+
+def test_widened_box_admits_no_new_members():
+    # the oracle's entry bounds lose nothing: a box one entry wider per
+    # sequence, filtered by the public predicates, holds exactly its members
     for spec in SMALL_SPECS:
-        assert oracle.count(spec).count == oracle.count(spec, extra_bound=1).count, spec
+        shapes, member = _widened_box(spec)
+        found = 0
+        for cand in product(*(product(range(bound), repeat=length) for length, bound in shapes)):
+            if spec.increasing and any(list(seq) != sorted(seq) for seq in cand):
+                continue
+            found += member(*cand)
+        assert found == oracle.count(spec).count, spec
+
+
+def test_enumerate_members_streams():
+    tracemalloc.start()
+    try:
+        first = next(oracle.enumerate_members(FamilySpec("classical", n=7)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((0,) * 7,)
+    assert peak < 2**20
 
 
 def test_increasing_counts_match_distinct_multisets():
