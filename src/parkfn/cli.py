@@ -190,12 +190,16 @@ def _cmd_check(args) -> int:
         out = {"member": pq.is_pq_pf(pair), "prime": pq.is_pq_prime(pair)}
     else:
         if "U" in data:
-            weights = twodim.WeightMatrix.from_json_dict(data["U"])
+            grid = twodim.WeightMatrix.from_json_dict(data["U"])
         elif "affine" in data:
-            weights = twodim.affine_weight_matrix(twodim.AffineWeightSpec.from_json_dict(data["affine"]))
+            grid = twodim.AffineWeightSpec.from_json_dict(data["affine"])
         else:
-            weights = _weights(_params_from_args(args))
+            params = _params_from_args(args)
+            grid = params["weights"] if "weights" in params else _affine(params)
         a, b = tuple(data["a"]), tuple(data["b"])
+        # checked before an affine grid's (p+1)(q+1) nodes are built
+        twodim.check_pair_shape(a, b, grid.p, grid.q)
+        weights = grid if isinstance(grid, twodim.WeightMatrix) else twodim.affine_weight_matrix(grid)
         member, witness = twodim.is_u_pf(a, b, weights)
         out = {"member": member}
         if weights.p >= 1 and weights.q >= 1:

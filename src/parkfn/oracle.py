@@ -9,9 +9,11 @@ a member.
 lexicographic order and filters by the predicate.  ``count`` exploits that
 every predicate depends only on order statistics, so it sweeps weakly
 increasing candidates of the same generator and weighs each member by its
-number of rearrangements; for the two-dimensional family the sweep is
-additionally vectorized over the candidate pair grid.  Equality of the two
-routes is asserted in the tests.
+number of rearrangements.  For the two-dimensional family the sweep is
+additionally vectorized over candidate pairs: the b-candidates are packed 64
+to a word and the a-candidates run in blocks, so memory is bounded by one
+block, not by the pair grid.  Equality of the two routes is asserted in the
+tests.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial, prod
 from typing import Callable, Iterator, Optional
 
@@ -185,82 +187,105 @@ def _rearrangements(sorted_tuple: Seq) -> int:
 # Vectorized sweep for the two-dimensional family
 # ---------------------------------------------------------------------------
 
+_BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) per block of the packed sweep, at least one a-row
+_ONES = np.uint64(2**64 - 1)
+
 
 @lru_cache(maxsize=128)
 def _twodim_grid_counts(shapes: Shapes, weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     """All four counts (prime x increasing) for one weight grid, in one sweep.
 
-    Reachability of (p, q) through admissible edges is evaluated for every
-    sorted candidate pair at once: boolean arrays indexed by (a-candidate,
-    b-candidate) replace the per-pair walk.  The prime sweep runs the
-    two-path DP over anti-diagonals with the same arrays.  Semantics match
-    ``is_u_pf`` / ``is_u_prime(direct)`` exactly; the tests compare the two.
+    Reachability of (p, q) through admissible edges is evaluated for many
+    sorted candidate pairs at once.  The b-candidates are packed 64 to a
+    ``uint64`` word, so a DP state is an (a-candidate x word) array: an east
+    edge masks whole a-rows (a word of ones or of zeros), a north edge ANDs
+    in one packed b-row.  The a-candidates run in blocks that are reduced
+    before the next one starts, so memory is bounded by the block, not by
+    the candidate grid.  The prime sweep runs the two-path DP over
+    anti-diagonals on the same states.  Semantics match ``is_u_pf`` /
+    ``is_u_prime(direct)`` exactly; the tests compare the two.
 
     No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
     partial sum of the weighted reduction, so int64 is exact below 2**63;
     larger spaces reduce in Python ints (``dtype=object``).
     """
     (p, bu), (q, bv) = shapes
-    cand_a = list(combinations_with_replacement(range(bu), p))
-    cand_b = list(combinations_with_replacement(range(bv), q))
-    zero = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    if not cand_a or not cand_b:
-        return zero
-    na, nb = len(cand_a), len(cand_b)
-    arr_a = np.array(cand_a, dtype=np.int64).reshape(na, p)
-    arr_b = np.array(cand_b, dtype=np.int64).reshape(nb, q)
+    out = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
+    arr_a, arr_b = _sorted_rows(bu, p), _sorted_rows(bv, q)
+    na, nb = len(arr_a), len(arr_b)
+    if not na or not nb:
+        return out
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
-    wa = np.array([_rearrangements(t) for t in cand_a], dtype=dtype)
-    wb = np.array([_rearrangements(t) for t in cand_b], dtype=dtype)
+    wa, wb = _rearrangement_weights(arr_a, dtype), _rearrangement_weights(arr_b, dtype)
 
-    u_grid = np.array([[weights.u(k, l) for l in range(q + 1)] for k in range(p)], dtype=np.int64)
-    v_grid = np.array([[weights.v(k, l) for l in range(q)] for k in range(p + 1)], dtype=np.int64)
-    # east_ok[i, k, l]: sorted a-candidate i may take the east edge at (k, l)
-    east_ok = arr_a[:, :, None] < u_grid[None, :, :] if p else np.zeros((na, 0, q + 1), dtype=bool)
-    north_ok = arr_b[:, :, None] < v_grid.T[None, :, :] if q else np.zeros((nb, 0, p + 1), dtype=bool)
-    # north_ok[j, l, k]: sorted b-candidate j may take the north edge at (k, l)
+    u_grid = np.array([[weights.u(k, l) for l in range(q + 1)] for k in range(p)], dtype=np.int64).reshape(p, q + 1)
+    v_grid = np.array([[weights.v(k, l) for k in range(p + 1)] for l in range(q)], dtype=np.int64).reshape(q, p + 1)
+    # east[i, k, l]: all ones iff sorted a-candidate i may take the east edge at (k, l)
+    east = (arr_a[:, :, None] < u_grid[None, :, :]) * _ONES
+    # north[l, k]: the packed b-candidates that may take the north edge at (k, l)
+    words = -(-nb // 64)
+    north = np.zeros((q, p + 1, 8 * words), dtype=np.uint8)
+    north[:, :, : -(-nb // 8)] = np.packbits(arr_b.T[:, None, :] < v_grid[:, :, None], axis=-1, bitorder="little")
+    north = north.view(np.uint64)
 
-    member = _vector_reach(east_ok, north_ok, na, nb, p, q)
-    member_prime = (
-        _vector_two_path(east_ok, north_ok, na, nb, p, q) if p >= 1 and q >= 1 else None
-    )
-
-    out = dict(zero)
-    for prime, grid in ((False, member), (True, member_prime)):
-        if grid is not None:
-            out[(prime, False)] = int(wa @ grid.astype(dtype) @ wb)
-            out[(prime, True)] = int(grid.sum())
+    rows = max(1, _BLOCK_BITS // (64 * words))
+    for lo in range(0, na, rows):
+        block = east[lo : lo + rows]
+        member = _vector_reach(block, north, p, q)
+        member_prime = _vector_two_path(block, north, p, q) if p >= 1 and q >= 1 else None
+        for prime, state in ((False, member), (True, member_prime)):
+            if state is not None:
+                # the pad bits past nb in the last word are dropped here, never counted
+                bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
+                out[(prime, False)] += int(wa[lo : lo + rows] @ (bits.astype(dtype) @ wb))
+                out[(prime, True)] += int(bits.sum())
     return out
 
 
-def _vector_reach(east_ok, north_ok, na: int, nb: int, p: int, q: int):
-    """member[i, j]: some admissible path crosses the grid for the pair (i, j)."""
-    reach = np.ones((na, nb), dtype=bool)
-    row = [reach]
+def _sorted_rows(bound: int, length: int) -> np.ndarray:
+    """The weakly increasing tuples over range(bound), one per row, in lexicographic order."""
+    flat = np.fromiter(chain.from_iterable(combinations_with_replacement(range(bound), length)), dtype=np.int64)
+    return flat.reshape(-1, length) if length else np.zeros((1, 0), dtype=np.int64)
+
+
+def _rearrangement_weights(rows: np.ndarray, dtype) -> np.ndarray:
+    """``_rearrangements`` of every sorted row: n! over the product of each entry's position in its run."""
+    n = rows.shape[1]
+    wide = np.int64 if factorial(n) < 2**63 else object
+    col = np.arange(n)
+    new_run = np.ones(rows.shape, dtype=bool)
+    new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    run_start = np.maximum.accumulate(col * new_run, axis=1)
+    return (factorial(n) // (col + 1 - run_start).astype(wide).prod(axis=1)).astype(dtype)
+
+
+def _vector_reach(east, north, p: int, q: int):
+    """Packed reachability of (p, q) for a block: bit j of row i is set iff some path admits the pair (i, j)."""
+    row = [np.full((len(east), north.shape[-1]), _ONES)]
     for k in range(1, p + 1):
-        row.append(row[k - 1] & east_ok[:, k - 1, 0][:, None])
+        row.append(row[k - 1] & east[:, k - 1, 0, None])
     for l in range(1, q + 1):
-        nxt = [row[0] & north_ok[:, l - 1, 0][None, :]]
+        nxt = [row[0] & north[l - 1, 0]]
         for k in range(1, p + 1):
-            nxt.append(
-                (nxt[k - 1] & east_ok[:, k - 1, l][:, None])
-                | (row[k] & north_ok[:, l - 1, k][None, :])
-            )
+            nxt.append((nxt[k - 1] & east[:, k - 1, l, None]) | (row[k] & north[l - 1, k]))
         row = nxt
     return row[p]
 
 
-def _vector_two_path(east_ok, north_ok, na: int, nb: int, p: int, q: int):
-    """member[i, j]: two admissible paths share only the corner vertices."""
-    start = east_ok[:, 0, 0][:, None] & north_ok[:, 0, 0][None, :]
-    states: dict[tuple[int, int], np.ndarray] = {(1, 0): start}
+def _vector_two_path(east, north, p: int, q: int):
+    """Packed two-path DP for a block: two admissible paths share only the corner vertices.
+
+    None when no pair of the block has such paths.
+    """
+    moves = _vector_moves(east, north, p, q)
+    states = {(1, 0): east[:, 0, 0, None] & north[0, 0]}
     for r in range(1, p + q):
         last = r + 1 == p + q
         nxt: dict[tuple[int, int], np.ndarray] = {}
         for (k1, k2), grid in states.items():
-            for k1n, move1 in _vector_moves(k1, r, east_ok, north_ok, p, q):
+            for k1n, move1 in moves[k1][r - k1]:
                 half = grid & move1
-                for k2n, move2 in _vector_moves(k2, r, east_ok, north_ok, p, q):
+                for k2n, move2 in moves[k2][r - k2]:
                     if not last and k1n <= k2n:
                         continue
                     key = (k1n, k2n)
@@ -269,16 +294,17 @@ def _vector_two_path(east_ok, north_ok, na: int, nb: int, p: int, q: int):
         states = nxt
         if not states:
             break
-    final = states.get((p, p))
-    return final if final is not None else np.zeros((na, nb), dtype=bool)
+    return states.get((p, p))
 
 
-def _vector_moves(k: int, r: int, east_ok, north_ok, p: int, q: int):
-    """(next column, admissibility grid) moves from column k on diagonal r."""
-    l = r - k
-    if not 0 <= l <= q:
-        return
-    if k < p and east_ok[:, k, l].any():
-        yield k + 1, east_ok[:, k, l][:, None]
-    if l < q and north_ok[:, l, k].any():
-        yield k, north_ok[:, l, k][None, :]
+def _vector_moves(east, north, p: int, q: int) -> list:
+    """moves[k][l]: (next column, admissibility mask) of each step out of (k, l) some pair of the block may take."""
+    east_open, north_open = east.any(axis=0).tolist(), north.any(axis=2).tolist()
+    moves: list = [[[] for _ in range(q + 1)] for _ in range(p + 1)]
+    for k in range(p + 1):
+        for l in range(q + 1):
+            if k < p and east_open[k][l]:
+                moves[k][l].append((k + 1, east[:, k, l, None]))
+            if l < q and north_open[l][k]:
+                moves[k][l].append((k, north[l, k]))
+    return moves

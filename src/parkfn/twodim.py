@@ -149,6 +149,12 @@ def _reach_end(east_ok, north_ok, p: int, q: int) -> list[list[bool]]:
     return reach
 
 
+def check_pair_shape(a: Sequence[int], b: Sequence[int], p: int, q: int) -> None:
+    """Raise DimensionMismatch unless the pair (a, b) fits a p x q grid."""
+    if len(a) != p or len(b) != q:
+        raise DimensionMismatch(f"pair has shape ({len(a)},{len(b)}), grid is ({p},{q})")
+
+
 def is_u_pf(a: Sequence[int], b: Sequence[int], weights: WeightMatrix) -> tuple[bool, Optional[BoundednessWitness]]:
     """Decide membership and, when bounded, return a witness path.
 
@@ -158,8 +164,7 @@ def is_u_pf(a: Sequence[int], b: Sequence[int], weights: WeightMatrix) -> tuple[
     """
     aa, bb = as_seq(a), as_seq(b)
     p, q = weights.p, weights.q
-    if len(aa) != p or len(bb) != q:
-        raise DimensionMismatch(f"pair has shape ({len(aa)},{len(bb)}), grid is ({p},{q})")
+    check_pair_shape(aa, bb, p, q)
     east_ok, north_ok = _admissible(aa, bb, weights)
     reach = _reach_end(east_ok, north_ok, p, q)
     if not reach[0][0]:
@@ -212,8 +217,7 @@ def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method
     p, q = weights.p, weights.q
     if p < 1 or q < 1:
         raise DegenerateGrid("primeness is defined for p, q >= 1 only")
-    if len(aa) != p or len(bb) != q:
-        raise DimensionMismatch(f"pair has shape ({len(aa)},{len(bb)}), grid is ({p},{q})")
+    check_pair_shape(aa, bb, p, q)
     if method == "transform":
         return is_u_pf(aa, bb, prime_weight_transform(weights))[0]
     if method != "direct":

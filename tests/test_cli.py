@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,26 @@ def test_check_twodim_embedded_grid(tmp_path, capsys):
     path = write_instance(tmp_path, affine, "affine.json")
     code, out2, _ = run_cli(capsys, ["check", "--family", "twodim", "--file", path])
     assert code == 0 and out2 == out
+
+
+@pytest.mark.parametrize("route", ["embedded", "flags"])
+def test_check_compares_shapes_before_building_an_affine_grid(tmp_path, capsys, route):
+    # a (1,1) pair against a 300x300 affine grid fails without building its 90,601 nodes
+    instance, argv = {"a": [0], "b": [0]}, ["check", "--family", "twodim"]
+    if route == "embedded":
+        instance["affine"] = {"a": 0, "b": 0, "c": 0, "d": 0, "s": 1, "t": 1, "p": 300, "q": 300}
+    else:
+        argv += ["--affine", "0,0,0,0,1,1", "--p", "300", "--q", "300"]
+    argv += ["--file", write_instance(tmp_path, instance)]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert "pair has shape (1,1), grid is (300,300)" in err
+    assert peak < 2**20
 
 
 def test_check_twodim_matrix_file(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import json
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from parkfn import oracle, pq, twodim, vector
@@ -183,3 +185,65 @@ def test_twodim_counts_past_int64_are_exact(grid):
     counts = [oracle.count(FamilySpec("twodim", prime, weights=weights), cap=10**30).count for prime in (False, True)]
     assert counts == [twodim.count_affine_pf(aspec), twodim.count_affine_ppf(aspec)]
     assert counts[0] >= 2**63
+
+
+def _affine_variants(grid):
+    """The oracle.count specs of every defined variant of an affine grid (prime needs p, q >= 1)."""
+    weights = affine_weight_matrix(AffineWeightSpec(*grid))
+    primes = (False, True) if weights.p >= 1 and weights.q >= 1 else (False,)
+    return [FamilySpec("twodim", prime, increasing, weights=weights) for prime in primes for increasing in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (0, 0, 0, 0, 1, 63, 1, 1),  # nb = 63: one word, one pad bit
+        (0, 0, 0, 0, 1, 64, 1, 1),  # nb = 64: exactly one word
+        (0, 0, 0, 0, 1, 65, 1, 1),  # nb = 65: one bit into a second word
+        (1, 1, 1, 1, 1, 1, 0, 4),  # p = 0: the DP starts from the all-candidates row
+        (1, 0, 1, 1, 2, 1, 4, 0),  # q = 0: one empty b-candidate, 63 pad bits
+    ],
+)
+def test_packed_twodim_kernel_edges_match_enumeration(grid):
+    for spec in _affine_variants(grid):
+        assert oracle.count(spec).count == len(list(oracle.enumerate_members(spec))), (grid, spec)
+
+
+def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
+    grid = (2, 1, 0, 1, 1, 1, 2, 9)
+    aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
+    na, nb = comb(weights.max_u + weights.p - 1, weights.p), comb(weights.max_v + weights.q - 1, weights.q)
+    assert na > oracle._BLOCK_BITS // (64 * -(-nb // 64))  # the a-candidates span several blocks
+    closed = {
+        (False, False): twodim.count_affine_pf(aspec),
+        (False, True): twodim.count_affine_ipf(aspec),
+        (True, False): twodim.count_affine_ppf(aspec),
+        (True, True): twodim.count_affine_ippf(aspec),
+    }
+    for spec in _affine_variants(grid):
+        assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 6, 20, 21])  # 20! < 2**63 < 21!
+def test_vectorised_weights_match_rearrangements(length):
+    rows = list(combinations_with_replacement(range(5), length))
+    if length >= 20:
+        rows.append(tuple(range(length)))  # all distinct: the weight is length! itself
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    want = [oracle._rearrangements(row) for row in rows]
+    assert oracle._rearrangement_weights(arr, object).tolist() == want
+    if factorial(length) < 2**63:
+        assert oracle._rearrangement_weights(arr, np.int64).tolist() == want
+
+
+def test_twodim_kernel_memory_is_bounded():
+    # 3003 x 3003 sorted candidate pairs; a bool state per pair took 259 MiB
+    weights = affine_weight_matrix(AffineWeightSpec(1, 1, 1, 1, 1, 1, 5, 5))
+    oracle._twodim_grid_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle.count(FamilySpec("twodim", weights=weights), cap=10**30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
