@@ -256,11 +256,10 @@ def _cmd_list(args) -> int:
 
 
 def load_suite(name: str) -> dict:
-    path = resources.files("parkfn").joinpath(f"suites/{name}.json")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    """The shipped manifest of a suite in ``SUITE_NAMES``; other names are refused, never joined into a path."""
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    return json.loads(resources.files("parkfn").joinpath(f"suites/{name}.json").read_text(encoding="utf-8"))
 
 
 _QUANTITY_LABELS = ("pf", "ipf", "ppf", "ippf")

@@ -21,10 +21,14 @@ class Point(NamedTuple):
 
 
 def as_seq(entries: Iterable[int]) -> Seq:
-    """Normalize to a tuple of non-negative ints."""
-    out = tuple(int(e) for e in entries)
-    if any(e < 0 for e in out):
-        raise ValueError(f"sequence entries must be non-negative, got {out}")
+    """The entries as a tuple, if every one is a non-negative ``int``.
+
+    Any other type (bool, float, str, ...) raises ValueError, never coerced.
+    """
+    out = tuple(entries)
+    for e in out:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"sequence entries must be non-negative integers, got {out!r}")
     return out
 
 

@@ -12,8 +12,9 @@ increasing candidates of the same generator and weighs each member by its
 number of rearrangements.  For the two-dimensional family the sweep is
 additionally vectorized over candidate pairs: the b-candidates are packed 64
 to a word and the a-candidates run in blocks, so memory is bounded by one
-block, not by the pair grid.  Equality of the two routes is asserted in the
-tests.
+block, not by the pair grid.  Its prime counts are plain reachability on the
+reindexed grid ``prime_weight_transform``, which matches ``is_u_prime``; the
+tests compare that predicate's two methods, and both routes here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .core import Seq
 from .errors import SearchSpaceTooLarge
 from .pq import PQPair, is_pq_pf, is_pq_prime
-from .twodim import WeightMatrix, is_u_pf, is_u_prime
+from .twodim import WeightMatrix, is_u_pf, is_u_prime, prime_weight_transform
 from .vector import is_prime_vector_pf, is_vector_pf, validate_capacity
 
 DEFAULT_SEARCH_CAP = 10**8
@@ -201,9 +202,11 @@ def _twodim_grid_counts(shapes: Shapes, weights: WeightMatrix) -> dict[tuple[boo
     edge masks whole a-rows (a word of ones or of zeros), a north edge ANDs
     in one packed b-row.  The a-candidates run in blocks that are reduced
     before the next one starts, so memory is bounded by the block, not by
-    the candidate grid.  The prime sweep runs the two-path DP over
-    anti-diagonals on the same states.  Semantics match ``is_u_pf`` /
-    ``is_u_prime(direct)`` exactly; the tests compare the two.
+    the candidate grid.  The prime counts run the same reachability against
+    the reindexed grid ``prime_weight_transform(weights)``, over the same
+    candidates and weights.  Semantics match ``is_u_pf`` / ``is_u_prime``
+    exactly; the tests compare them, and ``is_u_prime``'s direct two-path DP
+    with its transform.
 
     No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
     partial sum of the weighted reduction, so int64 is exact below 2**63;
@@ -217,29 +220,34 @@ def _twodim_grid_counts(shapes: Shapes, weights: WeightMatrix) -> dict[tuple[boo
         return out
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
     wa, wb = _rearrangement_weights(arr_a, dtype), _rearrangement_weights(arr_b, dtype)
+    grids = {False: _packed_edges(arr_a, arr_b, weights)}
+    if p >= 1 and q >= 1:
+        grids[True] = _packed_edges(arr_a, arr_b, prime_weight_transform(weights))
 
-    u_grid = np.array([[weights.u(k, l) for l in range(q + 1)] for k in range(p)], dtype=np.int64).reshape(p, q + 1)
-    v_grid = np.array([[weights.v(k, l) for k in range(p + 1)] for l in range(q)], dtype=np.int64).reshape(q, p + 1)
-    # east[i, k, l]: all ones iff sorted a-candidate i may take the east edge at (k, l)
-    east = (arr_a[:, :, None] < u_grid[None, :, :]) * _ONES
-    # north[l, k]: the packed b-candidates that may take the north edge at (k, l)
-    words = -(-nb // 64)
-    north = np.zeros((q, p + 1, 8 * words), dtype=np.uint8)
-    north[:, :, : -(-nb // 8)] = np.packbits(arr_b.T[:, None, :] < v_grid[:, :, None], axis=-1, bitorder="little")
-    north = north.view(np.uint64)
-
-    rows = max(1, _BLOCK_BITS // (64 * words))
+    rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))
     for lo in range(0, na, rows):
-        block = east[lo : lo + rows]
-        member = _vector_reach(block, north, p, q)
-        member_prime = _vector_two_path(block, north, p, q) if p >= 1 and q >= 1 else None
-        for prime, state in ((False, member), (True, member_prime)):
-            if state is not None:
-                # the pad bits past nb in the last word are dropped here, never counted
-                bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
-                out[(prime, False)] += int(wa[lo : lo + rows] @ (bits.astype(dtype) @ wb))
-                out[(prime, True)] += int(bits.sum())
+        for prime, (east, north) in grids.items():
+            state = _vector_reach(east[lo : lo + rows], north, p, q)
+            # the pad bits past nb in the last word are dropped here, never counted
+            bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
+            out[(prime, False)] += int(wa[lo : lo + rows] @ (bits.astype(dtype) @ wb))
+            out[(prime, True)] += int(bits.sum())
     return out
+
+
+def _packed_edges(arr_a: np.ndarray, arr_b: np.ndarray, weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Edge admissibility of the sorted candidates against one grid, as ``_vector_reach`` takes it.
+
+    east[i, k, l] is all ones iff a-candidate i may take the east edge at
+    (k, l); north[l, k] packs the b-candidates that may take the north edge
+    at (k, l), with zero pad bits.
+    """
+    p, q, nb = weights.p, weights.q, len(arr_b)
+    nodes = np.array(weights.rows, dtype=np.int64)  # nodes[l, k] = (u, v)
+    east = (arr_a[:, :, None] < nodes[:, :p, 0].T) * _ONES
+    north = np.zeros((q, p + 1, 8 * -(-nb // 64)), dtype=np.uint8)
+    north[:, :, : -(-nb // 8)] = np.packbits(arr_b.T[:, None, :] < nodes[:q, :, 1, None], axis=-1, bitorder="little")
+    return east, north.view(np.uint64)
 
 
 def _sorted_rows(bound: int, length: int) -> np.ndarray:
@@ -270,41 +278,3 @@ def _vector_reach(east, north, p: int, q: int):
             nxt.append((nxt[k - 1] & east[:, k - 1, l, None]) | (row[k] & north[l - 1, k]))
         row = nxt
     return row[p]
-
-
-def _vector_two_path(east, north, p: int, q: int):
-    """Packed two-path DP for a block: two admissible paths share only the corner vertices.
-
-    None when no pair of the block has such paths.
-    """
-    moves = _vector_moves(east, north, p, q)
-    states = {(1, 0): east[:, 0, 0, None] & north[0, 0]}
-    for r in range(1, p + q):
-        last = r + 1 == p + q
-        nxt: dict[tuple[int, int], np.ndarray] = {}
-        for (k1, k2), grid in states.items():
-            for k1n, move1 in moves[k1][r - k1]:
-                half = grid & move1
-                for k2n, move2 in moves[k2][r - k2]:
-                    if not last and k1n <= k2n:
-                        continue
-                    key = (k1n, k2n)
-                    contrib = half & move2
-                    nxt[key] = contrib if key not in nxt else nxt[key] | contrib
-        states = nxt
-        if not states:
-            break
-    return states.get((p, p))
-
-
-def _vector_moves(east, north, p: int, q: int) -> list:
-    """moves[k][l]: (next column, admissibility mask) of each step out of (k, l) some pair of the block may take."""
-    east_open, north_open = east.any(axis=0).tolist(), north.any(axis=2).tolist()
-    moves: list = [[[] for _ in range(q + 1)] for _ in range(p + 1)]
-    for k in range(p + 1):
-        for l in range(q + 1):
-            if k < p and east_open[k][l]:
-                moves[k][l].append((k + 1, east[:, k, l, None]))
-            if l < q and north_open[l][k]:
-                moves[k][l].append((k, north[l, k]))
-    return moves

@@ -21,7 +21,7 @@ from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunctio
 
 def validate_capacity(u: Sequence[int]) -> Seq:
     """Check that u is a weakly increasing vector of positive ints, n >= 1."""
-    out = tuple(int(e) for e in u)
+    out = as_seq(u)
     if not out:
         raise ValueError("capacity vector must be non-empty")
     if out[0] < 1:

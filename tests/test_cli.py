@@ -3,9 +3,11 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,15 @@ def test_verify_json_format_is_stable(capsys, suite):
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, ["verify", "--suite", "nope"])
     assert code == 1 and "unknown suite" in err
+
+
+def test_verify_suite_is_a_name_not_a_path(capsys, tmp_path):
+    # a relative path joined into the package reached any JSON file: {"grids": [5]} gave a TypeError
+    (tmp_path / "evil.json").write_text('{"grids": [5]}')
+    suites = resources.files("parkfn") / "suites"
+    for name in ("../suites/classical", os.path.relpath(tmp_path / "evil", str(suites))):
+        code, out, err = run_cli(capsys, ["verify", "--suite", name])
+        assert code == 1 and out == "" and "unknown suite" in err, name
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parkfn import core
+from parkfn import core, oracle, pq, twodim, vector
 from parkfn.core import LatticePath, Point
 from parkfn.errors import DimensionMismatch, NotIncreasing, OutOfRange
 
@@ -148,3 +148,28 @@ def test_vertices_and_step_coordinates():
 def test_path_word_validation():
     with pytest.raises(ValueError):
         LatticePath("NXE")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: vector.is_vector_pf(["0"], [1]),
+        lambda: vector.is_vector_pf([0], [1.9]),
+        lambda: oracle.FamilySpec("vector", u=(1.9, 2.2)),
+        lambda: pq.PQPair(("1",), (0,)),
+        lambda: twodim.is_u_pf((0.5,), (0,), pq.u0_matrix(1, 1)),
+        lambda: vector.validate_capacity((True, 2)),
+    ],
+    ids=["str-entry", "float-capacity", "float-spec-capacity", "str-pq-entry", "float-twodim-entry", "bool-capacity"],
+)
+def test_library_refuses_non_integer_entries(call):
+    with pytest.raises(ValueError, match="integers"):
+        call()
+
+
+@given(small_seqs, st.integers(0, 7), st.one_of(st.booleans(), st.floats(), st.text(max_size=2)))
+def test_as_seq_accepts_exactly_non_negative_ints(entries, at, other):
+    assert core.as_seq(entries) == tuple(entries)
+    for bad in (entries[:at] + [other] + entries[at:], entries + [-1]):
+        with pytest.raises(ValueError):
+            core.as_seq(bad)

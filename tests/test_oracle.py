@@ -1,6 +1,7 @@
 """Brute-force oracle: enumeration order, count consistency, bounds, exact reduction."""
 
 import json
+import random
 import tracemalloc
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
@@ -13,6 +14,7 @@ from parkfn.errors import SearchSpaceTooLarge
 from parkfn.oracle import FamilySpec
 from parkfn.pq import u0_matrix
 from parkfn.twodim import AffineWeightSpec, affine_weight_matrix
+from test_twodim import random_monotone_matrix
 
 SMALL_SPECS = [
     FamilySpec("classical", n=3),
@@ -207,6 +209,17 @@ def _affine_variants(grid):
 def test_packed_twodim_kernel_edges_match_enumeration(grid):
     for spec in _affine_variants(grid):
         assert oracle.count(spec).count == len(list(oracle.enumerate_members(spec))), (grid, spec)
+
+
+def test_twodim_kernel_matches_definition_on_non_affine_grids():
+    # enumerate_members filters by is_u_pf and is_u_prime(direct), the two-path definition,
+    # so the kernel's prime route is checked without the reindexed grid it runs on
+    rng = random.Random(7)
+    for _ in range(20):
+        weights = random_monotone_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), top=4)
+        for prime, increasing in product((False, True), repeat=2):
+            spec = FamilySpec("twodim", prime, increasing, weights=weights)
+            assert oracle.count(spec).count == len(list(oracle.enumerate_members(spec))), (weights.rows, spec)
 
 
 def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
