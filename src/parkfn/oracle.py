@@ -1,20 +1,19 @@
 """Exhaustive brute-force enumeration of all four families.
 
 This is the ground truth every closed-form count is checked against: it never
-consults a formula, only the membership predicates.  Entry bounds are the
-provably sufficient ones: an entry at or beyond the bound can never belong to
-a member.
+consults a formula, only the membership predicates and the weight grids they
+reduce to.  Entry bounds are the provably sufficient ones: an entry at or
+beyond the bound can never belong to a member.
 
 ``enumerate_members`` is definitional: it walks every candidate tuple in
-lexicographic order and filters by the predicate.  ``count`` exploits that
-every predicate depends only on order statistics, so it sweeps weakly
-increasing candidates of the same generator and weighs each member by its
-number of rearrangements.  For the two-dimensional family the sweep is
-additionally vectorized over candidate pairs: the b-candidates are packed 64
-to a word and the a-candidates run in blocks, so memory is bounded by one
-block, not by the pair grid.  Its prime counts are plain reachability on the
-reindexed grid ``prime_weight_transform``, which matches ``is_u_prime``; the
-tests compare that predicate's two methods, and both routes here.
+lexicographic order and filters by the family's own predicate.  ``count``
+counts every family on a weight grid: pq on ``u0_matrix(p, q)``, a vector
+family on its one-row grid, its primes on that of ``prime_reduction(u)``.
+The packed kernel sweeps weakly increasing candidates in blocks, weighing
+each member by its rearrangements, so memory is bounded by one block.  Grid
+primes are plain reachability on ``prime_weight_transform``, which matches
+``is_u_prime``; the tests compare both routes.  Only the pq primes with an
+empty side, whose convention is not a grid transform, count by predicate.
 """
 
 from __future__ import annotations
@@ -22,17 +21,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 from math import comb, factorial, prod
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .core import Seq
 from .errors import SearchSpaceTooLarge
-from .pq import PQPair, is_pq_pf, is_pq_prime
+from .pq import PQPair, is_pq_pf, is_pq_prime, u0_matrix
 from .twodim import WeightMatrix, is_u_pf, is_u_prime, prime_weight_transform
-from .vector import is_prime_vector_pf, is_vector_pf, validate_capacity
+from .vector import is_prime_vector_pf, is_vector_pf, prime_reduction, validate_capacity
 
 DEFAULT_SEARCH_CAP = 10**8
 
@@ -55,16 +54,16 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if self.family == "classical":
-            if self.n is None or self.n < 1:
-                raise ValueError("classical family needs n >= 1")
+            if type(self.n) is not int or self.n < 1:
+                raise ValueError(f"classical family needs an int n >= 1, got {self.n!r}")
             object.__setattr__(self, "u", tuple(range(1, self.n + 1)))
         elif self.family == "vector":
             if self.u is None:
                 raise ValueError("vector family needs a capacity vector u")
             object.__setattr__(self, "u", validate_capacity(self.u))
         elif self.family == "pq":
-            if self.p is None or self.q is None or self.p < 0 or self.q < 0:
-                raise ValueError("pq family needs p, q >= 0")
+            if type(self.p) is not int or type(self.q) is not int or self.p < 0 or self.q < 0:
+                raise ValueError(f"pq family needs ints p, q >= 0, got {self.p!r}, {self.q!r}")
         elif self.family == "twodim":
             if self.weights is None:
                 raise ValueError("twodim family needs a weight matrix")
@@ -157,35 +156,33 @@ def enumerate_members(spec: FamilySpec, *, cap: Optional[int] = None) -> Iterato
 def count(spec: FamilySpec, *, cap: Optional[int] = None) -> EnumerationReport:
     """Count the members of the family over the full candidate space.
 
-    Counting sweeps weakly increasing candidates once, weighing a member by
-    the rearrangements of each of its sequences (1 in the increasing variants).
+    Every family counts on its weight grid (``_count_grid``) but the pq primes
+    with an empty side, which count by predicate over at most one candidate.
     """
     shapes, member = _family(spec)
     space = _checked_space(spec, shapes, cap)
     start = time.perf_counter()
-    if spec.family == "twodim":
-        total = _twodim_grid_counts(shapes, spec.weights)[(spec.prime, spec.increasing)]
+    grid, prime = _count_grid(spec)
+    if prime and not (grid.p and grid.q):  # the (∅,(0)) / ((0),∅) convention is not a grid transform
+        total = sum(1 for _ in filter(member, _sweep(shapes, True)))
     else:
-        members = filter(member, _sweep(shapes, True))
-        total = sum(1 for _ in members) if spec.increasing else sum(prod(map(_rearrangements, c)) for c in members)
+        total = _twodim_grid_counts(grid)[(prime, spec.increasing)]
     return EnumerationReport(spec, total, space, time.perf_counter() - start)
 
 
-def _rearrangements(sorted_tuple: Seq) -> int:
-    """Number of distinct sequences with these order statistics."""
-    total = factorial(len(sorted_tuple))
-    i = 0
-    while i < len(sorted_tuple):
-        j = i
-        while j < len(sorted_tuple) and sorted_tuple[j] == sorted_tuple[i]:
-            j += 1
-        total //= factorial(j - i)
-        i = j
-    return total
+def _count_grid(spec: FamilySpec) -> tuple[WeightMatrix, bool]:
+    """The grid whose plain (False) or prime (True) counts are the family's."""
+    if spec.family == "twodim":
+        return spec.weights, spec.prime
+    if spec.family == "pq":
+        return u0_matrix(spec.p, spec.q), spec.prime
+    u = prime_reduction(spec.u) if spec.prime else spec.u
+    # one row, q = 0: the east edge leaving node k weighs u[k]; node n repeats u[-1]
+    return WeightMatrix(len(u), 0, (tuple((x, 1) for x in u + u[-1:]),)), False
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweep for the two-dimensional family
+# Packed grid kernel, vectorized over candidate pairs
 # ---------------------------------------------------------------------------
 
 _BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) per block of the packed sweep, at least one a-row
@@ -193,71 +190,71 @@ _ONES = np.uint64(2**64 - 1)
 
 
 @lru_cache(maxsize=128)
-def _twodim_grid_counts(shapes: Shapes, weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
+def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     """All four counts (prime x increasing) for one weight grid, in one sweep.
 
     Reachability of (p, q) through admissible edges is evaluated for many
-    sorted candidate pairs at once.  The b-candidates are packed 64 to a
-    ``uint64`` word, so a DP state is an (a-candidate x word) array: an east
-    edge masks whole a-rows (a word of ones or of zeros), a north edge ANDs
-    in one packed b-row.  The a-candidates run in blocks that are reduced
-    before the next one starts, so memory is bounded by the block, not by
-    the candidate grid.  The prime counts run the same reachability against
-    the reindexed grid ``prime_weight_transform(weights)``, over the same
-    candidates and weights.  Semantics match ``is_u_pf`` / ``is_u_prime``
-    exactly; the tests compare them, and ``is_u_prime``'s direct two-path DP
-    with its transform.
+    sorted candidate pairs of the box ``range(max_u)**p x range(max_v)**q`` at
+    once.  The b-candidates are packed 64 to a ``uint64`` word, so a DP state
+    is an (a-candidate x word) array: an east edge masks whole a-rows (a word
+    of ones or of zeros), a north edge ANDs in one packed b-row.  The
+    a-candidates, their weights and east masks are built in blocks that are
+    reduced before the next one starts, so memory is bounded by the block,
+    not by the candidate grid.  The prime counts run the same reachability
+    against the reindexed grid ``prime_weight_transform(weights)``, over the
+    same candidates and weights.  Semantics match ``is_u_pf`` / ``is_u_prime``
+    exactly; the tests compare them, and ``is_u_prime``'s two methods.
 
     No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
     partial sum of the weighted reduction, so int64 is exact below 2**63;
     larger spaces reduce in Python ints (``dtype=object``).
     """
-    (p, bu), (q, bv) = shapes
+    p, q, bu, bv = weights.p, weights.q, weights.max_u, weights.max_v
     out = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    arr_a, arr_b = _sorted_rows(bu, p), _sorted_rows(bv, q)
-    na, nb = len(arr_a), len(arr_b)
-    if not na or not nb:
+    arr_b = _sorted_rows(combinations_with_replacement(range(bv), q), q)
+    if not (nb := len(arr_b)):
         return out
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
-    wa, wb = _rearrangement_weights(arr_a, dtype), _rearrangement_weights(arr_b, dtype)
-    grids = {False: _packed_edges(arr_a, arr_b, weights)}
+    wb = _rearrangement_weights(arr_b, dtype)
+    edges = {False: _packed_edges(arr_b, weights)}
     if p >= 1 and q >= 1:
-        grids[True] = _packed_edges(arr_a, arr_b, prime_weight_transform(weights))
+        edges[True] = _packed_edges(arr_b, prime_weight_transform(weights))
 
     rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))
-    for lo in range(0, na, rows):
-        for prime, (east, north) in grids.items():
-            state = _vector_reach(east[lo : lo + rows], north, p, q)
+    tuples_a = combinations_with_replacement(range(bu), p)
+    while len(arr_a := _sorted_rows(islice(tuples_a, rows), p)):
+        wa = _rearrangement_weights(arr_a, dtype)
+        for prime, (east_bound, north) in edges.items():
+            state = _vector_reach((arr_a[:, :, None] < east_bound) * _ONES, north, p, q)
             # the pad bits past nb in the last word are dropped here, never counted
             bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
-            out[(prime, False)] += int(wa[lo : lo + rows] @ (bits.astype(dtype) @ wb))
+            out[(prime, False)] += int(wa @ (bits.astype(dtype) @ wb))
             out[(prime, True)] += int(bits.sum())
     return out
 
 
-def _packed_edges(arr_a: np.ndarray, arr_b: np.ndarray, weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Edge admissibility of the sorted candidates against one grid, as ``_vector_reach`` takes it.
+def _packed_edges(arr_b: np.ndarray, weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """One grid's edges for ``_vector_reach``: a-candidate i may go east at (k, l) iff a_i[k] < east_bound[k, l].
 
-    east[i, k, l] is all ones iff a-candidate i may take the east edge at
-    (k, l); north[l, k] packs the b-candidates that may take the north edge
-    at (k, l), with zero pad bits.
+    north[l, k] packs the sorted b-candidates that may take the north edge at
+    (k, l), with zero pad bits.
     """
     p, q, nb = weights.p, weights.q, len(arr_b)
     nodes = np.array(weights.rows, dtype=np.int64)  # nodes[l, k] = (u, v)
-    east = (arr_a[:, :, None] < nodes[:, :p, 0].T) * _ONES
     north = np.zeros((q, p + 1, 8 * -(-nb // 64)), dtype=np.uint8)
     north[:, :, : -(-nb // 8)] = np.packbits(arr_b.T[:, None, :] < nodes[:q, :, 1, None], axis=-1, bitorder="little")
-    return east, north.view(np.uint64)
+    return nodes[:, :p, 0].T, north.view(np.uint64)
 
 
-def _sorted_rows(bound: int, length: int) -> np.ndarray:
-    """The weakly increasing tuples over range(bound), one per row, in lexicographic order."""
-    flat = np.fromiter(chain.from_iterable(combinations_with_replacement(range(bound), length)), dtype=np.int64)
-    return flat.reshape(-1, length) if length else np.zeros((1, 0), dtype=np.int64)
+def _sorted_rows(tuples: Iterable[Seq], length: int) -> np.ndarray:
+    """The given tuples of one length, one per row."""
+    if not length:  # fromiter sees no entries in empty tuples, so count them
+        return np.zeros((sum(1 for _ in tuples), 0), dtype=np.int64)
+    return np.fromiter(chain.from_iterable(tuples), dtype=np.int64).reshape(-1, length)
 
 
 def _rearrangement_weights(rows: np.ndarray, dtype) -> np.ndarray:
-    """``_rearrangements`` of every sorted row: n! over the product of each entry's position in its run."""
+    """Distinct rearrangements of every sorted row: n! over the product of each entry's position in its run."""
     n = rows.shape[1]
     wide = np.int64 if factorial(n) < 2**63 else object
     col = np.arange(n)

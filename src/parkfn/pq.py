@@ -19,6 +19,7 @@ from .core import (
     Seq,
     as_seq,
     common_points,
+    json_ints,
     order_statistics,
     path_of_increasing,
     stable_sort_indices,
@@ -169,16 +170,17 @@ class PQPrimeDecomposition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PQPrimeDecomposition":
+        """Parse ``to_json_dict`` output; an ``A``, ``B`` or ``offset`` that is not JSON integers raises ValueError."""
         comps = []
         cuts = [Point(0, 0)]
         for entry in data["components"]:
             comp = PQComponent(
                 as_seq(entry["a"]),
                 as_seq(entry["b"]),
-                frozenset(entry["A"]),
-                frozenset(entry["B"]),
+                frozenset(json_ints(entry["A"], "a component's 'A'")),
+                frozenset(json_ints(entry["B"], "a component's 'B'")),
             )
-            if tuple(entry["offset"]) != tuple(cuts[-1]):
+            if json_ints(entry["offset"], "a component's 'offset'", 2) != tuple(cuts[-1]):
                 raise InconsistentDecomposition(f"offset {entry['offset']} does not chain")
             comps.append(comp)
             cuts.append(Point(cuts[-1].x + len(comp.a), cuts[-1].y + len(comp.b)))

@@ -8,8 +8,11 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from parkfn import oracle, pq, twodim, vector
+from parkfn.core import Seq
 from parkfn.errors import SearchSpaceTooLarge
 from parkfn.oracle import FamilySpec
 from parkfn.pq import u0_matrix
@@ -26,6 +29,9 @@ SMALL_SPECS = [
     FamilySpec("pq", p=2, q=3),
     FamilySpec("pq", p=2, q=2, prime=True),
     FamilySpec("pq", p=0, q=3),
+    FamilySpec("pq", p=0, q=1, prime=True),  # pq primes with an empty side: the (∅,(0)) / ((0),∅) convention
+    FamilySpec("pq", p=1, q=0, prime=True),
+    FamilySpec("pq", p=2, q=0, prime=True),
     FamilySpec("pq", p=3, q=2, increasing=True),
     FamilySpec("twodim", weights=u0_matrix(2, 2)),
     FamilySpec("twodim", weights=u0_matrix(2, 2), prime=True),
@@ -153,6 +159,20 @@ def test_family_spec_validation():
         FamilySpec("sandpile", n=3)
 
 
+not_ints = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.integers(0, 9).map(str), st.just([1]))
+
+
+@given(not_ints)
+@example(1.5)  # count(pq, p=1.5, q=1) raised a TypeError from range
+@example(True)  # pq p=True counted as p = 1 (3 members), classical n=True as n = 1
+def test_family_spec_sizes_must_be_ints(value):
+    # count builds u0_matrix(p, q) and the one-row grid straight from the spec
+    sizes = ({"family": "classical", "n": value}, {"family": "pq", "p": value, "q": 1}, {"family": "pq", "p": 1, "q": value})
+    for size in sizes:
+        with pytest.raises(ValueError):
+            FamilySpec(**size)
+
+
 def test_report_serialization():
     report = oracle.count(FamilySpec("pq", p=2, q=2))
     data = report.to_json_dict()
@@ -237,13 +257,26 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
         assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
 
 
+def _rearrangements(sorted_tuple: Seq) -> int:
+    """Number of distinct sequences with these order statistics."""
+    total = factorial(len(sorted_tuple))
+    i = 0
+    while i < len(sorted_tuple):
+        j = i
+        while j < len(sorted_tuple) and sorted_tuple[j] == sorted_tuple[i]:
+            j += 1
+        total //= factorial(j - i)
+        i = j
+    return total
+
+
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 6, 20, 21])  # 20! < 2**63 < 21!
 def test_vectorised_weights_match_rearrangements(length):
     rows = list(combinations_with_replacement(range(5), length))
     if length >= 20:
         rows.append(tuple(range(length)))  # all distinct: the weight is length! itself
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), length)
-    want = [oracle._rearrangements(row) for row in rows]
+    want = [_rearrangements(row) for row in rows]
     assert oracle._rearrangement_weights(arr, object).tolist() == want
     if factorial(length) < 2**63:
         assert oracle._rearrangement_weights(arr, np.int64).tolist() == want
@@ -260,3 +293,54 @@ def test_twodim_kernel_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_pq_prime_grid_matches_is_pq_prime_pointwise():
+    # count takes the pq primes from prime_weight_transform(u0_matrix); both predicates
+    # depend only on order statistics, so the sorted candidates the kernel sweeps suffice
+    for p, q in product(range(1, 5), repeat=2):
+        grid = twodim.prime_weight_transform(u0_matrix(p, q))
+        for a in combinations_with_replacement(range(q + 1), p):
+            for b in combinations_with_replacement(range(p + 1), q):
+                assert twodim.is_u_pf(a, b, grid)[0] == pq.is_pq_prime(pq.PQPair(a, b)), (p, q, a, b)
+
+
+@pytest.mark.parametrize("u", [(1,), (3,), (1, 2, 3, 4), (1, 1, 3), (2, 3, 4), (1, 3, 5, 7), (2, 2, 2, 5)])
+def test_vector_row_grids_match_the_predicates_pointwise(u):
+    # the one-row grids count takes for u and for its primes, over a box one entry wider
+    for prime, test in ((False, vector.is_vector_pf), (True, vector.is_prime_vector_pf)):
+        grid, grid_prime = oracle._count_grid(FamilySpec("vector", prime, u=u))
+        assert (grid.p, grid.q, grid_prime) == (len(u), 0, False)
+        if prime:
+            assert [node[0] for node in grid.rows[0][:-1]] == list(vector.prime_reduction(u))
+        for a in product(range(u[-1] + 1), repeat=len(u)):
+            assert twodim.is_u_pf(a, (), grid)[0] == test(a, u), (u, prime, a)
+
+
+@pytest.mark.parametrize(
+    "family,s,b,n",
+    [({"family": "classical", "n": 9}, 1, 1, 9), ({"family": "vector", "u": (1, 3, 5, 7, 9, 11)}, 1, 2, 6)],
+)
+def test_blocked_vector_sweeps_match_closed_forms(family, s, b, n):
+    assert comb(s + b * (n - 1) + n - 1, n) > oracle._BLOCK_BITS // 64  # the a-candidates span several blocks
+    closed = {
+        (False, False): vector.count_pf_arith(s, b, n),
+        (False, True): vector.count_ipf_arith(s, b, n),
+        (True, False): vector.count_ppf_arith(s, b, n),
+        (True, True): vector.count_ippf_arith(s, b, n),
+    }
+    for (prime, increasing), want in closed.items():
+        spec = FamilySpec(**family, prime=prime, increasing=increasing)
+        assert oracle.count(spec, cap=10**30).count == want, spec
+
+
+def test_vector_kernel_memory_is_bounded():
+    # 92378 sorted candidates of length 10; building them all before the sweep took 30 MiB
+    oracle._twodim_grid_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle.count(FamilySpec("classical", n=10), cap=10**30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -192,6 +192,17 @@ def test_decomposition_json_round_trip():
     assert pq.PQPrimeDecomposition.from_json_dict(d.to_json_dict()) == d
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("A", ["0"]), ("A", [True]), ("B", [0.0]), ("B", 0), ("offset", ["0", 0]), ("offset", [0.0, 0]), ("offset", [0]), ("offset", 0)],
+)
+def test_decomposition_json_needs_json_integers(key, value):
+    data = pq.decompose_pq(PQPair((0,), (0,))).to_json_dict()
+    data["components"][0][key] = value
+    with pytest.raises(ValueError):
+        pq.PQPrimeDecomposition.from_json_dict(data)
+
+
 # -- weight-grid views -------------------------------------------------------
 
 
