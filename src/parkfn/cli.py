@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from importlib import resources
 from itertools import product
@@ -36,11 +37,18 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An integer flag: ASCII digits after an optional minus; ``1_0``, `` 2`` and ``+3`` are refused."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(_int(part) for part in text.split(",")) if text else ()
 
 
 def _read_instance(args) -> dict:
@@ -67,7 +75,7 @@ def _resolve_cap(args) -> Optional[int]:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("PARKFN_SEARCH_CAP")
-    return int(env) if env else None
+    return _int(env) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +353,12 @@ def _cmd_verify(args) -> int:
 
 def _add_family_arguments(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--family", required=True, choices=("classical", "vector", "pq", "twodim"))
-    sub.add_argument("--n", type=int, help="length (classical, or arithmetic vector boundary)")
+    sub.add_argument("--n", type=_int, help="length (classical, or arithmetic vector boundary)")
     sub.add_argument("--u", help="comma-separated capacity vector, e.g. 1,2,4")
-    sub.add_argument("--s", type=int, help="arithmetic boundary start u_i = s + b*i")
-    sub.add_argument("--b", type=int, help="arithmetic boundary step")
-    sub.add_argument("--p", type=int, help="pair shape p")
-    sub.add_argument("--q", type=int, help="pair shape q")
+    sub.add_argument("--s", type=_int, help="arithmetic boundary start u_i = s + b*i")
+    sub.add_argument("--b", type=_int, help="arithmetic boundary step")
+    sub.add_argument("--p", type=_int, help="pair shape p")
+    sub.add_argument("--q", type=_int, help="pair shape q")
     sub.add_argument("--affine", help="six comma-separated affine weights a,b,c,d,s,t")
     sub.add_argument("--matrix-file", help="JSON weight grid {p,q,nodes}")
     sub.add_argument("--prime", action="store_true")
@@ -371,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--suite", required=True)
     verify_p.add_argument("--format", choices=("csv", "json"), default="csv")
     for sub in (count_p, list_p, verify_p):
-        sub.add_argument("--cap", type=int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
+        sub.add_argument("--cap", type=_int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
     return parser
 
 
@@ -386,13 +394,16 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if any(isinstance(value, list) for value in vars(args).values()):  # argparse reads "--flag=--" as []
+        parser.error("an option was given '--' as its value")
     try:
         return _COMMANDS[args.command](args)
     except SearchSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (ParkfnError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ParkfnError, ValueError, argparse.ArgumentTypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -31,10 +31,6 @@ class NotPrime(ParkfnError):
     """An operation defined only on prime parking functions was given a non-prime one."""
 
 
-class NoZeroEntry(ParkfnError):
-    """A zero-removal reduction found no zero entry to remove."""
-
-
 class InconsistentDecomposition(ParkfnError):
     """A decomposition object violates its structural invariants."""
 

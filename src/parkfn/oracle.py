@@ -134,8 +134,10 @@ def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
 
 
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
-    """Nominal candidate count; raises when it exceeds the cap."""
-    total = prod(comb(bound + length - 1, length) if spec.increasing else bound**length for length, bound in shapes)
+    """Nominal candidate count (one for an empty side, whatever its bound); raises when it exceeds the cap."""
+    total = prod(
+        comb(bound + length - 1, length) if spec.increasing and length else bound**length for length, bound in shapes
+    )
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")

@@ -18,7 +18,6 @@ from .core import (
     Point,
     Seq,
     as_seq,
-    common_points,
     json_ints,
     order_statistics,
     path_of_increasing,
@@ -26,7 +25,7 @@ from .core import (
     transpose,
     weakly_above,
 )
-from .errors import InconsistentDecomposition, NoZeroEntry, NotParkingFunction, NotPrime
+from .errors import InconsistentDecomposition, NotParkingFunction, NotPrime
 from .twodim import WeightMatrix
 
 
@@ -77,12 +76,14 @@ def is_pq_pf(pair: PQPair) -> bool:
     entries of b are <= i.  Handles p = 0 or q = 0 uniformly: the all-zero
     pair is the single member.
     """
-    sa, sb = order_statistics(pair.a), order_statistics(pair.b)
-    if any(bisect_left(sa, i + 1) < sb[i] for i in range(pair.q)):
-        return False
-    if any(bisect_left(sb, i + 1) < sa[i] for i in range(pair.p)):
-        return False
-    return True
+    return _sorted_pf(sorted(pair.a), sorted(pair.b))
+
+
+def _sorted_pf(sa: list[int], sb: list[int]) -> bool:
+    """:func:`is_pq_pf` on the order statistics of the pair."""
+    return all(bisect_left(sa, i + 1) >= x for i, x in enumerate(sb)) and all(
+        bisect_left(sb, i + 1) >= x for i, x in enumerate(sa)
+    )
 
 
 def is_pq_pf_by_paths(pair: PQPair) -> bool:
@@ -100,20 +101,16 @@ def is_pq_prime(pair: PQPair) -> bool:
         return pair.b == (0,)
     if pair.q == 0:
         return pair.a == (0,)
-    if not is_pq_pf(pair):
-        return False
+    sa, sb = sorted(pair.a), sorted(pair.b)
     # Both sides must contain a 0.  For p + q >= 3 the strict inequalities
     # below already force this; at shape (1, 1) they are vacuous and the zero
     # requirement is what separates the one indecomposable pair from the two
     # pairs that split into a horizontal and a vertical atom.
-    if 0 not in pair.a or 0 not in pair.b:
+    if sa[0] or sb[0] or not _sorted_pf(sa, sb):
         return False
-    sa, sb = order_statistics(pair.a), order_statistics(pair.b)
-    if any(bisect_left(sa, i) <= sb[i] for i in range(1, pair.q)):
-        return False
-    if any(bisect_left(sb, i) <= sa[i] for i in range(1, pair.p)):
-        return False
-    return True
+    return all(bisect_left(sa, i) > sb[i] for i in range(1, pair.q)) and all(
+        bisect_left(sb, i) > sa[i] for i in range(1, pair.p)
+    )
 
 
 def remove_zero_reduction(pair: PQPair) -> PQPair:
@@ -124,10 +121,8 @@ def remove_zero_reduction(pair: PQPair) -> PQPair:
     """
     if pair.p < 1 or pair.q < 1:
         raise NotPrime("the reduction needs p, q >= 1")
-    if not is_pq_prime(pair):
+    if not is_pq_prime(pair):  # a prime pair has a 0 on each side
         raise NotPrime(f"{(pair.a, pair.b)} is not a prime pair")
-    if 0 not in pair.a or 0 not in pair.b:
-        raise NoZeroEntry("no zero entry to remove")
     ia, ib = pair.a.index(0), pair.b.index(0)
     return PQPair(pair.a[:ia] + pair.a[ia + 1 :], pair.b[:ib] + pair.b[ib + 1 :])
 
@@ -195,9 +190,10 @@ def decompose_pq(pair: PQPair) -> PQPrimeDecomposition:
     rebased by the segment's lower-left corner; a purely vertical segment
     yields an empty a-side, a purely horizontal one an empty b-side.
     """
-    if not is_pq_pf(pair):
+    sa, sb = sorted(pair.a), sorted(pair.b)
+    if not _sorted_pf(sa, sb):
         raise NotParkingFunction(f"{(pair.a, pair.b)} is not a (p,q)-parking function")
-    cuts = common_points(pair.reflected_horizontal_path(), pair.vertical_path())
+    cuts = _cut_points(sa, sb)
     ranks_a = stable_sort_indices(pair.a)
     ranks_b = stable_sort_indices(pair.b)
     components = []
@@ -208,6 +204,21 @@ def decompose_pq(pair: PQPair) -> PQPrimeDecomposition:
         comp_b = tuple(pair.b[j] - x0 for j in sorted(b_pos))
         components.append(PQComponent(comp_a, comp_b, frozenset(a_pos), frozenset(b_pos)))
     return PQPrimeDecomposition(tuple(components), cuts)
+
+
+def _cut_points(sa: list[int], sb: list[int]) -> tuple[Point, ...]:
+    """Common points of a member's a-path and b-path, walking both one anti-diagonal at a time."""
+    p, q = len(sa), len(sb)
+    k_low = k_high = 0
+    cuts = [Point(0, 0)]
+    for r in range(p + q):
+        if k_low < p and sa[k_low] <= r - k_low:  # the a-path steps E once its height reaches a_(k)
+            k_low += 1
+        if not (r - k_high < q and sb[r - k_high] <= k_high):  # the b-path steps N once its column reaches b_(l)
+            k_high += 1
+        if k_low == k_high:
+            cuts.append(Point(k_low, r + 1 - k_low))
+    return tuple(cuts)
 
 
 def compose_pq(d: PQPrimeDecomposition) -> PQPair:

@@ -2,20 +2,23 @@
 
 The grid assigns a weight to every unit east/north edge of the (p, q) lattice
 rectangle; a pair of sequences (a, b) belongs to the family when some
-monotone path bounds their order statistics strictly, edge by edge.  Because
-edge admissibility depends only on the edge's position, boundedness reduces
-to plain reachability in the DAG of admissible edges.
+monotone path bounds their order statistics strictly, edge by edge.  As the
+weights grow in k and in l, an admissible east edge stays admissible further
+north and a north edge further east.  So the walk that steps east (north)
+whenever it can is the lowest (highest) bounding path, and it exists exactly
+when some bounding path does: membership is one O(p + q) walk, primeness two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
 from . import exact
-from .core import LatticePath, Seq, as_seq, json_ints, order_statistics
+from .core import LatticePath, Seq, as_seq, json_ints
 from .errors import DegenerateGrid, DimensionMismatch, NonMonotoneWeights
 
 
@@ -123,30 +126,10 @@ class BoundednessWitness:
     north_weights: Seq
 
 
-def _admissible(a: Sequence[int], b: Sequence[int], weights: WeightMatrix):
-    """Edge admissibility tables for the sorted pair against the grid."""
-    sa, sb = order_statistics(a), order_statistics(b)
-    p, q = weights.p, weights.q
-    east_ok = [[sa[k] < weights.u(k, l) for l in range(q + 1)] for k in range(p)]
-    north_ok = [[sb[l] < weights.v(k, l) for l in range(q)] for k in range(p + 1)]
-    return east_ok, north_ok
-
-
-def _reach_end(east_ok, north_ok, p: int, q: int) -> list[list[bool]]:
-    """reach[k][l]: an admissible-edge path exists from (k, l) to (p, q)."""
-    reach = [[False] * (q + 1) for _ in range(p + 1)]
-    reach[p][q] = True
-    for k in range(p, -1, -1):
-        for l in range(q, -1, -1):
-            if k == p and l == q:
-                continue
-            ok = False
-            if k < p and east_ok[k][l] and reach[k + 1][l]:
-                ok = True
-            elif l < q and north_ok[k][l] and reach[k][l + 1]:
-                ok = True
-            reach[k][l] = ok
-    return reach
+def _closed_order_statistics(a: Seq, b: Seq, weights: WeightMatrix) -> tuple[list[int], list[int]]:
+    """Sorted a and b, closed by the sentinels max_u and max_v: no edge admits them, so walks stay on the grid."""
+    max_u, max_v = weights.rows[-1][-1]
+    return [*sorted(a), max_u], [*sorted(b), max_v]
 
 
 def check_pair_shape(a: Sequence[int], b: Sequence[int], p: int, q: int) -> None:
@@ -158,60 +141,54 @@ def check_pair_shape(a: Sequence[int], b: Sequence[int], p: int, q: int) -> None
 def is_u_pf(a: Sequence[int], b: Sequence[int], weights: WeightMatrix) -> tuple[bool, Optional[BoundednessWitness]]:
     """Decide membership and, when bounded, return a witness path.
 
-    The witness is normalized to the lexicographically first bounding path in
-    the alphabet order E < N, i.e. the walk takes an east step whenever an
-    admissible completion still exists.
+    An admissible east edge stays admissible further north (u grows in l),
+    so the walk that steps east whenever it can stays weakly east of every
+    bounding path and gets stuck only when none exists.  Its path is the
+    witness: the lexicographically first bounding path, with E < N.
     """
     aa, bb = as_seq(a), as_seq(b)
-    p, q = weights.p, weights.q
-    check_pair_shape(aa, bb, p, q)
-    east_ok, north_ok = _admissible(aa, bb, weights)
-    reach = _reach_end(east_ok, north_ok, p, q)
-    if not reach[0][0]:
-        return False, None
-    word = []
-    east_weights = []
-    north_weights = []
+    check_pair_shape(aa, bb, weights.p, weights.q)
+    sa, sb = _closed_order_statistics(aa, bb, weights)
+    rows, word, east_weights, north_weights = weights.rows, [], [], []
     k = l = 0
-    while (k, l) != (p, q):
-        if k < p and east_ok[k][l] and reach[k + 1][l]:
-            word.append("E")
-            east_weights.append(weights.u(k, l))
+    for _ in range(weights.p + weights.q):
+        u, v = rows[l][k]
+        if sa[k] < u:
             k += 1
-        else:
-            word.append("N")
-            north_weights.append(weights.v(k, l))
+            word.append("E")
+            east_weights.append(u)
+        elif sb[l] < v:
             l += 1
-    witness = BoundednessWitness(LatticePath("".join(word)), tuple(east_weights), tuple(north_weights))
-    return True, witness
+            word.append("N")
+            north_weights.append(v)
+        else:
+            return False, None
+    return True, BoundednessWitness(LatticePath("".join(word)), tuple(east_weights), tuple(north_weights))
 
 
+@lru_cache(maxsize=32)
 def prime_weight_transform(weights: WeightMatrix) -> WeightMatrix:
-    """Reindexed grid U' whose plain members are exactly the U-prime pairs."""
-    p, q = weights.p, weights.q
+    """Reindexed grid U' whose plain members are exactly the U-prime pairs (cached per grid)."""
+    p, q, rows = weights.p, weights.q, weights.rows
     if p < 1 or q < 1:
         raise DegenerateGrid("the prime transform needs p, q >= 1")
-    rows = []
-    for l in range(q + 1):
-        row = []
-        for k in range(p + 1):
-            if k >= 1 and l >= 1:
-                row.append((weights.u(k, l - 1), weights.v(k - 1, l)))
-            elif l == 0:
-                row.append((weights.u(k, 0), weights.v(0, 0)))
-            else:
-                row.append((weights.u(0, 0), weights.v(0, l)))
-        rows.append(tuple(row))
-    return WeightMatrix(p, q, tuple(rows))
+
+    def node(k: int, l: int) -> tuple[int, int]:
+        """u from (k, l-1) and v from (k-1, l); on the axes, u from (k, 0) and v from (0, l)."""
+        k_v, l_u = (k - 1, l - 1) if k and l else (0, 0)
+        return rows[l_u][k][0], rows[l][k_v][1]
+
+    return WeightMatrix(p, q, tuple(tuple(node(k, l) for k in range(p + 1)) for l in range(q + 1)))
 
 
 def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method: str = "direct") -> bool:
     """Decide primeness: two bounding paths meeting only at the grid corners.
 
-    ``direct`` searches for the path pair with a DP over anti-diagonals; two
-    monotone paths with disjoint interiors keep a strict left/right order on
-    every interior anti-diagonal, so the state is their column pair.
-    ``transform`` tests plain membership against the reindexed grid.
+    ``direct`` walks in lockstep the lowest bounding path (east first) and,
+    by the mirror of :func:`is_u_pf`'s argument, the highest (north first).
+    Every bounding path lies between them, so two with disjoint interiors
+    exist exactly when the lowest stays strictly east of the highest on every
+    interior anti-diagonal.  ``transform`` tests membership on the reindexed grid.
     """
     aa, bb = as_seq(a), as_seq(b)
     p, q = weights.p, weights.q
@@ -222,34 +199,26 @@ def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method
         return is_u_pf(aa, bb, prime_weight_transform(weights))[0]
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    east_ok, north_ok = _admissible(aa, bb, weights)
-    # The right path P1 must open with E and close with N, the left path P2
-    # the opposite; states on anti-diagonal r are column pairs k1 > k2.
-    if not (east_ok[0][0] and north_ok[0][0]):
-        return False
-    states = {(1, 0)}
-    for r in range(1, p + q):
-        nxt = set()
-        last = r + 1 == p + q
-        for k1, k2 in states:
-            for k1_next in _moves(k1, r, east_ok, north_ok, p, q):
-                for k2_next in _moves(k2, r, east_ok, north_ok, p, q):
-                    if last or k1_next > k2_next:
-                        nxt.add((k1_next, k2_next))
-        states = nxt
-        if not states:
+    sa, sb = _closed_order_statistics(aa, bb, weights)
+    rows = weights.rows
+    k_low = l_low = k_high = l_high = 0  # both walks, one anti-diagonal r at a time
+    for r in range(1, p + q + 1):
+        u, v = rows[l_low][k_low]
+        if sa[k_low] < u:
+            k_low += 1
+        elif sb[l_low] < v:
+            l_low += 1
+        else:
             return False
-    return (p, p) in states
-
-
-def _moves(k: int, r: int, east_ok, north_ok, p: int, q: int):
-    """Columns reachable on diagonal r+1 from column k on diagonal r."""
-    l = r - k
-    if 0 <= l <= q:
-        if k < p and east_ok[k][l]:
-            yield k + 1
-        if l < q and north_ok[k][l]:
-            yield k
+        # north when it can, else east: the lowest walk, never west of this one, went east from column k_high
+        # at this row or below, so east is admissible here
+        if sb[l_high] < rows[l_high][k_high][1]:
+            l_high += 1
+        else:
+            k_high += 1
+        if k_low == k_high and r < p + q:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .core import Point, Seq, as_seq, json_ints, order_statistics, stable_sort_indices
+from .core import Point, Seq, as_seq, json_ints, stable_sort_indices
 from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunction
 
 
@@ -47,7 +47,7 @@ def _checked(a: Sequence[int], u: Sequence[int]) -> tuple[Seq, Seq]:
 def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
     """True iff every order statistic of a is strictly below the boundary."""
     aa, uu = _checked(a, u)
-    return all(x < bound for x, bound in zip(order_statistics(aa), uu))
+    return all(x < bound for x, bound in zip(sorted(aa), uu))
 
 
 def is_prime_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
@@ -57,10 +57,9 @@ def is_prime_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
     function is prime.
     """
     aa, uu = _checked(a, u)
-    if not is_vector_pf(aa, uu):
-        return False
-    sa = order_statistics(aa)
-    return all(bisect_left(sa, uu[i]) > i + 1 for i in range(len(uu) - 1))
+    sa = sorted(aa)
+    bounded = all(x < bound for x, bound in zip(sa, uu))
+    return bounded and all(bisect_left(sa, uu[i]) > i + 1 for i in range(len(uu) - 1))
 
 
 def prime_reduction(u: Sequence[int]) -> Seq:
@@ -110,11 +109,15 @@ def split_points(a: Sequence[int], u: Sequence[int]) -> tuple[Point, ...]:
     These are the cut points of the prime decomposition; a parking function
     is prime exactly when only the two endpoints appear.
     """
-    aa, uu = _checked(a, u)
-    if not is_vector_pf(aa, uu):
+    return _split_points(*_checked(a, u))
+
+
+def _split_points(aa: Seq, uu: Seq) -> tuple[Point, ...]:
+    """:func:`split_points` of a checked pair."""
+    sa = sorted(aa)
+    if not all(x < bound for x, bound in zip(sa, uu)):
         raise NotParkingFunction(f"{aa} is not a parking function for {uu}")
     # (u_i, i+1) is on the path when exactly i+1 entries lie below u_i
-    sa = order_statistics(aa)
     return (Point(0, 0),) + tuple(Point(uu[i], i + 1) for i in range(len(uu)) if bisect_left(sa, uu[i]) == i + 1)
 
 
@@ -167,7 +170,7 @@ def decompose(a: Sequence[int], u: Sequence[int]) -> VectorPrimeDecomposition:
     its left cut point, so the shuffle sum can be inverted exactly.
     """
     aa, uu = _checked(a, u)
-    cuts = split_points(aa, uu)
+    cuts = _split_points(aa, uu)
     ranks = stable_sort_indices(aa)
     components = []
     offsets = []

@@ -4,13 +4,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkfn.cli import main
@@ -147,6 +148,21 @@ def test_count_matrix_file_needs_json_integers(tmp_path, capsys, grid):
     path = write_instance(tmp_path, grid, "grid.json")
     code, out, err = run_cli(capsys, ["count", "--family", "twodim", "--matrix-file", path, "--method", "oracle"])
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"p": 0, "q": 1, "nodes": [[[0, 1]], [[0, 1]]]},
+        {"p": 1, "q": 0, "nodes": [[[1, 0], [1, 0]]]},
+    ],
+)
+@pytest.mark.parametrize("variant", [[], ["--increasing"]])
+def test_empty_side_with_zero_bound_counts_one_candidate(tmp_path, capsys, grid, variant):
+    # the empty side's one candidate is the empty sequence, even when its bound is 0
+    path = write_instance(tmp_path, grid, "grid.json")
+    argv = ["count", "--family", "twodim", "--matrix-file", path, "--method", "oracle", *variant]
+    assert run_cli(capsys, argv) == (0, "1\n", "")
 
 
 def test_list_twodim_prime(capsys):
@@ -452,6 +468,46 @@ def test_fuzzed_instances_exit_zero_or_one(command, family, instance):
         mp.setattr("sys.stdout", io.StringIO())
         mp.setattr("sys.stderr", io.StringIO())
         assert main(argv) in (0, 1)
+
+
+def _exit_code(argv, env_cap=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdout", io.StringIO())
+        mp.setattr("sys.stderr", io.StringIO())
+        if env_cap is not None:
+            mp.setenv("PARKFN_SEARCH_CAP", env_cap)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refuses a flag value
+            return exc.code
+
+
+_NOT_DECIMAL = st.text(alphabet="0123456789-+_ .ex\t\u0661", max_size=5).filter(
+    lambda s: not re.fullmatch(r"-?[0-9]+", s)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_NOT_DECIMAL)
+@example(text="1_0")
+@example(text=" 2")
+@example(text="+3")
+@example(text="2 ")
+@example(text="\u0661")
+@example(text="--")
+def test_integer_flags_take_only_an_optional_minus_and_digits(text):
+    # each flag refuses the text with the exit code it gives any non-number
+    assert _exit_code(["count", "--family", "pq", f"--p={text}", "--q=1"]) == 2
+    assert _exit_code(["count", "--family", "classical", "--n=2", "--method", "oracle", f"--cap={text}"]) == 2
+    assert _exit_code(["count", "--family", "twodim", f"--affine={text},0,0,0,1,1", "--p=1", "--q=1"]) == 1
+    assert _exit_code(["count", "--family", "vector", f"--u=1,{text}"]) == 1
+    assert _exit_code(["count", "--family", "classical", "--n=2", "--method", "oracle"], env_cap=text or "x") == 1
+
+
+def test_integer_flags_read_decimal_digits(capsys):
+    code, out, _ = run_cli(capsys, ["count", "--family", "twodim", "--affine=00,1,1,0,1,1", "--p=03", "--q", "4"])
+    assert (code, out) == (0, "12800\n")
+    assert run_cli(capsys, ["count", "--family", "pq", "--p=-1", "--q=1"])[0] == 1
 
 
 def test_module_entry_point_subprocess():

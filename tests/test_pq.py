@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parkfn import pq
-from parkfn.core import Point
+from parkfn.core import Point, common_points
 from parkfn.errors import InconsistentDecomposition, NotParkingFunction, NotPrime
 from parkfn.pq import PQPair
 
@@ -178,6 +178,27 @@ def test_round_trip_random(p, q, data):
     pair = PQPair(a, b)
     if pq.is_pq_pf(pair):
         assert pq.compose_pq(pq.decompose_pq(pair)) == pair
+
+
+@st.composite
+def pq_members(draw, max_side=7):
+    """A member drawn along a random path: the E step at height l takes an
+    entry <= l, the N step at column k an entry <= k; empty sides included."""
+    p, q = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    a, b = [], []
+    for step in draw(st.permutations("E" * p + "N" * q)):
+        if step == "E":
+            a.append(draw(st.integers(0, len(b))))
+        else:
+            b.append(draw(st.integers(0, len(a))))
+    return PQPair(tuple(draw(st.permutations(a))), tuple(draw(st.permutations(b))))
+
+
+@given(pq_members())
+def test_cut_points_are_the_common_points_of_the_two_paths(pair):
+    assert pq.is_pq_pf(pair)
+    cuts = pq.decompose_pq(pair).cut_points
+    assert cuts == common_points(pair.reflected_horizontal_path(), pair.vertical_path())
 
 
 def test_compose_rejects_inconsistent_input():

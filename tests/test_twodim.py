@@ -4,6 +4,8 @@ import random
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkfn import twodim
 from parkfn.errors import ConventionUndefined, DegenerateGrid, DimensionMismatch, NonMonotoneWeights
@@ -36,6 +38,132 @@ def random_monotone_matrix(rng, p, q, top):
     us, vs = channel(), channel()
     rows = tuple(tuple((us[l][k], vs[l][k]) for k in range(p + 1)) for l in range(q + 1))
     return WeightMatrix(p, q, rows)
+
+
+# -- O(p*q) references -------------------------------------------------------
+# Table routes that decide the predicates without the exchange argument:
+# reachability of (p, q) over the admissible edges, with the witness read off
+# the table, and a DP over the column pairs of two paths on each anti-diagonal.
+
+
+def _admissible(a, b, weights):
+    """Edge admissibility tables for the sorted pair against the grid."""
+    sa, sb = sorted(a), sorted(b)
+    p, q = weights.p, weights.q
+    east_ok = [[sa[k] < weights.u(k, l) for l in range(q + 1)] for k in range(p)]
+    north_ok = [[sb[l] < weights.v(k, l) for l in range(q)] for k in range(p + 1)]
+    return east_ok, north_ok
+
+
+def _reach_end(east_ok, north_ok, p, q):
+    """reach[k][l]: an admissible-edge path exists from (k, l) to (p, q)."""
+    reach = [[False] * (q + 1) for _ in range(p + 1)]
+    reach[p][q] = True
+    for k in range(p, -1, -1):
+        for l in range(q, -1, -1):
+            if (k, l) != (p, q):
+                reach[k][l] = (k < p and east_ok[k][l] and reach[k + 1][l]) or (
+                    l < q and north_ok[k][l] and reach[k][l + 1]
+                )
+    return reach
+
+
+def reference_is_u_pf(a, b, weights):
+    """(member, (word, east weights, north weights) of the lexicographically first bounding path)."""
+    p, q = weights.p, weights.q
+    east_ok, north_ok = _admissible(a, b, weights)
+    reach = _reach_end(east_ok, north_ok, p, q)
+    if not reach[0][0]:
+        return False, None
+    word, east, north = [], [], []
+    k = l = 0
+    while (k, l) != (p, q):
+        if k < p and east_ok[k][l] and reach[k + 1][l]:
+            word.append("E")
+            east.append(weights.u(k, l))
+            k += 1
+        else:
+            word.append("N")
+            north.append(weights.v(k, l))
+            l += 1
+    return True, ("".join(word), tuple(east), tuple(north))
+
+
+def reference_is_u_prime(a, b, weights):
+    """Two bounding paths with disjoint interiors, by a DP over anti-diagonals.
+
+    The right path must open with E and close with N, the left path the
+    opposite; the states on anti-diagonal r are column pairs k1 > k2.
+    """
+    p, q = weights.p, weights.q
+    east_ok, north_ok = _admissible(a, b, weights)
+
+    def moves(k, r):
+        l = r - k
+        if 0 <= l <= q:
+            if k < p and east_ok[k][l]:
+                yield k + 1
+            if l < q and north_ok[k][l]:
+                yield k
+
+    if not (east_ok[0][0] and north_ok[0][0]):
+        return False
+    states = {(1, 0)}
+    for r in range(1, p + q):
+        last = r + 1 == p + q
+        states = {(n1, n2) for k1, k2 in states for n1 in moves(k1, r) for n2 in moves(k2, r) if last or n1 > n2}
+        if not states:
+            return False
+    return (p, p) in states
+
+
+@st.composite
+def monotone_grids(draw, max_side=4):
+    """Componentwise-monotone grids, p = 0 or q = 0 included."""
+    p, q = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+
+    def channel():
+        rises = iter(draw(st.lists(st.integers(0, 2), min_size=(p + 1) * (q + 1), max_size=(p + 1) * (q + 1))))
+        grid = [[0] * (p + 1) for _ in range(q + 1)]
+        for l in range(q + 1):
+            for k in range(p + 1):
+                grid[l][k] = max(grid[l][k - 1] if k else 0, grid[l - 1][k] if l else 0) + next(rises)
+        return grid
+
+    us, vs = channel(), channel()
+    return WeightMatrix(p, q, tuple(tuple((us[l][k], vs[l][k]) for k in range(p + 1)) for l in range(q + 1)))
+
+
+@st.composite
+def grids_with_pairs(draw):
+    """A grid and a pair drawn along a random path, each entry at most one past
+    the weight of its edge, so members and near misses both occur and entries
+    reach past max_u and max_v."""
+    grid = draw(monotone_grids())
+    a, b = [], []
+    k = l = 0
+    for step in draw(st.permutations("E" * grid.p + "N" * grid.q)):
+        u, v = grid.rows[l][k]
+        if step == "E":
+            a.append(draw(st.integers(0, u + 1)))
+            k += 1
+        else:
+            b.append(draw(st.integers(0, v + 1)))
+            l += 1
+    return grid, tuple(draw(st.permutations(a))), tuple(draw(st.permutations(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_with_pairs())
+def test_walks_match_the_table_references(case):
+    grid, a, b = case
+    member, witness = twodim.is_u_pf(a, b, grid)
+    got = witness and (witness.path.steps, witness.east_weights, witness.north_weights)
+    assert (member, got) == reference_is_u_pf(a, b, grid)
+    if grid.p and grid.q:
+        prime = reference_is_u_prime(a, b, grid)
+        assert twodim.is_u_prime(a, b, grid, method="direct") == prime
+        assert twodim.is_u_prime(a, b, grid, method="transform") == prime
 
 
 # -- weight grids ------------------------------------------------------------
