@@ -65,7 +65,7 @@ class LatticePath:
     steps: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, str) or self.steps.strip("NE"):
+        if self.steps.strip("NE"):
             raise ValueError(f"path word must use only N and E, got {self.steps!r}")
 
     @property
@@ -130,12 +130,9 @@ def path_of_increasing(s: Sequence[int], width: int) -> LatticePath:
     return LatticePath("".join(word))
 
 
-_SWAP_STEPS = str.maketrans("NE", "EN")
-
-
 def transpose(p: LatticePath) -> LatticePath:
     """Reflection across the line y = x: swaps N and E stepwise."""
-    return LatticePath(p.steps.translate(_SWAP_STEPS))
+    return LatticePath(p.steps.translate(str.maketrans("NE", "EN")))
 
 
 def weakly_above(upper: LatticePath, lower: LatticePath) -> bool:
@@ -152,17 +149,13 @@ def weakly_above(upper: LatticePath, lower: LatticePath) -> bool:
 
 
 def common_points(p: LatticePath, q: LatticePath) -> tuple[Point, ...]:
-    """Sorted points on both paths, endpoints included: where their columns agree on an anti-diagonal."""
+    """Sorted lattice points lying on both paths; always includes both endpoints."""
     if (p.width, p.height) != (q.width, q.height):
-        raise DimensionMismatch(f"paths end at ({p.width},{p.height}) vs ({q.width},{q.height})")
-    shared = [Point(0, 0)]
-    x_p = x_q = 0
-    for r, (step_p, step_q) in enumerate(zip(p.steps, q.steps), 1):
-        x_p += step_p == "E"
-        x_q += step_q == "E"
-        if x_p == x_q:
-            shared.append(Point(x_p, r - x_p))
-    return tuple(shared)
+        raise DimensionMismatch(
+            f"paths end at ({p.width},{p.height}) vs ({q.width},{q.height})"
+        )
+    shared = set(p.vertices()) & set(q.vertices())
+    return tuple(sorted(shared))
 
 
 @dataclass(frozen=True)

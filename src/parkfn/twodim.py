@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
@@ -166,9 +165,8 @@ def is_u_pf(a: Sequence[int], b: Sequence[int], weights: WeightMatrix) -> tuple[
     return True, BoundednessWitness(LatticePath("".join(word)), tuple(east_weights), tuple(north_weights))
 
 
-@lru_cache(maxsize=32)
 def prime_weight_transform(weights: WeightMatrix) -> WeightMatrix:
-    """Reindexed grid U' whose plain members are exactly the U-prime pairs (cached per grid)."""
+    """Reindexed grid U' whose plain members are exactly the U-prime pairs."""
     p, q, rows = weights.p, weights.q, weights.rows
     if p < 1 or q < 1:
         raise DegenerateGrid("the prime transform needs p, q >= 1")

@@ -103,13 +103,6 @@ def test_common_points_form_a_chain(w1, w2):
         assert x0 <= x1 and y0 <= y1
 
 
-@given(st.data())
-def test_common_points_are_the_shared_vertices(data):
-    word = data.draw(step_words)
-    p, q = LatticePath(word), LatticePath("".join(data.draw(st.permutations(word))))
-    assert core.common_points(p, q) == tuple(sorted(set(p.vertices()) & set(q.vertices())))
-
-
 def test_label_vertical_examples():
     assert core.label_vertical((2, 0, 3, 0), 4).vertical_labels == (1, 3, 0, 2)
     single = core.label_vertical((0,), 1)
