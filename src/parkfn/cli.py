@@ -173,14 +173,14 @@ _FAMILIES = {
 }
 
 
-def _formula(family: str, params: dict, variant: int) -> int:
+def _formula(family: str, variant: int, formula_args: tuple) -> int:
     """Closed-form count; ``variant`` indexes (pf, ipf, ppf, ippf)."""
     entry = _FAMILIES[family]
-    return getattr(entry.module, entry.formulas[variant])(*entry.formula_args(params))
+    return getattr(entry.module, entry.formulas[variant])(*formula_args)
 
 
-def _family_spec(family: str, params: dict, variant: int) -> FamilySpec:
-    return FamilySpec(family, variant >= 2, variant % 2 == 1, **_FAMILIES[family].spec_kwargs(params))
+def _family_spec(family: str, variant: int, spec_kwargs: dict) -> FamilySpec:
+    return FamilySpec(family, variant >= 2, variant % 2 == 1, **spec_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +243,18 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    params, variant = _params_from_args(args), 2 * args.prime + args.increasing
+    family, params, variant = args.family, _params_from_args(args), 2 * args.prime + args.increasing
     if args.method == "formula":
-        print(_formula(args.family, params, variant))
+        print(_formula(family, variant, _FAMILIES[family].formula_args(params)))
     else:
-        print(oracle.count(_family_spec(args.family, params, variant), cap=_resolve_cap(args)).count)
+        spec = _family_spec(family, variant, _FAMILIES[family].spec_kwargs(params))
+        print(oracle.count(spec, cap=_resolve_cap(args)).count)
     return EXIT_OK
 
 
 def _cmd_list(args) -> int:
-    spec = _family_spec(args.family, _params_from_args(args), 2 * args.prime + args.increasing)
+    family, params = args.family, _params_from_args(args)
+    spec = _family_spec(family, 2 * args.prime + args.increasing, _FAMILIES[family].spec_kwargs(params))
     for instance in oracle.enumerate_members(spec, cap=_resolve_cap(args)):
         _emit(dict(zip(("a", "b"), map(list, instance))))
     return EXIT_OK
@@ -271,6 +273,7 @@ def load_suite(name: str) -> dict:
 
 
 _QUANTITY_LABELS = ("pf", "ipf", "ppf", "ippf")
+_ROW_FIELDS = ("family", "params", "quantity", "formula", "oracle", "pass")
 
 # Suite grid family -> (its family in the closed-form table, grid keys in row order).
 _GRIDS = {
@@ -283,62 +286,55 @@ _GRIDS = {
 
 
 def expand_suite(manifest: dict):
-    """Deterministically expand a suite manifest into verification rows.
+    """Deterministically expand a suite manifest into its grid points.
 
-    Each row is (family, params dict, quantity); the runner computes the
-    closed-form value and the reference value (oracle count, or the
-    alternative formula for the ``ppf-sum`` rows).  The quantities of one
-    grid point share its params dict.
+    Each point is (family, params dict, quantities); the runner computes, for
+    each quantity in order, the closed-form value and the reference value
+    (oracle count, or the alternative formula for the ``ppf-sum`` points).
     """
-    rows = []
+    points = []
     for grid in manifest["grids"]:
         family = grid["family"]
         if family not in _GRIDS:
             raise ValueError(f"unknown grid family {family!r}")
         keys = _GRIDS[family][1]
-        quantities = ("ppf-sum",) if family == "pq-ppf-sum" else grid["quantities"]
-        for values in product(*(grid[key] for key in keys)):
-            params = dict(zip(keys, values))
-            rows.extend((family, params, quantity) for quantity in quantities)
-    return rows
+        quantities = ("ppf-sum",) if family == "pq-ppf-sum" else tuple(grid["quantities"])
+        points.extend((family, dict(zip(keys, values)), quantities) for values in product(*(grid[key] for key in keys)))
+    return points
 
 
-def run_row(family: str, params: dict, quantity: str, cap: Optional[int]) -> tuple[int, int]:
-    """(formula value, reference value) for one verification row."""
+def run_point(family: str, params: dict, quantities: Sequence[str], cap: Optional[int]) -> list[tuple[int, int]]:
+    """(formula value, reference value) for each quantity of one grid point.
+
+    The quantities share the point's formula arguments and FamilySpec
+    keywords, so an affine point builds its one WeightMatrix once.
+    """
     if family == "pq-ppf-sum":
-        return pq.count_pq_ppf(params["p"], params["q"]), pq.count_pq_ppf_sum(params["p"], params["q"])
+        return [(pq.count_pq_ppf(params["p"], params["q"]), pq.count_pq_ppf_sum(params["p"], params["q"]))]
     if family not in _GRIDS:
         raise ValueError(f"unknown row family {family!r}")
-    family, variant = _GRIDS[family][0], _QUANTITY_LABELS.index(quantity)
-    return _formula(family, params, variant), oracle.count(_family_spec(family, params, variant), cap=cap).count
-
-
-def _params_text(params: dict) -> str:
-    return ";".join(f"{key}={params[key]}" for key in params)
+    family = _GRIDS[family][0]
+    formula_args, spec_kwargs = _FAMILIES[family].formula_args(params), _FAMILIES[family].spec_kwargs(params)
+    return [
+        (_formula(family, variant, formula_args), oracle.count(_family_spec(family, variant, spec_kwargs), cap=cap).count)
+        for variant in map(_QUANTITY_LABELS.index, quantities)
+    ]
 
 
 def _cmd_verify(args) -> int:
     manifest = load_suite(args.suite)
     cap = _resolve_cap(args)
     results = []
-    for family, params, quantity in expand_suite(manifest):
-        formula, reference = run_row(family, params, quantity, cap)
-        results.append(
-            {
-                "family": family,
-                "params": _params_text(params),
-                "quantity": quantity,
-                "formula": formula,
-                "oracle": reference,
-                "pass": formula == reference,
-            }
-        )
+    for family, params, quantities in expand_suite(manifest):
+        text = ";".join(f"{key}={value}" for key, value in params.items())
+        for quantity, (formula, reference) in zip(quantities, run_point(family, params, quantities, cap), strict=True):
+            results.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, reference, formula == reference))))
     passed = sum(1 for row in results if row["pass"])
     all_pass = passed == len(results)
     if args.format == "json":
         _emit({"suite": manifest["name"], "version": manifest["version"], "rows": results, "all_pass": all_pass})
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=["family", "params", "quantity", "formula", "oracle", "pass"])
+        writer = csv.DictWriter(sys.stdout, fieldnames=_ROW_FIELDS)
         writer.writeheader()
         for row in results:
             writer.writerow(row)

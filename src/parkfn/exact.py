@@ -1,8 +1,9 @@
 """Arbitrary-precision combinatorics primitives for the counting formulas.
 
-All division goes through ``fractions.Fraction`` and is asserted integral at
-the end; every count in this package is an exact integer, so a non-integral
-result always signals a bug or a misapplied formula.
+Only x^(-n), x^(-1) and a closed form's final division (never ``/`` on ints)
+go through ``fractions.Fraction``; the result is asserted integral.  Every
+count in this package is an exact integer, so a non-integral result always
+signals a bug or a misapplied formula.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def binomial(n: int, k: int) -> int:
     return result
 
 
-def rising_factorial(x: int, n: int) -> Fraction:
+def rising_factorial(x: int, n: int) -> int | Fraction:
     """Rising factorial x^(n) = x(x+1)...(x+n-1) for n >= 0, extended to n = -1.
 
     The degenerate case uses the convention x^(-1) = 1/(x-1), which is
@@ -40,13 +41,13 @@ def rising_factorial(x: int, n: int) -> Fraction:
     result = 1
     for i in range(n):
         result *= x + i
-    return Fraction(result)
+    return result
 
 
-def power(x: int, n: int) -> Fraction:
+def power(x: int, n: int) -> int | Fraction:
     """Exact power with the conventions 0^0 = 1 and x^(-n) = 1/x^n."""
     if n >= 0:
-        return Fraction(x**n)
+        return x**n
     if x == 0:
         raise ZeroToNegative("0 raised to a negative exponent")
     return Fraction(1, x ** (-n))

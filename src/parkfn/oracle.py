@@ -202,10 +202,15 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     of ones or of zeros), a north edge ANDs in one packed b-row.  The
     a-candidates, their weights and east masks are built in blocks that are
     reduced before the next one starts, so memory is bounded by the block,
-    not by the candidate grid.  The prime counts run the same reachability
-    against the reindexed grid ``prime_weight_transform(weights)``, over the
-    same candidates and weights.  Semantics match ``is_u_pf`` / ``is_u_prime``
-    exactly; the tests compare them, and ``is_u_prime``'s two methods.
+    not by the candidate grid.  The prime counts are the same reachability on
+    the reindexed grid ``prime_weight_transform(weights)``, over the same
+    candidates and weights: both grids are stacked in one DP pass, whose
+    state gains a leading grid axis, and each is unpacked and reduced on its
+    own.  A block keeps its a-rows however many grids are stacked: its state
+    doubles, well inside the memory bound, while halving the rows would
+    double the blocks and the per-step numpy overhead each one pays.
+    Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the tests compare
+    them, and ``is_u_prime``'s two methods.
 
     No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
     partial sum of the weighted reduction, so int64 is exact below 2**63;
@@ -218,16 +223,14 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
         return out
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
     wb = _rearrangement_weights(arr_b, dtype)
-    edges = {False: _packed_edges(arr_b, weights)}
-    if p >= 1 and q >= 1:
-        edges[True] = _packed_edges(arr_b, prime_weight_transform(weights))
+    east_bound, north = _packed_edges(arr_b, (weights, prime_weight_transform(weights)) if p and q else (weights,))
 
     rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))
     tuples_a = combinations_with_replacement(range(bu), p)
     while len(arr_a := _sorted_rows(islice(tuples_a, rows), p)):
         wa = _rearrangement_weights(arr_a, dtype)
-        for prime, (east_bound, north) in edges.items():
-            state = _vector_reach((arr_a[:, :, None] < east_bound) * _ONES, north, p, q)
+        states = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
+        for prime, state in zip((False, True), states):
             # the pad bits past nb in the last word are dropped here, never counted
             bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
             out[(prime, False)] += int(wa @ (bits.astype(dtype) @ wb))
@@ -235,17 +238,18 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     return out
 
 
-def _packed_edges(arr_b: np.ndarray, weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """One grid's edges for ``_vector_reach``: a-candidate i may go east at (k, l) iff a_i[k] < east_bound[k, l].
+def _packed_edges(arr_b: np.ndarray, grids: tuple[WeightMatrix, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked edges of same-shape grids for ``_vector_reach``: on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l].
 
-    north[l, k] packs the sorted b-candidates that may take the north edge at
-    (k, l), with zero pad bits.
+    north[l, k, g, 0] packs the sorted b-candidates that may take the north
+    edge at (k, l) on grid g, with zero pad bits.
     """
-    p, q, nb = weights.p, weights.q, len(arr_b)
-    nodes = np.array(weights.rows, dtype=np.int64)  # nodes[l, k] = (u, v)
-    north = np.zeros((q, p + 1, 8 * -(-nb // 64)), dtype=np.uint8)
-    north[:, :, : -(-nb // 8)] = np.packbits(arr_b.T[:, None, :] < nodes[:q, :, 1, None], axis=-1, bitorder="little")
-    return nodes[:, :p, 0].T, north.view(np.uint64)
+    p, q, nb = grids[0].p, grids[0].q, len(arr_b)
+    nodes = np.array([grid.rows for grid in grids], dtype=np.int64)  # nodes[g, l, k] = (u, v)
+    north = np.zeros((q, p + 1, len(grids), 1, 8 * -(-nb // 64)), dtype=np.uint8)
+    below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].transpose(1, 2, 0)[..., None, None]
+    north[..., : -(-nb // 8)] = np.packbits(below, axis=-1, bitorder="little")
+    return nodes[:, :, :p, 0].transpose(0, 2, 1), north.view(np.uint64)
 
 
 def _sorted_rows(tuples: Iterable[Seq], length: int) -> np.ndarray:
@@ -267,13 +271,16 @@ def _rearrangement_weights(rows: np.ndarray, dtype) -> np.ndarray:
 
 
 def _vector_reach(east, north, p: int, q: int):
-    """Packed reachability of (p, q) for a block: bit j of row i is set iff some path admits the pair (i, j)."""
-    row = [np.full((len(east), north.shape[-1]), _ONES)]
+    """Packed reachability of (p, q) for a block on stacked grids: bit j of [g, i] is set iff a path of grid g admits (i, j).
+
+    The state is a (grid x a-candidate x word) array, so one pass serves every grid.
+    """
+    row = [np.full(east.shape[:2] + north.shape[-1:], _ONES)]
     for k in range(1, p + 1):
-        row.append(row[k - 1] & east[:, k - 1, 0, None])
+        row.append(row[k - 1] & east[:, :, k - 1, 0, None])
     for l in range(1, q + 1):
         nxt = [row[0] & north[l - 1, 0]]
         for k in range(1, p + 1):
-            nxt.append((nxt[k - 1] & east[:, k - 1, l, None]) | (row[k] & north[l - 1, k]))
+            nxt.append((nxt[k - 1] & east[:, :, k - 1, l, None]) | (row[k] & north[l - 1, k]))
         row = nxt
     return row[p]

@@ -298,7 +298,7 @@ def _check_pq(p: int, q: int) -> None:
 def count_pq_pf(p: int, q: int) -> int:
     """(p+q+1)(p+1)^(q-1)(q+1)^(p-1); rational powers cover p = 0 or q = 0."""
     _check_pq(p, q)
-    return exact.as_integer(Fraction(p + q + 1) * exact.power(p + 1, q - 1) * exact.power(q + 1, p - 1))
+    return exact.as_integer((p + q + 1) * exact.power(p + 1, q - 1) * exact.power(q + 1, p - 1))
 
 
 def count_pq_ipf(p: int, q: int) -> int:

@@ -233,7 +233,7 @@ def count_affine_pf(spec: AffineWeightSpec) -> int:
     a, b, c, d, s, t, p, q = spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
     if p == 0 and q == 0:
         return 1
-    lead = Fraction(s * t + t * b * q + s * c * p)
+    lead = s * t + t * b * q + s * c * p
     return exact.as_integer(lead * exact.power(s + a * p + b * q, p - 1) * exact.power(t + c * p + d * q, q - 1))
 
 
@@ -242,13 +242,12 @@ def count_affine_ipf(spec: AffineWeightSpec) -> int:
     a, b, c, d, s, t, p, q = spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
     if p == 0 and q == 0:
         return 1
-    lead = Fraction(s * t + t * b * q + s * c * p)
     value = (
-        lead
+        (s * t + t * b * q + s * c * p)
         * exact.rising_factorial(s + a * p + b * q + 1, p - 1)
         * exact.rising_factorial(t + c * p + d * q + 1, q - 1)
     )
-    return exact.as_integer(value / (factorial(p) * factorial(q)))
+    return exact.as_integer(Fraction(value, factorial(p) * factorial(q)))
 
 
 def count_affine_ppf(spec: AffineWeightSpec) -> int:
@@ -276,7 +275,7 @@ def count_affine_ippf(spec: AffineWeightSpec) -> int:
         + c * (b * (p + q - 1) + s - s * p) * rf(s + x + 1, p - 1) * rf(y + 1, q - 1)
         - b * c * (p + q - 1) * rf(x + 1, p - 1) * rf(y + 1, q - 1)
     )
-    return exact.as_integer(value / (factorial(p) * factorial(q)))
+    return exact.as_integer(Fraction(value, factorial(p) * factorial(q)))
 
 
 def _prime_params(spec: AffineWeightSpec):

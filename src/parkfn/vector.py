@@ -229,26 +229,25 @@ def _check_arith(s: int, b: int, n: int) -> None:
 def count_pf_arith(s: int, b: int, n: int) -> int:
     """Number of parking functions for the boundary u_i = s + b*i: s(s+bn)^(n-1)."""
     _check_arith(s, b, n)
-    return exact.as_integer(Fraction(s) * exact.power(s + b * n, n - 1))
+    return exact.as_integer(s * exact.power(s + b * n, n - 1))
 
 
 def count_ipf_arith(s: int, b: int, n: int) -> int:
     """Number of increasing parking functions for u_i = s + b*i."""
     _check_arith(s, b, n)
     m = s + n * (b + 1)
-    return exact.as_integer(Fraction(s, m) * exact.binomial(m, n))
+    return exact.as_integer(Fraction(s * exact.binomial(m, n), m))
 
 
 def count_ippf_arith(s: int, b: int, n: int) -> int:
     """Number of increasing prime parking functions for u_i = s + b*i.
 
-    Evaluated over exact rationals; intermediate terms may be negative when
-    s < b, but the total is asserted integral.
+    Terms of the numerator may be negative when s < b; its division by n
+    goes through exact rationals and is asserted integral.
     """
     _check_arith(s, b, n)
     k = (b + 1) * (n - 1)
-    total = Fraction(s - b, n) * exact.binomial(s + k, n - 1) + Fraction(b, n) * exact.binomial(k, n - 1)
-    return exact.as_integer(total)
+    return exact.as_integer(Fraction((s - b) * exact.binomial(s + k, n - 1) + b * exact.binomial(k, n - 1), n))
 
 
 def count_ppf_arith(s: int, b: int, n: int) -> int:

@@ -399,10 +399,22 @@ def test_verify_suite_is_a_name_not_a_path(capsys, tmp_path):
 def test_verify_disagreement_exit_code(capsys, monkeypatch):
     import parkfn.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "run_row", lambda *args: (1, 2))
+    monkeypatch.setattr(cli_mod, "run_point", lambda family, params, quantities, cap: [(1, 2)] * len(quantities))
     code, out, _ = run_cli(capsys, ["verify", "--suite", "classical"])
     assert code == 2
-    assert all(line.endswith("False") for line in out.splitlines()[1:])
+    rows = out.splitlines()[1:]
+    assert len(rows) == 24 and all(row.endswith("False") for row in rows)
+
+
+def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
+    # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls
+    from parkfn import twodim
+
+    calls, build = [], twodim.affine_weight_matrix
+    monkeypatch.setattr(twodim, "affine_weight_matrix", lambda spec: calls.append(spec) or build(spec))
+    code, _, err = run_cli(capsys, ["verify", "--suite", "affine-2d"])
+    assert code == 0 and "11664/11664" in err
+    assert len(calls) == 2916
 
 
 def test_malformed_instance_exits_one(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Exact-arithmetic primitives: binomials, rising factorials, powers."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from parkfn import exact
+from parkfn import exact, pq, twodim, vector
 from parkfn.errors import ConventionUndefined, NonIntegralResult, ZeroToNegative
+from parkfn.twodim import AffineWeightSpec
 
 
 def pascal_triangle(rows):
@@ -76,6 +80,40 @@ def test_power_conventions():
     assert exact.power(-2, -2) == Fraction(1, 4)
     with pytest.raises(ZeroToNegative):
         exact.power(0, -1)
+
+
+def test_non_negative_exponents_give_ints():
+    for x in range(-3, 6):
+        for n in range(5):
+            assert type(exact.power(x, n)) is int and type(exact.rising_factorial(x, n)) is int, (x, n)
+    assert exact.power(3, -2) == Fraction(1, 9) and type(exact.power(3, -2)) is Fraction
+    assert exact.rising_factorial(4, -1) == Fraction(1, 3) and type(exact.rising_factorial(4, -1)) is Fraction
+
+
+def _fraction_valued(primitive):
+    return lambda x, n: Fraction(primitive(x, n))
+
+
+small = st.integers(0, 3)
+
+
+@given(small, small, small, small, st.integers(1, 3), st.integers(1, 3), small, small)
+def test_closed_forms_are_ints_equal_to_the_all_fraction_evaluation(a, b, c, d, s, t, p, q):
+    # p = 0 or q = 0 puts the exponent -1 into the affine pf and ipf forms and into count_pq_pf
+    spec = AffineWeightSpec(a, b, c, d, s, t, p, q)
+    cases = [(f, (spec,)) for f in (twodim.count_affine_pf, twodim.count_affine_ipf)]
+    if p and q:
+        cases += [(f, (spec,)) for f in (twodim.count_affine_ppf, twodim.count_affine_ippf)]
+    cases += [(f, (p, q)) for f in (pq.count_pq_pf, pq.count_pq_ipf, pq.count_pq_ppf, pq.count_pq_ippf)]
+    arith = (vector.count_pf_arith, vector.count_ipf_arith, vector.count_ppf_arith, vector.count_ippf_arith)
+    cases += [(f, args) for f in arith for args in ((s, b, p + 1), (1, 1, q + 1))]  # vector, classical
+    for formula, args in cases:
+        value = formula(*args)
+        with mock.patch.object(exact, "power", _fraction_valued(exact.power)), mock.patch.object(
+            exact, "rising_factorial", _fraction_valued(exact.rising_factorial)
+        ):
+            reference = formula(*args)
+        assert type(value) is int and value == reference, (formula.__name__, args)
 
 
 def test_as_integer():
