@@ -10,7 +10,10 @@ lexicographic order and filters by the family's own predicate.  ``count``
 counts every family on a weight grid: pq on ``u0_matrix(p, q)``, a vector
 family on its one-row grid, its primes on that of ``prime_reduction(u)``.
 The packed kernel sweeps weakly increasing candidates in blocks, weighing
-each member by its rearrangements, so memory is bounded by one block.  Grid
+each member by its rearrangements, so memory is bounded by one block.  A
+candidate side, its sorted rows and weights, depends only on its entry bound
+and length; sides of at most one block's worth of rows are kept read-only and
+shared by every grid that needs them, larger ones are rebuilt per grid.  Grid
 primes are plain reachability on ``prime_weight_transform``, which matches
 ``is_u_prime``; the tests compare both routes.  Only the pq primes with an
 empty side, whose convention is not a grid transform, count by predicate.
@@ -53,6 +56,8 @@ class FamilySpec:
     weights: Optional[WeightMatrix] = None
 
     def __post_init__(self) -> None:
+        if type(self.prime) is not bool or type(self.increasing) is not bool:
+            raise ValueError(f"prime and increasing must be bools, got {self.prime!r}, {self.increasing!r}")
         if self.family == "classical":
             if type(self.n) is not int or self.n < 1:
                 raise ValueError(f"classical family needs an int n >= 1, got {self.n!r}")
@@ -65,8 +70,8 @@ class FamilySpec:
             if type(self.p) is not int or type(self.q) is not int or self.p < 0 or self.q < 0:
                 raise ValueError(f"pq family needs ints p, q >= 0, got {self.p!r}, {self.q!r}")
         elif self.family == "twodim":
-            if self.weights is None:
-                raise ValueError("twodim family needs a weight matrix")
+            if not isinstance(self.weights, WeightMatrix):
+                raise ValueError(f"twodim family needs a WeightMatrix, got {self.weights!r}")
             if self.prime and (self.weights.p < 1 or self.weights.q < 1):
                 raise ValueError("twodim primeness needs p, q >= 1")
         else:
@@ -135,9 +140,7 @@ def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
 
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
     """Nominal candidate count (one for an empty side, whatever its bound); raises when it exceeds the cap."""
-    total = prod(
-        comb(bound + length - 1, length) if spec.increasing and length else bound**length for length, bound in shapes
-    )
+    total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
@@ -202,13 +205,19 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     of ones or of zeros), a north edge ANDs in one packed b-row.  The
     a-candidates, their weights and east masks are built in blocks that are
     reduced before the next one starts, so memory is bounded by the block,
-    not by the candidate grid.  The prime counts are the same reachability on
-    the reindexed grid ``prime_weight_transform(weights)``, over the same
-    candidates and weights: both grids are stacked in one DP pass, whose
-    state gains a leading grid axis, and each is unpacked and reduced on its
-    own.  A block keeps its a-rows however many grids are stacked: its state
-    doubles, well inside the memory bound, while halving the rows would
-    double the blocks and the per-step numpy overhead each one pays.
+    not by the candidate grid.  A side of at most ``_BLOCK_BITS // 64`` rows,
+    the most a block can take, is built once per (bound, length, dtype) and
+    kept (``_kept_side``): each kept side holds no more than one block's
+    a-rows, so the cache stays within the memory bound, and small grids, whose
+    fixed set-up is mostly building their sides, share them.  A larger b-side
+    is built per grid and a larger a-side block by block.  The prime counts
+    are the same reachability on the reindexed grid
+    ``prime_weight_transform(weights)``, over the same candidates and
+    weights: both grids are stacked in one DP pass, whose state gains a
+    leading grid axis, and each is unpacked and reduced on its own.  A block
+    keeps its a-rows however many grids are stacked: its state doubles, well
+    inside the memory bound, while halving the rows would double the blocks
+    and the per-step numpy overhead each one pays.
     Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the tests compare
     them, and ``is_u_prime``'s two methods.
 
@@ -218,17 +227,14 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     """
     p, q, bu, bv = weights.p, weights.q, weights.max_u, weights.max_v
     out = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    arr_b = _sorted_rows(combinations_with_replacement(range(bv), q), q)
-    if not (nb := len(arr_b)):
+    if not (nb := _multisets(bv, q)):
         return out
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
-    wb = _rearrangement_weights(arr_b, dtype)
+    arr_b, wb = next(_side_blocks(bv, q, dtype, nb))
     east_bound, north = _packed_edges(arr_b, (weights, prime_weight_transform(weights)) if p and q else (weights,))
 
     rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))
-    tuples_a = combinations_with_replacement(range(bu), p)
-    while len(arr_a := _sorted_rows(islice(tuples_a, rows), p)):
-        wa = _rearrangement_weights(arr_a, dtype)
+    for arr_a, wa in _side_blocks(bu, p, dtype, rows):
         states = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
         for prime, state in zip((False, True), states):
             # the pad bits past nb in the last word are dropped here, never counted
@@ -236,6 +242,38 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
             out[(prime, False)] += int(wa @ (bits.astype(dtype) @ wb))
             out[(prime, True)] += int(bits.sum())
     return out
+
+
+def _multisets(bound: int, length: int) -> int:
+    """How many weakly increasing tuples of ``length`` entries lie below ``bound`` (one, the empty tuple, for length 0)."""
+    return comb(bound + length - 1, length) if length else 1
+
+
+def _side_blocks(bound: int, length: int, dtype, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A candidate side's sorted rows and their rearrangement weights, ``rows`` at a time.
+
+    A side of at most one block's worth of rows is built once per (bound,
+    length, dtype) and kept read-only, so the grids that share it slice it;
+    a larger one is built anew, one block at a time.
+    """
+    if _multisets(bound, length) <= _BLOCK_BITS // 64:
+        arr, weights = _kept_side(bound, length, dtype)
+        for start in range(0, len(arr), rows):
+            yield arr[start : start + rows], weights[start : start + rows]
+        return
+    tuples = combinations_with_replacement(range(bound), length)
+    while len(arr := _sorted_rows(islice(tuples, rows), length)):
+        yield arr, _rearrangement_weights(arr, dtype)
+
+
+@lru_cache(maxsize=128)
+def _kept_side(bound: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every sorted row of a side and its weights, read-only: every caller shares them."""
+    arr = _sorted_rows(combinations_with_replacement(range(bound), length), length)
+    side = arr, _rearrangement_weights(arr, dtype)
+    for part in side:
+        part.setflags(write=False)
+    return side
 
 
 def _packed_edges(arr_b: np.ndarray, grids: tuple[WeightMatrix, ...]) -> tuple[np.ndarray, np.ndarray]:

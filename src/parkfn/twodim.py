@@ -35,6 +35,8 @@ class WeightMatrix:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.p) is not int or type(self.q) is not int:
+            raise ValueError(f"grid dimensions must be ints, got {self.p!r}, {self.q!r}")
         if self.p < 0 or self.q < 0:
             raise ValueError("grid dimensions must be non-negative")
         if len(self.rows) != self.q + 1 or any(len(r) != self.p + 1 for r in self.rows):
@@ -42,6 +44,8 @@ class WeightMatrix:
         for l in range(self.q + 1):
             for k in range(self.p + 1):
                 uu, vv = self.rows[l][k]
+                if type(uu) is not int or type(vv) is not int:  # the oracle kernel casts nodes to int64
+                    raise ValueError(f"weights must be ints, got ({uu!r}, {vv!r}) at ({k},{l})")
                 if uu < 0 or vv < 0:
                     raise ValueError("weights must be non-negative")
                 if k > 0 and (uu < self.rows[l][k - 1][0] or vv < self.rows[l][k - 1][1]):
@@ -90,7 +94,10 @@ class AffineWeightSpec:
     q: int
 
     def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d, self.s, self.t) < 0 or min(self.p, self.q) < 0:
+        values = (self.a, self.b, self.c, self.d, self.s, self.t, self.p, self.q)
+        if any(type(x) is not int for x in values):
+            raise ValueError(f"affine weight parameters must be ints, got {values!r}")
+        if min(values) < 0:
             raise ValueError("affine weight parameters must be non-negative")
 
     def to_json_dict(self) -> dict:

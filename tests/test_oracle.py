@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from parkfn import oracle, pq, twodim, vector
+from parkfn import cli, oracle, pq, twodim, vector
 from parkfn.core import Seq
 from parkfn.errors import SearchSpaceTooLarge
 from parkfn.oracle import FamilySpec
@@ -157,6 +157,10 @@ def test_family_spec_validation():
         FamilySpec("twodim", weights=u0_matrix(0, 2), prime=True)
     with pytest.raises(ValueError):
         FamilySpec("sandpile", n=3)
+    with pytest.raises(ValueError):
+        FamilySpec("twodim", weights=5)  # raised AttributeError
+    with pytest.raises(ValueError):
+        FamilySpec("twodim", weights=u0_matrix(1, 1).to_json_dict())
 
 
 not_ints = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.integers(0, 9).map(str), st.just([1]))
@@ -171,6 +175,15 @@ def test_family_spec_sizes_must_be_ints(value):
     for size in sizes:
         with pytest.raises(ValueError):
             FamilySpec(**size)
+
+
+@given(st.one_of(st.none(), st.integers(0, 1), st.sampled_from(["yes", "no", ""]), st.floats(allow_nan=False)))
+@example("yes")  # count(pq, prime="yes") raised KeyError: ('yes', False)
+@example("no")  # count raised KeyError while enumerate_members took increasing="no" as true
+def test_family_spec_flags_must_be_bools(value):
+    for flags in ({"prime": value}, {"increasing": value}):
+        with pytest.raises(ValueError):
+            FamilySpec("pq", p=1, q=1, **flags)
 
 
 def test_report_serialization():
@@ -243,18 +256,52 @@ def test_twodim_kernel_matches_definition_on_non_affine_grids():
 
 
 def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
-    grid = (2, 1, 0, 1, 1, 1, 2, 9)
-    aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
-    na, nb = comb(weights.max_u + weights.p - 1, weights.p), comb(weights.max_v + weights.q - 1, weights.q)
-    assert na > oracle._BLOCK_BITS // (64 * -(-nb // 64))  # the a-candidates span several blocks
-    closed = {
-        (False, False): twodim.count_affine_pf(aspec),
-        (False, True): twodim.count_affine_ipf(aspec),
-        (True, False): twodim.count_affine_ppf(aspec),
-        (True, True): twodim.count_affine_ippf(aspec),
-    }
-    for spec in _affine_variants(grid):
-        assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
+    grids = (
+        (2, 1, 0, 1, 1, 1, 2, 9),  # a kept a-side of 105 rows, 5 per block, on a b-side built for the grid
+        (1, 2, 3, 2, 3, 5, 3, 3),  # both sides kept: 364 a-rows, 163 per block
+        (4, 1, 0, 1, 1, 1, 4, 2),  # 7315 a-rows, more than are kept: built block by block
+    )
+    for grid in grids:
+        aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
+        na, nb = comb(weights.max_u + weights.p - 1, weights.p), comb(weights.max_v + weights.q - 1, weights.q)
+        assert na > oracle._BLOCK_BITS // (64 * -(-nb // 64))  # the a-candidates span several blocks
+        closed = {
+            (False, False): twodim.count_affine_pf(aspec),
+            (False, True): twodim.count_affine_ipf(aspec),
+            (True, False): twodim.count_affine_ppf(aspec),
+            (True, True): twodim.count_affine_ippf(aspec),
+        }
+        oracle._twodim_grid_counts.cache_clear()
+        oracle._kept_side.cache_clear()
+        for spec in _affine_variants(grid):
+            assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
+        kept = [n <= oracle._BLOCK_BITS // 64 for n in (na, nb)]
+        assert oracle._kept_side.cache_info().currsize == sum(kept), grid  # the two sides differ in (bound, length)
+
+
+def test_kept_sides_refuse_writes():
+    arr, weights = oracle._kept_side(4, 3, np.int64)
+    assert oracle._kept_side(4, 3, np.int64)[0] is arr
+    for part in (arr, weights, *next(oracle._side_blocks(4, 3, np.int64, 5))):
+        with pytest.raises(ValueError):
+            part[0] = 0
+
+
+def test_affine_suite_builds_each_side_once(monkeypatch, capsys):
+    # its 2916 grids share 36 sides; each grid built both of its own sides, 5834 weight calls in all
+    calls = []
+
+    def weights(rows, dtype):
+        calls.append((rows.shape, rows.tobytes(), dtype))
+        return rearrangement_weights(rows, dtype)
+
+    rearrangement_weights = oracle._rearrangement_weights
+    monkeypatch.setattr(oracle, "_rearrangement_weights", weights)
+    oracle._twodim_grid_counts.cache_clear()
+    oracle._kept_side.cache_clear()
+    assert cli.main(["verify", "--suite", "affine-2d"]) == 0
+    capsys.readouterr()
+    assert calls and len(calls) == len(set(calls))
 
 
 def _rearrangements(sorted_tuple: Seq) -> int:
@@ -286,6 +333,7 @@ def test_twodim_kernel_memory_is_bounded():
     # 3003 x 3003 sorted candidate pairs; a bool state per pair took 259 MiB
     weights = affine_weight_matrix(AffineWeightSpec(1, 1, 1, 1, 1, 1, 5, 5))
     oracle._twodim_grid_counts.cache_clear()
+    oracle._kept_side.cache_clear()
     tracemalloc.start()
     try:
         oracle.count(FamilySpec("twodim", weights=weights), cap=10**30)
@@ -337,6 +385,7 @@ def test_blocked_vector_sweeps_match_closed_forms(family, s, b, n):
 def test_vector_kernel_memory_is_bounded():
     # 92378 sorted candidates of length 10; building them all before the sweep took 30 MiB
     oracle._twodim_grid_counts.cache_clear()
+    oracle._kept_side.cache_clear()
     tracemalloc.start()
     try:
         oracle.count(FamilySpec("classical", n=10), cap=10**30)

@@ -176,6 +176,36 @@ def test_weight_matrix_validation():
         WeightMatrix(1, 1, (((1, 1), (1, 1)),))  # wrong row count
 
 
+def test_weights_must_be_ints():
+    # the oracle kernel cast 1.5 to 1, so count gave 1 where enumerate_members gave 2
+    with pytest.raises(ValueError):
+        WeightMatrix(1, 1, (((1.5, 1), (2, 1)), ((1.5, 2), (2, 2))))
+    with pytest.raises(ValueError):
+        AffineWeightSpec(0.5, 0, 0, 0, 1, 1, 1, 1)  # raised AttributeError from exact.as_integer
+    with pytest.raises(ValueError):
+        AffineWeightSpec(True, 0, 0, 0, 1, 1, 1, 1)
+
+
+not_ints = st.one_of(
+    st.booleans(), st.floats(allow_nan=False), st.fractions(), st.none(), st.integers(0, 9).map(str)
+)
+
+
+@given(not_ints, st.integers(0, 7), st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+def test_grids_accept_only_int_values(value, field, k, l, channel):
+    params = [0, 1, 1, 0, 1, 1, 2, 2]
+    params[field] = value
+    with pytest.raises(ValueError):
+        AffineWeightSpec(*params)
+    nodes = [[list(node) for node in row] for row in u0_matrix(2, 2).rows]
+    nodes[l][k][channel] = value
+    with pytest.raises(ValueError):
+        WeightMatrix(2, 2, tuple(tuple(map(tuple, row)) for row in nodes))
+    for p, q in ((value, 2), (2, value)):
+        with pytest.raises(ValueError):
+            WeightMatrix(p, q, u0_matrix(2, 2).rows)
+
+
 def test_affine_matrix_examples():
     assert twodim.affine_weight_matrix(AffineWeightSpec(0, 1, 1, 0, 1, 1, 3, 4)) == U0_34()
     flat = twodim.affine_weight_matrix(AffineWeightSpec(0, 0, 0, 0, 0, 0, 2, 2))
