@@ -12,11 +12,12 @@ family on its one-row grid, its primes on that of ``prime_reduction(u)``.
 The packed kernel sweeps weakly increasing candidates in blocks, weighing
 each member by its rearrangements, so memory is bounded by one block.  A
 candidate side, its sorted rows and weights, depends only on its entry bound
-and length; sides of at most one block's worth of rows are kept read-only and
-shared by every grid that needs them, larger ones are rebuilt per grid.  Grid
-primes are plain reachability on ``prime_weight_transform``, which matches
-``is_u_prime``; the tests compare both routes.  Only the pq primes with an
-empty side, whose convention is not a grid transform, count by predicate.
+and length; up to 128 sides of at most one block's worth of rows each are kept
+read-only for the life of the process and shared by every grid that needs
+them, larger ones are rebuilt per grid.  Grid primes are plain reachability
+on ``prime_weight_transform``, which matches ``is_u_prime``; the tests
+compare both routes.  Only the pq primes with an empty side, whose
+convention is not a grid transform, count by predicate.
 """
 
 from __future__ import annotations
@@ -207,9 +208,11 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
     reduced before the next one starts, so memory is bounded by the block,
     not by the candidate grid.  A side of at most ``_BLOCK_BITS // 64`` rows,
     the most a block can take, is built once per (bound, length, dtype) and
-    kept (``_kept_side``): each kept side holds no more than one block's
-    a-rows, so the cache stays within the memory bound, and small grids, whose
-    fixed set-up is mostly building their sides, share them.  A larger b-side
+    kept (``_kept_side``), so small grids, whose fixed set-up is mostly
+    building their sides, share them.  The store outlives the sweep: it holds
+    up to 128 sides, each no larger than the a-rows and weights of one full
+    block, for the life of the process, and a kept a-side holds all its rows
+    even when this grid's blocks take only a few at a time.  A larger b-side
     is built per grid and a larger a-side block by block.  The prime counts
     are the same reachability on the reindexed grid
     ``prime_weight_transform(weights)``, over the same candidates and
@@ -241,6 +244,7 @@ def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
             bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
             out[(prime, False)] += int(wa @ (bits.astype(dtype) @ wb))
             out[(prime, True)] += int(bits.sum())
+        del arr_a, wa  # free this block first: a streamed side builds the next block's weights when resumed
     return out
 
 
@@ -268,7 +272,7 @@ def _side_blocks(bound: int, length: int, dtype, rows: int) -> Iterator[tuple[np
 
 @lru_cache(maxsize=128)
 def _kept_side(bound: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Every sorted row of a side and its weights, read-only: every caller shares them."""
+    """Every sorted row of a side and its weights, read-only: every caller shares them; the 128 most recently used sides stay."""
     arr = _sorted_rows(combinations_with_replacement(range(bound), length), length)
     side = arr, _rearrangement_weights(arr, dtype)
     for part in side:

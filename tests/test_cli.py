@@ -407,14 +407,25 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
 
 
 def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
-    # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls
-    from parkfn import twodim
+    # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls.
+    # The 2916 grids share 36 candidate sides; building both sides per grid took 5834 weight calls.
+    from parkfn import oracle, twodim
 
     calls, build = [], twodim.affine_weight_matrix
     monkeypatch.setattr(twodim, "affine_weight_matrix", lambda spec: calls.append(spec) or build(spec))
+    sides, weigh = [], oracle._rearrangement_weights
+
+    def weights(rows, dtype):
+        sides.append((rows.shape, rows.tobytes(), dtype))
+        return weigh(rows, dtype)
+
+    monkeypatch.setattr(oracle, "_rearrangement_weights", weights)
+    oracle._twodim_grid_counts.cache_clear()
+    oracle._kept_side.cache_clear()
     code, _, err = run_cli(capsys, ["verify", "--suite", "affine-2d"])
     assert code == 0 and "11664/11664" in err
     assert len(calls) == 2916
+    assert sides and len(sides) == len(set(sides))
 
 
 def test_malformed_instance_exits_one(tmp_path, capsys):

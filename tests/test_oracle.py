@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from parkfn import cli, oracle, pq, twodim, vector
+from parkfn import oracle, pq, twodim, vector
 from parkfn.core import Seq
 from parkfn.errors import SearchSpaceTooLarge
 from parkfn.oracle import FamilySpec
@@ -287,21 +287,22 @@ def test_kept_sides_refuse_writes():
             part[0] = 0
 
 
-def test_affine_suite_builds_each_side_once(monkeypatch, capsys):
-    # its 2916 grids share 36 sides; each grid built both of its own sides, 5834 weight calls in all
-    calls = []
-
-    def weights(rows, dtype):
-        calls.append((rows.shape, rows.tobytes(), dtype))
-        return rearrangement_weights(rows, dtype)
-
-    rearrangement_weights = oracle._rearrangement_weights
-    monkeypatch.setattr(oracle, "_rearrangement_weights", weights)
-    oracle._twodim_grid_counts.cache_clear()
+def test_kept_sides_retain_at_most_128_sides():
+    # 200 distinct one-column sides of 500 to 699 rows: keeping them all would hold 1.8 MiB
+    side_bytes = 699 * (1 + 1) * 8  # the largest side's rows of one int64 entry, plus one int64 weight per row
     oracle._kept_side.cache_clear()
-    assert cli.main(["verify", "--suite", "affine-2d"]) == 0
-    capsys.readouterr()
-    assert calls and len(calls) == len(set(calls))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for bound in range(500, 700):
+            for _ in oracle._side_blocks(bound, 1, np.int64, oracle._BLOCK_BITS // 64):
+                pass
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert oracle._kept_side.cache_info().currsize == 128
+    oracle._kept_side.cache_clear()
+    assert retained < 128 * (side_bytes + 2**10)
 
 
 def _rearrangements(sorted_tuple: Seq) -> int:
