@@ -303,32 +303,53 @@ def expand_suite(manifest: dict):
     return points
 
 
-def run_point(family: str, params: dict, quantities: Sequence[str], cap: Optional[int]) -> list[tuple[int, int]]:
-    """(formula value, reference value) for each quantity of one grid point.
+def reference_values(points, cap: Optional[int]) -> list[int]:
+    """The reference value of every row of the grid points, in row order.
 
-    The quantities share the point's formula arguments and FamilySpec
-    keywords, so an affine point builds its one WeightMatrix once.
+    A ``ppf-sum`` point's is the alternative formula; every other row's is
+    its oracle count, and all of those are counted in one ``oracle.count_many``
+    call, so grids of one shape share a stacked sweep.  Each point's
+    FamilySpec keywords are built once for its quantities, so an affine point
+    builds its one WeightMatrix once.
     """
-    if family == "pq-ppf-sum":
-        return [(pq.count_pq_ppf(params["p"], params["q"]), pq.count_pq_ppf_sum(params["p"], params["q"]))]
-    if family not in _GRIDS:
-        raise ValueError(f"unknown row family {family!r}")
-    family = _GRIDS[family][0]
-    formula_args, spec_kwargs = _FAMILIES[family].formula_args(params), _FAMILIES[family].spec_kwargs(params)
+    specs = []
+    for family, params, quantities in points:
+        if family != "pq-ppf-sum":
+            family = _GRIDS[family][0]
+            spec_kwargs = _FAMILIES[family].spec_kwargs(params)
+            specs += (_family_spec(family, _QUANTITY_LABELS.index(quantity), spec_kwargs) for quantity in quantities)
+    counts = iter([report.count for report in oracle.count_many(specs, cap=cap)])
     return [
-        (_formula(family, variant, formula_args), oracle.count(_family_spec(family, variant, spec_kwargs), cap=cap).count)
-        for variant in map(_QUANTITY_LABELS.index, quantities)
+        pq.count_pq_ppf_sum(params["p"], params["q"]) if family == "pq-ppf-sum" else next(counts)
+        for family, params, quantities in points
+        for _ in quantities
     ]
+
+
+def _formula_values(family: str, params: dict, quantities: Sequence[str]) -> list[int]:
+    """The closed-form value of each quantity of one grid point, from the point's one set of formula arguments."""
+    if family == "pq-ppf-sum":
+        return [pq.count_pq_ppf(params["p"], params["q"])]
+    family = _GRIDS[family][0]
+    formula_args = _FAMILIES[family].formula_args(params)
+    return [_formula(family, _QUANTITY_LABELS.index(quantity), formula_args) for quantity in quantities]
+
+
+def _verify_rows(points, cap: Optional[int]) -> list[dict]:
+    """The rows of the grid points, in order: one per quantity, formula against reference."""
+    references = iter(reference_values(points, cap))
+    rows = []
+    for family, params, quantities in points:
+        text = ";".join(f"{key}={value}" for key, value in params.items())
+        for quantity, formula in zip(quantities, _formula_values(family, params, quantities), strict=True):
+            reference = next(references)
+            rows.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, reference, formula == reference))))
+    return rows
 
 
 def _cmd_verify(args) -> int:
     manifest = load_suite(args.suite)
-    cap = _resolve_cap(args)
-    results = []
-    for family, params, quantities in expand_suite(manifest):
-        text = ";".join(f"{key}={value}" for key, value in params.items())
-        for quantity, (formula, reference) in zip(quantities, run_point(family, params, quantities, cap), strict=True):
-            results.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, reference, formula == reference))))
+    results = _verify_rows(expand_suite(manifest), _resolve_cap(args))
     passed = sum(1 for row in results if row["pass"])
     all_pass = passed == len(results)
     if args.format == "json":

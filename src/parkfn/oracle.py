@@ -6,23 +6,29 @@ reduce to.  Entry bounds are the provably sufficient ones: an entry at or
 beyond the bound can never belong to a member.
 
 ``enumerate_members`` is definitional: it walks every candidate tuple in
-lexicographic order and filters by the family's own predicate.  ``count``
-counts every family on a weight grid: pq on ``u0_matrix(p, q)``, a vector
+lexicographic order and filters by the family's own predicate.
+``count_many`` counts a batch of specs, and ``count`` is the batch of one.
+Every family counts on a weight grid: pq on ``u0_matrix(p, q)``, a vector
 family on its one-row grid, its primes on that of ``prime_reduction(u)``.
-The packed kernel sweeps weakly increasing candidates in blocks, weighing
-each member by its rearrangements, so memory is bounded by one block.  A
-candidate side, its sorted rows and weights, depends only on its entry bound
-and length; up to 128 sides of at most one block's worth of rows each are kept
-read-only for the life of the process and shared by every grid that needs
-them, larger ones are rebuilt per grid.  Grid primes are plain reachability
-on ``prime_weight_transform``, which matches ``is_u_prime``; the tests
-compare both routes.  Only the pq primes with an empty side, whose
-convention is not a grid transform, count by predicate.
+Each distinct grid of a batch is swept once, and the grids of one shape
+``(p, q, max_u, max_v)`` share one stacked sweep, since they share both
+candidate sides; the last 128 grids' counts are kept for later calls.  The
+packed kernel sweeps weakly increasing candidates in blocks, weighing each
+member by its rearrangements; a block holds at most ``_BLOCK_BITS``
+candidate pairs per stacked grid, so memory is bounded by one block however
+many grids share it.  A candidate side, its sorted rows and weights, depends
+only on its entry bound and length; up to 128 sides of at most one block's
+worth of rows each are kept read-only for the life of the process and shared
+by every grid that needs them, larger ones are rebuilt per sweep.  Grid
+primes are plain reachability on ``prime_weight_transform``, which matches
+``is_u_prime``; the tests compare both routes.  Only the pq primes with an
+empty side, whose convention is not a grid transform, count by predicate.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, islice, product
@@ -160,20 +166,64 @@ def enumerate_members(spec: FamilySpec, *, cap: Optional[int] = None) -> Iterato
 
 
 def count(spec: FamilySpec, *, cap: Optional[int] = None) -> EnumerationReport:
-    """Count the members of the family over the full candidate space.
+    """Count the members of the family over the full candidate space: ``count_many`` of one spec.
 
-    Every family counts on its weight grid (``_count_grid``) but the pq primes
-    with an empty side, which count by predicate over at most one candidate.
+    The report's ``elapsed`` is the time its grid's sweep took, or 0.0 when
+    one of the last grids counted was equal to it.
     """
-    shapes, member = _family(spec)
-    space = _checked_space(spec, shapes, cap)
-    start = time.perf_counter()
-    grid, prime = _count_grid(spec)
-    if prime and not (grid.p and grid.q):  # the (∅,(0)) / ((0),∅) convention is not a grid transform
-        total = sum(1 for _ in filter(member, _sweep(shapes, True)))
-    else:
-        total = _twodim_grid_counts(grid)[(prime, spec.increasing)]
-    return EnumerationReport(spec, total, space, time.perf_counter() - start)
+    return count_many((spec,), cap=cap)[0]
+
+
+def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> list[EnumerationReport]:
+    """Count the members of every family over its full candidate space; one report per spec, in order.
+
+    Every spec's nominal space is checked against the cap before anything is
+    counted.  Every family counts on its weight grid (``_count_grid``) but the
+    pq primes with an empty side, which count by predicate over at most one
+    candidate.  Each distinct grid is swept once, and not at all when it
+    equals one of the last ``_KEPT_GRIDS`` grids counted.  The grids left are
+    grouped by shape ``(p, q, max_u, max_v)``, which fixes both candidate
+    sides, and each group is counted in one stacked sweep
+    (``_stacked_counts``).
+
+    A report's ``elapsed`` is the wall time of the work that counted it: the
+    stacked sweep of its grid's whole group, shared by every spec of that
+    group, so one call's reports need not add up to its time; 0.0 for a grid
+    counted by an earlier call; the predicate count of its own candidates for
+    a pq prime with an empty side.
+    """
+    specs = list(specs)
+    spaces = [_checked_space(spec, _family(spec)[0], cap) for spec in specs]
+    grids, primes = zip(*map(_count_grid, specs)) if specs else ((), ())
+    swept: dict[WeightMatrix, Optional[tuple[tuple[int, int, int, int], float]]] = {}
+    groups: dict[tuple[int, int, int, int], list[WeightMatrix]] = {}
+    for grid, prime in zip(grids, primes):
+        if prime and not (grid.p and grid.q) or grid in swept:
+            continue
+        if (four := _counted.pop(grid, None)) is None:  # popped to be stored again as the newest
+            swept[grid] = None
+            groups.setdefault((grid.p, grid.q, grid.max_u, grid.max_v), []).append(grid)
+        else:
+            swept[grid], _counted[grid] = (four, 0.0), four
+    for group in groups.values():
+        start = time.perf_counter()
+        counts = _stacked_counts(group)
+        elapsed = time.perf_counter() - start
+        for grid, four in zip(group, counts):
+            swept[grid], _counted[grid] = (four, elapsed), four
+            if len(_counted) > _KEPT_GRIDS:
+                _counted.popitem(last=False)
+    reports = []
+    for spec, space, grid, prime in zip(specs, spaces, grids, primes):
+        if prime and not (grid.p and grid.q):  # the (∅,(0)) / ((0),∅) convention is not a grid transform
+            start = time.perf_counter()
+            shapes, member = _family(spec)
+            total = sum(1 for _ in filter(member, _sweep(shapes, True)))
+            reports.append(EnumerationReport(spec, total, space, time.perf_counter() - start))
+        else:
+            four, elapsed = swept[grid]
+            reports.append(EnumerationReport(spec, four[2 * prime + spec.increasing], space, elapsed))
+    return reports
 
 
 def _count_grid(spec: FamilySpec) -> tuple[WeightMatrix, bool]:
@@ -182,69 +232,87 @@ def _count_grid(spec: FamilySpec) -> tuple[WeightMatrix, bool]:
         return spec.weights, spec.prime
     if spec.family == "pq":
         return u0_matrix(spec.p, spec.q), spec.prime
-    u = prime_reduction(spec.u) if spec.prime else spec.u
-    # one row, q = 0: the east edge leaving node k weighs u[k]; node n repeats u[-1]
-    return WeightMatrix(len(u), 0, (tuple((x, 1) for x in u + u[-1:]),)), False
-
-
-# ---------------------------------------------------------------------------
-# Packed grid kernel, vectorized over candidate pairs
-# ---------------------------------------------------------------------------
-
-_BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) per block of the packed sweep, at least one a-row
-_ONES = np.uint64(2**64 - 1)
+    return _row_grid(prime_reduction(spec.u) if spec.prime else spec.u), False
 
 
 @lru_cache(maxsize=128)
-def _twodim_grid_counts(weights: WeightMatrix) -> dict[tuple[bool, bool], int]:
-    """All four counts (prime x increasing) for one weight grid, in one sweep.
+def _row_grid(u: Seq) -> WeightMatrix:
+    """The one-row grid (q = 0) of a capacity vector: the east edge leaving node k weighs u[k]; node n repeats u[-1].
+
+    u is a valid capacity vector, so the grid needs no check; it is immutable,
+    so the 128 most recent are kept and handed out again.
+    """
+    return WeightMatrix._unchecked(len(u), 0, (tuple((x, 1) for x in u + u[-1:]),))
+
+
+# ---------------------------------------------------------------------------
+# Packed grid kernel, vectorized over candidate pairs and stacked grids
+# ---------------------------------------------------------------------------
+
+_BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) per stacked grid in a block, at least one a-row
+_ONES = np.uint64(2**64 - 1)
+_KEPT_GRIDS = 128
+_counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  # the last grids counted, oldest first
+
+
+def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]]:
+    """The four counts (pf, ipf, ppf, ippf) of every grid of one shape, in one stacked sweep.
 
     Reachability of (p, q) through admissible edges is evaluated for many
     sorted candidate pairs of the box ``range(max_u)**p x range(max_v)**q`` at
     once.  The b-candidates are packed 64 to a ``uint64`` word, so a DP state
-    is an (a-candidate x word) array: an east edge masks whole a-rows (a word
-    of ones or of zeros), a north edge ANDs in one packed b-row.  The
-    a-candidates, their weights and east masks are built in blocks that are
-    reduced before the next one starts, so memory is bounded by the block,
-    not by the candidate grid.  A side of at most ``_BLOCK_BITS // 64`` rows,
-    the most a block can take, is built once per (bound, length, dtype) and
-    kept (``_kept_side``), so small grids, whose fixed set-up is mostly
-    building their sides, share them.  The store outlives the sweep: it holds
-    up to 128 sides, each no larger than the a-rows and weights of one full
-    block, for the life of the process, and a kept a-side holds all its rows
-    even when this grid's blocks take only a few at a time.  A larger b-side
-    is built per grid and a larger a-side block by block.  The prime counts
-    are the same reachability on the reindexed grid
-    ``prime_weight_transform(weights)``, over the same candidates and
-    weights: both grids are stacked in one DP pass, whose state gains a
-    leading grid axis, and each is unpacked and reduced on its own.  A block
-    keeps its a-rows however many grids are stacked: its state doubles, well
-    inside the memory bound, while halving the rows would double the blocks
-    and the per-step numpy overhead each one pays.
-    Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the tests compare
-    them, and ``is_u_prime``'s two methods.
+    is a (grid x a-candidate x word) array: an east edge masks whole a-rows (a
+    word of ones or of zeros), a north edge ANDs in one packed b-row.  The
+    grids share both candidate sides, so they are stacked on the state's
+    leading grid axis, and so is each one's ``prime_weight_transform`` when
+    p, q >= 1: the prime counts are the same reachability on that reindexed
+    grid, over the same candidates and weights.  Each stacked state is
+    unpacked and reduced on its own axis; ``einsum`` weighs the unpacked bits
+    in buffered chunks, so the reduction holds one byte per candidate pair,
+    not a full int64 copy.  Semantics match ``is_u_pf`` / ``is_u_prime``
+    exactly; the tests compare them, and ``is_u_prime``'s two methods.
+
+    The a-candidates, their weights and east masks are built in blocks that
+    are reduced before the next one starts, so memory is bounded by the
+    block, not by the candidate grid.  A block holds at most ``_BLOCK_BITS``
+    candidate pairs per grid of the stack, its transform riding along: a
+    lone grid keeps its a-rows, and a stack of g grids takes 1/g of them.
+    A stack takes at most as many grids as leave each one a-row; a larger
+    group is swept one such stack after another.
+
+    A side of at most ``_BLOCK_BITS // 64`` rows, the most a block can take,
+    is built once per (bound, length, dtype) and kept (``_kept_side``): up to
+    128 sides, each no larger than the a-rows and weights of one full block,
+    for the life of the process; a kept a-side holds all its rows even when
+    a block takes a few at a time.  A larger b-side is built per sweep and a
+    larger a-side block by block.
 
     No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
     partial sum of the weighted reduction, so int64 is exact below 2**63;
     larger spaces reduce in Python ints (``dtype=object``).
     """
-    p, q, bu, bv = weights.p, weights.q, weights.max_u, weights.max_v
-    out = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
+    p, q, bu, bv = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v
     if not (nb := _multisets(bv, q)):
-        return out
+        return [(0, 0, 0, 0)] * len(grids)
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
     arr_b, wb = next(_side_blocks(bv, q, dtype, nb))
-    east_bound, north = _packed_edges(arr_b, (weights, prime_weight_transform(weights)) if p and q else (weights,))
-
-    rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))
-    for arr_a, wa in _side_blocks(bu, p, dtype, rows):
-        states = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
-        for prime, state in zip((False, True), states):
+    rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))  # a lone grid's a-rows per block
+    out: list[tuple[int, int, int, int]] = []
+    for first in range(0, len(grids), rows):
+        chunk = grids[first : first + rows]
+        stack = chunk + [prime_weight_transform(grid) for grid in chunk] if p and q else chunk
+        east_bound, north = _packed_edges(arr_b, stack)
+        # [g] sums grid g's plain counts, [len(chunk) + g] its prime counts (none when p or q is 0)
+        sums, pops = np.zeros(2 * len(chunk), dtype), np.zeros(2 * len(chunk), np.int64)
+        for arr_a, wa in _side_blocks(bu, p, dtype, rows // len(chunk)):
+            state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
             # the pad bits past nb in the last word are dropped here, never counted
-            bits = np.unpackbits(state.view(np.uint8), axis=1, count=nb, bitorder="little")
-            out[(prime, False)] += int(wa @ (bits.astype(dtype) @ wb))
-            out[(prime, True)] += int(bits.sum())
-        del arr_a, wa  # free this block first: a streamed side builds the next block's weights when resumed
+            bits = np.unpackbits(state.view(np.uint8), axis=-1, count=nb, bitorder="little")
+            sums[: len(stack)] += np.einsum("gij,j->gi", bits, wb) @ wa
+            pops[: len(stack)] += bits.sum(axis=(1, 2), dtype=np.int64)
+            del arr_a, wa, state, bits  # free this block first: a streamed side builds the next block's weights when resumed
+        plain, prime = slice(len(chunk)), slice(len(chunk), None)
+        out += zip(sums[plain].tolist(), pops[plain].tolist(), sums[prime].tolist(), pops[prime].tolist())
     return out
 
 
@@ -280,7 +348,7 @@ def _kept_side(bound: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return side
 
 
-def _packed_edges(arr_b: np.ndarray, grids: tuple[WeightMatrix, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked edges of same-shape grids for ``_vector_reach``: on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l].
 
     north[l, k, g, 0] packs the sorted b-candidates that may take the north

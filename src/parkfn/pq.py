@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exact
 from .core import (
@@ -268,10 +269,18 @@ def compose_pq(d: PQPrimeDecomposition) -> PQPair:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128, typed=True)
 def u0_matrix(p: int, q: int) -> WeightMatrix:
-    """Grid with node (k, l) weighing (l+1, k+1); its members are the (p,q) pairs."""
+    """Grid with node (k, l) weighing (l+1, k+1); its members are the (p,q) pairs.
+
+    Its nodes are positive ints, weakly increasing in k and l, so only p and
+    q need a check.  The grid is immutable, so the 128 most recent are kept
+    and handed out again: the oracle asks for one per pq count.
+    """
+    if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+        raise ValueError(f"grid dimensions must be ints >= 0, got {p!r}, {q!r}")
     rows = tuple(tuple((l + 1, k + 1) for k in range(p + 1)) for l in range(q + 1))
-    return WeightMatrix(p, q, rows)
+    return WeightMatrix._unchecked(p, q, rows)
 
 
 def u0_prime_matrix(p: int, q: int) -> WeightMatrix:

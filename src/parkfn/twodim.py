@@ -26,8 +26,10 @@ class WeightMatrix:
     """Node weights z_{k,l} = (u_{k,l}, v_{k,l}) over (0,0) <= (k,l) <= (p,q).
 
     ``rows[l][k]`` holds the node at (k, l); both channels must be weakly
-    increasing in k and in l, which is validated eagerly.  An east edge
-    leaving (k, l) weighs u_{k,l}; a north edge leaving (k, l) weighs v_{k,l}.
+    increasing in k and in l, which is validated eagerly, except in the
+    grids this module builds valid by construction (``_unchecked``).  An
+    east edge leaving (k, l) weighs u_{k,l}; a north edge leaving (k, l)
+    weighs v_{k,l}.
     """
 
     p: int
@@ -52,6 +54,19 @@ class WeightMatrix:
                     raise NonMonotoneWeights(f"weights decrease from ({k - 1},{l}) to ({k},{l})")
                 if l > 0 and (uu < self.rows[l - 1][k][0] or vv < self.rows[l - 1][k][1]):
                     raise NonMonotoneWeights(f"weights decrease from ({k},{l - 1}) to ({k},{l})")
+
+    def __hash__(self) -> int:
+        """Hashed once: the oracle looks a grid up in its caches several times per count."""
+        if (cached := self.__dict__.get("_hash")) is None:
+            cached = self.__dict__["_hash"] = hash((self.p, self.q, self.rows))
+        return cached
+
+    @classmethod
+    def _unchecked(cls, p: int, q: int, rows: tuple[tuple[tuple[int, int], ...], ...]) -> "WeightMatrix":
+        """A grid valid by construction, built without the node-by-node check ``__init__`` runs."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(p=p, q=q, rows=rows)
+        return grid
 
     def u(self, k: int, l: int) -> int:
         return self.rows[l][k][0]
@@ -112,7 +127,7 @@ class AffineWeightSpec:
 
 
 def affine_weight_matrix(spec: AffineWeightSpec) -> WeightMatrix:
-    """Materialize the affine grid; monotonicity holds automatically."""
+    """Materialize the affine grid: the spec holds non-negative ints, so the nodes are too, weakly increasing in k and l."""
     rows = tuple(
         tuple(
             (spec.a * k + spec.b * l + spec.s, spec.c * k + spec.d * l + spec.t)
@@ -120,7 +135,7 @@ def affine_weight_matrix(spec: AffineWeightSpec) -> WeightMatrix:
         )
         for l in range(spec.q + 1)
     )
-    return WeightMatrix(spec.p, spec.q, rows)
+    return WeightMatrix._unchecked(spec.p, spec.q, rows)
 
 
 @dataclass(frozen=True)
@@ -173,7 +188,12 @@ def is_u_pf(a: Sequence[int], b: Sequence[int], weights: WeightMatrix) -> tuple[
 
 
 def prime_weight_transform(weights: WeightMatrix) -> WeightMatrix:
-    """Reindexed grid U' whose plain members are exactly the U-prime pairs."""
+    """Reindexed grid U' whose plain members are exactly the U-prime pairs.
+
+    A node of U' takes its u from a node of U at or below it and its v from
+    one at or west of it, moving with it along each axis, so U' is as
+    monotone as U and needs no check.
+    """
     p, q, rows = weights.p, weights.q, weights.rows
     if p < 1 or q < 1:
         raise DegenerateGrid("the prime transform needs p, q >= 1")
@@ -183,7 +203,7 @@ def prime_weight_transform(weights: WeightMatrix) -> WeightMatrix:
         k_v, l_u = (k - 1, l - 1) if k and l else (0, 0)
         return rows[l_u][k][0], rows[l][k_v][1]
 
-    return WeightMatrix(p, q, tuple(tuple(node(k, l) for k in range(p + 1)) for l in range(q + 1)))
+    return WeightMatrix._unchecked(p, q, tuple(tuple(node(k, l) for k in range(p + 1)) for l in range(q + 1)))
 
 
 def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method: str = "direct") -> bool:

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, byte stability."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -372,6 +373,15 @@ SUITE_DIGESTS = {
     "affine-2d": "c3b1219be5b623f2b4f442306cd0232e676c7d116fc19c2eb7d7fc8ee5ff9d90",
 }
 
+# sha256 of the default CSV stdout of `parkfn verify --suite S`, recorded before
+# verify counted a suite's oracle rows in one batch; it must stay byte-identical too.
+CSV_DIGESTS = {
+    "classical": "6d2ab017b82685f2b3afdae1030ed3ce3b3fcf1ece466967c09aa6be89972ce1",
+    "vector-arith": "980f8ed08da72f97a2d6c90abf577072ef297f7600d12bbbd4e3bea0038c4e1c",
+    "pq-small": "cb3894539557ec3425538b88137af7884e97d95adecc15e2137f73c8d53eed19",
+    "affine-2d": "2e5f72dfc4cd2bdff9809002b14dff9e2d44ffc97b7b0513ce3fe0210684e3f6",
+}
+
 
 @pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
 def test_verify_json_format_is_stable(capsys, suite):
@@ -380,6 +390,13 @@ def test_verify_json_format_is_stable(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_DIGESTS[suite]
     doc = json.loads(out)
     assert doc["all_pass"] is True and doc["suite"] == suite and doc["version"] == 1
+
+
+@pytest.mark.parametrize("suite", sorted(CSV_DIGESTS))
+def test_verify_csv_format_is_stable(capsys, suite):
+    code, out, _ = run_cli(capsys, ["verify", "--suite", suite])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CSV_DIGESTS[suite]
 
 
 def test_verify_unknown_suite(capsys):
@@ -399,7 +416,8 @@ def test_verify_suite_is_a_name_not_a_path(capsys, tmp_path):
 def test_verify_disagreement_exit_code(capsys, monkeypatch):
     import parkfn.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "run_point", lambda family, params, quantities, cap: [(1, 2)] * len(quantities))
+    # a reference no closed form takes, for every row
+    monkeypatch.setattr(cli_mod, "reference_values", lambda points, cap: [-1] * sum(len(point[2]) for point in points))
     code, out, _ = run_cli(capsys, ["verify", "--suite", "classical"])
     assert code == 2
     rows = out.splitlines()[1:]
@@ -409,6 +427,7 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
 def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls.
     # The 2916 grids share 36 candidate sides; building both sides per grid took 5834 weight calls.
+    # The grids fall into 852 shapes (p, q, max_u, max_v), each counted in one stacked sweep.
     from parkfn import oracle, twodim
 
     calls, build = [], twodim.affine_weight_matrix
@@ -420,12 +439,36 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
         return weigh(rows, dtype)
 
     monkeypatch.setattr(oracle, "_rearrangement_weights", weights)
-    oracle._twodim_grid_counts.cache_clear()
+    sweeps, stacked = [], oracle._stacked_counts
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: sweeps.append(grids) or stacked(grids))
+    oracle._counted.clear()
     oracle._kept_side.cache_clear()
     code, _, err = run_cli(capsys, ["verify", "--suite", "affine-2d"])
     assert code == 0 and "11664/11664" in err
     assert len(calls) == 2916
     assert sides and len(sides) == len(set(sides))
+    shapes = [{(grid.p, grid.q, grid.max_u, grid.max_v) for grid in grids} for grids in sweeps]
+    assert len(sweeps) == 852 and all(len(shape) == 1 for shape in shapes)
+    assert len(set().union(*shapes)) == 852 and sum(map(len, sweeps)) == 2916
+
+
+def test_verify_memory_stays_bounded():
+    # traced peak of the whole affine-2d JSON run, output included: 8.7 MiB when each row was
+    # counted on its own; holding every row's FamilySpec, closure and report until output took 17.9
+    from parkfn import oracle
+
+    oracle._counted.clear()
+    oracle._kept_side.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--suite", "affine-2d", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and hashlib.sha256(out.getvalue().encode()).hexdigest() == SUITE_DIGESTS["affine-2d"]
+    assert peak < 10 * 2**20
 
 
 def test_malformed_instance_exits_one(tmp_path, capsys):

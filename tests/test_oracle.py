@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkfn import oracle, pq, twodim, vector
@@ -142,6 +142,83 @@ def test_search_space_cap():
     assert oracle.count(FamilySpec("classical", n=3), cap=27).count == 16
 
 
+def test_count_many_checks_every_cap_before_counting(monkeypatch):
+    swept = []
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: swept.append(grids) or [(0, 0, 0, 0)] * len(grids))
+    oracle._counted.clear()
+    with pytest.raises(SearchSpaceTooLarge):
+        oracle.count_many([FamilySpec("classical", n=3), FamilySpec("classical", n=12)], cap=10_000)
+    assert swept == []
+
+
+def _affine_specs(*grids):
+    return [
+        FamilySpec("twodim", prime, increasing, weights=affine_weight_matrix(AffineWeightSpec(*grid)))
+        for grid in grids
+        for prime in ((False, True) if grid[6] and grid[7] else (False,))
+        for increasing in (False, True)
+    ]
+
+
+# Specs for the batch: grids that share a shape, p = 0 and q = 0 grids, the pq primes
+# with an empty side, counts past int64, and a group whose stack spans several blocks.
+BATCH_SPECS = SMALL_SPECS + _affine_specs(
+    (1, 0, 0, 1, 1, 1, 2, 2),  # shape (2, 2, 3, 3), with the next two
+    (0, 1, 1, 0, 1, 1, 2, 2),
+    (0, 0, 0, 0, 3, 3, 2, 2),
+    (1, 1, 1, 1, 1, 1, 0, 2),  # p = 0
+    (0, 1, 1, 1, 1, 2, 0, 2),  # p = 0, the same shape
+    (1, 0, 1, 1, 2, 1, 3, 0),  # q = 0
+    (0, 0, 0, 0, 1, 2, 1, 63),  # pf = 2**63: dtype=object
+    (1, 2, 3, 2, 3, 5, 3, 3),  # shape (3, 3, 12, 20): 364 a-rows, 81 per block of the two
+    (2, 1, 2, 3, 3, 5, 3, 3),
+)
+_LONE_COUNTS: dict = {}
+
+
+def _lone_count(spec):
+    """The count of a spec swept on its own, from cold grid caches."""
+    if spec not in _LONE_COUNTS:
+        oracle._counted.clear()
+        _LONE_COUNTS[spec] = oracle.count(spec, cap=10**30).count
+    return _LONE_COUNTS[spec]
+
+
+def test_batch_specs_cover_a_group_across_blocks():
+    a, b = BATCH_SPECS[-8].weights, BATCH_SPECS[-4].weights
+    assert a != b and (a.p, a.q, a.max_u, a.max_v) == (b.p, b.q, b.max_u, b.max_v)
+    rows = oracle._BLOCK_BITS // (64 * -(-comb(a.max_v + a.q - 1, a.q) // 64))
+    assert comb(a.max_u + a.p - 1, a.p) > rows // 2  # the stack of two takes half a lone grid's rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(BATCH_SPECS), max_size=12), st.randoms(use_true_random=False))
+def test_count_many_equals_lone_counts(specs, rng):
+    specs += BATCH_SPECS if rng.random() < 0.2 else []
+    rng.shuffle(specs)
+    oracle._counted.clear()
+    reports = oracle.count_many(specs, cap=10**30)
+    assert [report.spec for report in reports] == specs
+    assert [report.count for report in reports] == [_lone_count(spec) for spec in specs]
+
+
+def test_count_many_sweeps_a_group_larger_than_one_stack(monkeypatch):
+    # with 128-bit blocks a stack takes two grids of one word each, so a group of three takes two stacks
+    specs = _affine_specs((1, 0, 0, 1, 1, 1, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2), (0, 0, 0, 0, 3, 3, 2, 2))
+    want = [_lone_count(spec) for spec in specs]
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 128)
+    oracle._counted.clear()
+    assert [report.count for report in oracle.count_many(specs)] == want
+
+
+def test_count_many_reports_share_their_group_sweep_time():
+    specs = _affine_specs((1, 0, 0, 1, 1, 1, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2))
+    oracle._counted.clear()
+    elapsed = {report.elapsed for report in oracle.count_many(specs)}
+    assert len(elapsed) == 1 and elapsed.pop() > 0
+    assert {report.elapsed for report in oracle.count_many(specs)} == {0.0}  # counted before
+
+
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("classical")
@@ -271,7 +348,7 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
             (True, False): twodim.count_affine_ppf(aspec),
             (True, True): twodim.count_affine_ippf(aspec),
         }
-        oracle._twodim_grid_counts.cache_clear()
+        oracle._counted.clear()
         oracle._kept_side.cache_clear()
         for spec in _affine_variants(grid):
             assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
@@ -333,7 +410,7 @@ def test_vectorised_weights_match_rearrangements(length):
 def test_twodim_kernel_memory_is_bounded():
     # 3003 x 3003 sorted candidate pairs; a bool state per pair took 259 MiB
     weights = affine_weight_matrix(AffineWeightSpec(1, 1, 1, 1, 1, 1, 5, 5))
-    oracle._twodim_grid_counts.cache_clear()
+    oracle._counted.clear()
     oracle._kept_side.cache_clear()
     tracemalloc.start()
     try:
@@ -360,6 +437,7 @@ def test_vector_row_grids_match_the_predicates_pointwise(u):
     for prime, test in ((False, vector.is_vector_pf), (True, vector.is_prime_vector_pf)):
         grid, grid_prime = oracle._count_grid(FamilySpec("vector", prime, u=u))
         assert (grid.p, grid.q, grid_prime) == (len(u), 0, False)
+        assert twodim.WeightMatrix(grid.p, grid.q, grid.rows) == grid  # built without the check
         if prime:
             assert [node[0] for node in grid.rows[0][:-1]] == list(vector.prime_reduction(u))
         for a in product(range(u[-1] + 1), repeat=len(u)):
@@ -385,7 +463,7 @@ def test_blocked_vector_sweeps_match_closed_forms(family, s, b, n):
 
 def test_vector_kernel_memory_is_bounded():
     # 92378 sorted candidates of length 10; building them all before the sweep took 30 MiB
-    oracle._twodim_grid_counts.cache_clear()
+    oracle._counted.clear()
     oracle._kept_side.cache_clear()
     tracemalloc.start()
     try:

@@ -235,6 +235,16 @@ def test_u0_matrix_nodes():
     assert (u0p.u(2, 3), u0p.v(2, 3)) == (3, 2)
 
 
+@pytest.mark.parametrize("p, q", [(True, 2), (2, False), (-1, 2), (2, -1), (1.0, 2), (2, "2")])
+def test_u0_matrix_takes_non_negative_int_sizes(p, q):
+    # u0_matrix builds its grid without WeightMatrix's check and keeps it, so it checks p and q itself;
+    # an equal int such as 1 for True must not be served from the kept grids
+    pq.u0_matrix(1, 2), pq.u0_matrix(2, 0)
+    with pytest.raises(ValueError):
+        pq.u0_matrix(p, q)
+    assert pq.u0_matrix(3, 4) is pq.u0_matrix(3, 4)
+
+
 def test_u0_membership_equivalences():
     from parkfn.twodim import is_u_pf
 

@@ -206,6 +206,15 @@ def test_grids_accept_only_int_values(value, field, k, l, channel):
             WeightMatrix(p, q, u0_matrix(2, 2).rows)
 
 
+@given(st.lists(st.integers(0, 3), min_size=6, max_size=6), st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_grids_built_unchecked_pass_the_check(coeffs, p, q, rng):
+    # affine_weight_matrix, prime_weight_transform and u0_matrix skip the node-by-node check of WeightMatrix
+    grids = [twodim.affine_weight_matrix(AffineWeightSpec(*coeffs, p, q)), random_monotone_matrix(rng, p, q, top=5), u0_matrix(p, q)]
+    grids += [twodim.prime_weight_transform(grid) for grid in grids if p and q]
+    for grid in grids:
+        assert WeightMatrix(grid.p, grid.q, grid.rows) == grid
+
+
 def test_affine_matrix_examples():
     assert twodim.affine_weight_matrix(AffineWeightSpec(0, 1, 1, 0, 1, 1, 3, 4)) == U0_34()
     flat = twodim.affine_weight_matrix(AffineWeightSpec(0, 0, 0, 0, 0, 0, 2, 2))
