@@ -51,15 +51,29 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(_int(part) for part in text.split(",")) if text else ()
 
 
+def _load_json(fh) -> object:
+    """``json.load``; a document nested too deeply for the parser is malformed input (ValueError), not a RecursionError."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise ValueError("the JSON document is nested too deeply") from None
+
+
+# The fields each family's instance must have; classical has u = (1, ..., n).
+_INSTANCE_FIELDS = {"classical": ("a",), "vector": ("a", "u"), "pq": ("a", "b"), "twodim": ("a", "b")}
+
+
 def _read_instance(args) -> dict:
-    """The instance JSON object; its "a", "b" and "u" must be arrays of JSON integers."""
+    """The instance JSON object; it must have its family's fields, and its "a", "b" and "u" must be arrays of JSON integers."""
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _load_json(fh)
     else:
-        data = json.load(sys.stdin)
+        data = _load_json(sys.stdin)
     if not isinstance(data, dict):
         raise ValueError(f"the instance must be a JSON object, got {type(data).__name__}")
+    if missing := [key for key in _INSTANCE_FIELDS[args.family] if key not in data]:
+        raise ValueError(f"the instance is missing field {missing[0]!r}")
     for key in ("a", "b", "u"):
         json_ints(data.get(key, []), repr(key))
     return data
@@ -105,7 +119,7 @@ def _params_from_args(args) -> dict:
         return {"p": args.p, "q": args.q}
     if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            return {"weights": twodim.WeightMatrix.from_json_dict(json.load(fh))}
+            return {"weights": twodim.WeightMatrix.from_json_dict(_load_json(fh))}
     coeffs = _parse_int_list(args.affine or "")
     if len(coeffs) != 6 or args.p is None or args.q is None:
         raise ValueError("twodim family needs --matrix-file, or --affine a,b,c,d,s,t with --p and --q")
@@ -209,11 +223,8 @@ def _cmd_check(args) -> int:
         twodim.check_pair_shape(a, b, grid.p, grid.q)
         weights = grid if isinstance(grid, twodim.WeightMatrix) else twodim.affine_weight_matrix(grid)
         member, witness = twodim.is_u_pf(a, b, weights)
-        out = {"member": member}
-        if weights.p >= 1 and weights.q >= 1:
-            out["prime"] = twodim.is_u_prime(a, b, weights, method="direct")
-        else:
-            out["prime"] = None
+        prime = twodim.is_u_prime(a, b, weights, method="direct") if weights.p >= 1 and weights.q >= 1 else None
+        out = {"member": member, "prime": prime}
         if witness is not None:
             out["witness"] = witness.path.steps
     _emit(out)
@@ -224,10 +235,7 @@ def _cmd_simulate(args) -> int:
     if args.family not in ("classical", "vector"):
         raise ValueError("simulate supports the classical and vector families")
     outcome = vector.simulate_capacity_parking(*_vector_instance(args.family, _read_instance(args)))
-    if outcome.success:
-        _emit({"assignment": list(outcome.assignment)})
-    else:
-        _emit({"failed_car": outcome.failed_car})
+    _emit({"assignment": list(outcome.assignment)} if outcome.success else {"failed_car": outcome.failed_car})
     return EXIT_OK
 
 
@@ -303,47 +311,33 @@ def expand_suite(manifest: dict):
     return points
 
 
-def reference_values(points, cap: Optional[int]) -> list[int]:
-    """The reference value of every row of the grid points, in row order.
-
-    A ``ppf-sum`` point's is the alternative formula; every other row's is
-    its oracle count, and all of those are counted in one ``oracle.count_many``
-    call, so grids of one shape share a stacked sweep.  Each point's
-    FamilySpec keywords are built once for its quantities, so an affine point
-    builds its one WeightMatrix once.
-    """
-    specs = []
-    for family, params, quantities in points:
-        if family != "pq-ppf-sum":
-            family = _GRIDS[family][0]
-            spec_kwargs = _FAMILIES[family].spec_kwargs(params)
-            specs += (_family_spec(family, _QUANTITY_LABELS.index(quantity), spec_kwargs) for quantity in quantities)
-    counts = iter([report.count for report in oracle.count_many(specs, cap=cap)])
-    return [
-        pq.count_pq_ppf_sum(params["p"], params["q"]) if family == "pq-ppf-sum" else next(counts)
-        for family, params, quantities in points
-        for _ in quantities
-    ]
-
-
-def _formula_values(family: str, params: dict, quantities: Sequence[str]) -> list[int]:
-    """The closed-form value of each quantity of one grid point, from the point's one set of formula arguments."""
-    if family == "pq-ppf-sum":
-        return [pq.count_pq_ppf(params["p"], params["q"])]
-    family = _GRIDS[family][0]
-    formula_args = _FAMILIES[family].formula_args(params)
-    return [_formula(family, _QUANTITY_LABELS.index(quantity), formula_args) for quantity in quantities]
-
-
 def _verify_rows(points, cap: Optional[int]) -> list[dict]:
-    """The rows of the grid points, in order: one per quantity, formula against reference."""
-    references = iter(reference_values(points, cap))
-    rows = []
+    """The rows of the grid points, in order: one per quantity, formula against reference.
+
+    A ``ppf-sum`` point's reference is the alternative formula; every other
+    row's is its oracle count, and all of those are counted in one
+    ``oracle.count_many`` call, so grids of one shape share a stacked sweep.
+    A point's formula arguments and FamilySpec keywords are built once for
+    all its quantities, so an affine point builds its one WeightMatrix once.
+    """
+    formulas, specs = [], []  # per point: its formula values and its ppf-sum reference (None: oracle counts)
     for family, params, quantities in points:
+        if family == "pq-ppf-sum":
+            formulas.append(([pq.count_pq_ppf(params["p"], params["q"])], pq.count_pq_ppf_sum(params["p"], params["q"])))
+            continue
+        name = _GRIDS[family][0]
+        formula_args, spec_kwargs = _FAMILIES[name].formula_args(params), _FAMILIES[name].spec_kwargs(params)
+        variants = [_QUANTITY_LABELS.index(quantity) for quantity in quantities]
+        specs += (_family_spec(name, variant, spec_kwargs) for variant in variants)
+        formulas.append(([_formula(name, variant, formula_args) for variant in variants], None))
+    counts = iter([report.count for report in oracle.count_many(specs, cap=cap)])
+    del specs  # freed before the rows are built
+    rows = []
+    for (family, params, quantities), (values, reference) in zip(points, formulas):
         text = ";".join(f"{key}={value}" for key, value in params.items())
-        for quantity, formula in zip(quantities, _formula_values(family, params, quantities), strict=True):
-            reference = next(references)
-            rows.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, reference, formula == reference))))
+        for quantity, formula in zip(quantities, values):
+            count = next(counts) if reference is None else reference
+            rows.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, count, formula == count))))
     return rows
 
 

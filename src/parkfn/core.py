@@ -1,4 +1,4 @@
-"""Sequences, lattice paths, edge labelings, and path-comparison primitives.
+"""Sequences, lattice paths, and path-comparison primitives.
 
 A lattice path is a word over {N, E} read from (0, 0); the step word is the
 single source of truth and vertex lists are derived on demand.  All values
@@ -53,7 +53,7 @@ def stable_sort_indices(s: Sequence[int]) -> tuple[int, ...]:
     """Original indices of ``s`` sorted by value, ties kept in index order.
 
     Entry ``r`` is the index whose value is the r-th order statistic; this is
-    the normative tie-breaking for every labeling and decomposition here.
+    the normative tie-breaking for every decomposition here.
     """
     return tuple(sorted(range(len(s)), key=lambda i: (s[i], i)))
 
@@ -89,17 +89,6 @@ class LatticePath:
                 y += 1
             pts.append(Point(x, y))
         return tuple(pts)
-
-    def vertical_step_xs(self) -> Seq:
-        """x-coordinate of each N step, bottom-to-top."""
-        out = []
-        x = 0
-        for ch in self.steps:
-            if ch == "E":
-                x += 1
-            else:
-                out.append(x)
-        return tuple(out)
 
     def horizontal_step_ys(self) -> Seq:
         """y-coordinate of each E step, left-to-right."""
@@ -156,48 +145,3 @@ def common_points(p: LatticePath, q: LatticePath) -> tuple[Point, ...]:
         )
     shared = set(p.vertices()) & set(q.vertices())
     return tuple(sorted(shared))
-
-
-@dataclass(frozen=True)
-class LabeledPath:
-    """A lattice path with labeled N steps (and optionally labeled E steps).
-
-    Vertical labels are listed bottom-to-top, one per N step, and must form a
-    permutation of 0..height-1 that increases within each column.  Horizontal
-    labels, when present, are listed left-to-right and increase within each
-    row.  This pins down the bijection between sequences and labeled paths.
-    """
-
-    path: LatticePath
-    vertical_labels: Seq
-    horizontal_labels: Optional[Seq] = None
-
-    def __post_init__(self) -> None:
-        _check_labels(self.vertical_labels, self.path.vertical_step_xs(), "vertical")
-        if self.horizontal_labels is not None:
-            _check_labels(self.horizontal_labels, self.path.horizontal_step_ys(), "horizontal")
-
-    def vertical_preferences(self) -> Seq:
-        """Read back the sequence a with a[label] = column of that N step."""
-        xs = self.path.vertical_step_xs()
-        prefs = [0] * len(xs)
-        for x, label in zip(xs, self.vertical_labels):
-            prefs[label] = x
-        return tuple(prefs)
-
-
-def _check_labels(labels: Seq, coords: Seq, kind: str) -> None:
-    if sorted(labels) != list(range(len(coords))):
-        raise ValueError(f"{kind} labels {labels} are not a permutation of 0..{len(coords) - 1}")
-    for i in range(len(coords) - 1):
-        if coords[i] == coords[i + 1] and labels[i] >= labels[i + 1]:
-            raise ValueError(f"{kind} labels must increase along equal coordinates")
-
-
-def label_vertical(a: Sequence[int], width: int) -> LabeledPath:
-    """Labeled path of the sequence ``a``: N step labeled j sits at x = a[j]."""
-    entries = as_seq(a)
-    if entries and max(entries) > width:
-        raise OutOfRange(f"entry {max(entries)} exceeds width {width}")
-    path = path_of_increasing(order_statistics(entries), width)
-    return LabeledPath(path, stable_sort_indices(entries))

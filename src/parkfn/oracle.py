@@ -8,21 +8,43 @@ beyond the bound can never belong to a member.
 ``enumerate_members`` is definitional: it walks every candidate tuple in
 lexicographic order and filters by the family's own predicate.
 ``count_many`` counts a batch of specs, and ``count`` is the batch of one.
-Every family counts on a weight grid: pq on ``u0_matrix(p, q)``, a vector
-family on its one-row grid, its primes on that of ``prime_reduction(u)``.
-Each distinct grid of a batch is swept once, and the grids of one shape
-``(p, q, max_u, max_v)`` share one stacked sweep, since they share both
-candidate sides; the last 128 grids' counts are kept for later calls.  The
-packed kernel sweeps weakly increasing candidates in blocks, weighing each
-member by its rearrangements; a block holds at most ``_BLOCK_BITS``
-candidate pairs per stacked grid, so memory is bounded by one block however
-many grids share it.  A candidate side, its sorted rows and weights, depends
-only on its entry bound and length; up to 128 sides of at most one block's
-worth of rows each are kept read-only for the life of the process and shared
-by every grid that needs them, larger ones are rebuilt per sweep.  Grid
-primes are plain reachability on ``prime_weight_transform``, which matches
-``is_u_prime``; the tests compare both routes.  Only the pq primes with an
-empty side, whose convention is not a grid transform, count by predicate.
+``_family`` is the one place that tells the families apart.  It gives each
+spec its candidate shapes, its member test, and the weight grid it counts
+on: pq on ``u0_matrix(p, q)``, a vector family on its one-row grid
+(``_row_grid``), its primes on that of ``prime_reduction(u)``, and a twodim
+family on its own grid.  Grid primes are plain reachability on
+``prime_weight_transform``, which matches ``is_u_prime``; the tests compare
+both routes.  Only the pq primes with an empty side, whose ``(∅,(0))`` /
+``((0),∅)`` convention is not a grid transform, count by predicate.
+
+A batch sweeps each distinct grid once.  The grids of one shape
+``(p, q, max_u, max_v)`` share both candidate sides, so they share one
+stacked sweep: each grid rides on the leading axis of one DP state, with its
+prime transform beside it when p, q >= 1.  The kernel sweeps only weakly
+increasing candidates and weighs each member by its rearrangements.  The
+b-candidates are packed 64 to a ``uint64`` word, so a state is a (grid x
+a-candidate x word) array: an east edge masks whole a-rows, a north edge
+ANDs in one packed b-row.  The a-candidates come in blocks of at most
+``_BLOCK_BITS`` candidate pairs per stacked grid, each reduced before the
+next is built, so memory is bounded by one block however many grids share
+it: a lone grid and its transform keep a full block's a-rows, a stack of g
+grids takes 1/g of them, and a group too large to leave each grid one a-row
+is swept one stack after another.  The reduction weighs the unpacked bits
+with ``einsum``, which casts them in buffered chunks, so it holds one byte
+per candidate pair.  No count or partial sum exceeds the nominal space, so
+int64 is exact below 2**63; larger spaces reduce in Python ints.
+
+Four caches of 128 entries live as long as the process:
+
+- ``_counted``, the four counts of the last grids counted, so the other
+  variants of a grid cost no sweep;
+- ``_kept_side``, the candidate sides: the sorted rows and weights of one
+  sequence depend only on its entry bound and length.  A side of at most
+  ``_BLOCK_BITS // 64`` rows, the most one block takes, is kept read-only
+  and whole, even when its blocks take a few rows at a time, and shared by
+  every grid that needs it; a larger side is rebuilt per sweep;
+- ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
+  are kept does not rebuild its grid either.
 """
 
 from __future__ import annotations
@@ -47,6 +69,7 @@ DEFAULT_SEARCH_CAP = 10**8
 
 Instance = tuple[Seq, ...]  # (a,) for one-sequence families, (a, b) for pairs
 Shapes = tuple[tuple[int, int], ...]  # (length, exclusive entry bound) per sequence
+Family = tuple[int, Shapes, Callable[[Instance], bool], Optional[WeightMatrix], bool]  # space, shapes, member test, grid, prime flag
 
 
 @dataclass(frozen=True)
@@ -84,19 +107,6 @@ class FamilySpec:
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"family": self.family, "prime": self.prime, "increasing": self.increasing}
-        if self.family == "classical":
-            out["n"] = self.n
-        elif self.family == "vector":
-            out["u"] = list(self.u or ())
-        elif self.family == "pq":
-            out["p"], out["q"] = self.p, self.q
-        else:
-            assert self.weights is not None
-            out["weights"] = self.weights.to_json_dict()
-        return out
-
 
 @dataclass(frozen=True)
 class EnumerationReport:
@@ -107,29 +117,27 @@ class EnumerationReport:
     search_space: int
     elapsed: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "count": self.count,
-            "search_space": self.search_space,
-            "elapsed": self.elapsed,
-        }
 
+def _family(spec: FamilySpec, cap: Optional[int], with_grid: bool = True) -> Family:
+    """Nominal space, candidate shapes, member test, and the grid whose plain (False) or prime (True) counts are the family's.
 
-def _family(spec: FamilySpec) -> tuple[Shapes, Callable[[Instance], bool]]:
-    """Candidate shapes and membership test; predicates are this module's globals at call time."""
-    if spec.family == "pq":
-        pair_test = is_pq_prime if spec.prime else is_pq_pf
-        return ((spec.p, spec.q + 1), (spec.q, spec.p + 1)), lambda c: pair_test(PQPair(*c))
+    The space is checked against the cap before a pq grid's (p+1)(q+1) nodes
+    are built.  Without ``with_grid`` no pq or vector grid is built (None is
+    returned): a pq shape with an empty side has one candidate but q+1 or p+1
+    nodes.  The predicates are this module's globals at call time.
+    """
     if spec.family == "twodim":
-        weights = spec.weights
-        shapes = ((weights.p, weights.max_u), (weights.q, weights.max_v))
-        if spec.prime:
-            return shapes, lambda c: is_u_prime(c[0], c[1], weights, method="direct")
-        return shapes, lambda c: is_u_pf(c[0], c[1], weights)[0]
-    u = spec.u
-    vector_test = is_prime_vector_pf if spec.prime else is_vector_pf
-    return ((len(u), u[-1]),), lambda c: vector_test(c[0], u)
+        grid = spec.weights
+        shapes = ((grid.p, grid.max_u), (grid.q, grid.max_v))
+        member = (lambda c: is_u_prime(*c, grid, method="direct")) if spec.prime else (lambda c: is_u_pf(*c, grid)[0])
+        return _checked_space(spec, shapes, cap), shapes, member, grid, spec.prime
+    if spec.family == "pq":
+        shapes, pair_test = ((spec.p, spec.q + 1), (spec.q, spec.p + 1)), is_pq_prime if spec.prime else is_pq_pf
+        space = _checked_space(spec, shapes, cap)
+        return space, shapes, lambda c: pair_test(PQPair(*c)), u0_matrix(spec.p, spec.q) if with_grid else None, spec.prime
+    u, vector_test = spec.u, is_prime_vector_pf if spec.prime else is_vector_pf
+    shapes, grid = ((len(u), u[-1]),), _row_grid(prime_reduction(u) if spec.prime else u) if with_grid else None
+    return _checked_space(spec, shapes, cap), shapes, lambda c: vector_test(c[0], u), grid, False
 
 
 def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
@@ -160,8 +168,7 @@ def enumerate_members(spec: FamilySpec, *, cap: Optional[int] = None) -> Iterato
     Candidates are generated one at a time, so memory stays flat however
     large the space; the cap is checked at the call, before the first one.
     """
-    shapes, member = _family(spec)
-    _checked_space(spec, shapes, cap)
+    _, shapes, member, _, _ = _family(spec, cap, with_grid=False)
     return filter(member, _sweep(shapes, spec.increasing))
 
 
@@ -178,13 +185,9 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     """Count the members of every family over its full candidate space; one report per spec, in order.
 
     Every spec's nominal space is checked against the cap before anything is
-    counted.  Every family counts on its weight grid (``_count_grid``) but the
-    pq primes with an empty side, which count by predicate over at most one
-    candidate.  Each distinct grid is swept once, and not at all when it
-    equals one of the last ``_KEPT_GRIDS`` grids counted.  The grids left are
-    grouped by shape ``(p, q, max_u, max_v)``, which fixes both candidate
-    sides, and each group is counted in one stacked sweep
-    (``_stacked_counts``).
+    counted.  A grid equal to one of the last ``_KEPT_GRIDS`` counted is not
+    swept again; the others are grouped by shape, one stacked sweep per group
+    (see the module docstring).
 
     A report's ``elapsed`` is the wall time of the work that counted it: the
     stacked sweep of its grid's whole group, shared by every spec of that
@@ -193,8 +196,12 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     a pq prime with an empty side.
     """
     specs = list(specs)
-    spaces = [_checked_space(spec, _family(spec)[0], cap) for spec in specs]
-    grids, primes = zip(*map(_count_grid, specs)) if specs else ((), ())
+    spaces, grids, primes = [], [], []  # not the member tests: a batch may hold thousands of specs
+    for spec in specs:
+        space, _, _, grid, prime = _family(spec, cap)
+        spaces.append(space)
+        grids.append(grid)
+        primes.append(prime)
     swept: dict[WeightMatrix, Optional[tuple[tuple[int, int, int, int], float]]] = {}
     groups: dict[tuple[int, int, int, int], list[WeightMatrix]] = {}
     for grid, prime in zip(grids, primes):
@@ -217,22 +224,12 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     for spec, space, grid, prime in zip(specs, spaces, grids, primes):
         if prime and not (grid.p and grid.q):  # the (∅,(0)) / ((0),∅) convention is not a grid transform
             start = time.perf_counter()
-            shapes, member = _family(spec)
-            total = sum(1 for _ in filter(member, _sweep(shapes, True)))
+            total = sum(1 for _ in enumerate_members(spec, cap=cap))
             reports.append(EnumerationReport(spec, total, space, time.perf_counter() - start))
         else:
             four, elapsed = swept[grid]
             reports.append(EnumerationReport(spec, four[2 * prime + spec.increasing], space, elapsed))
     return reports
-
-
-def _count_grid(spec: FamilySpec) -> tuple[WeightMatrix, bool]:
-    """The grid whose plain (False) or prime (True) counts are the family's."""
-    if spec.family == "twodim":
-        return spec.weights, spec.prime
-    if spec.family == "pq":
-        return u0_matrix(spec.p, spec.q), spec.prime
-    return _row_grid(prime_reduction(spec.u) if spec.prime else spec.u), False
 
 
 @lru_cache(maxsize=128)
@@ -258,38 +255,9 @@ _counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  
 def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]]:
     """The four counts (pf, ipf, ppf, ippf) of every grid of one shape, in one stacked sweep.
 
-    Reachability of (p, q) through admissible edges is evaluated for many
-    sorted candidate pairs of the box ``range(max_u)**p x range(max_v)**q`` at
-    once.  The b-candidates are packed 64 to a ``uint64`` word, so a DP state
-    is a (grid x a-candidate x word) array: an east edge masks whole a-rows (a
-    word of ones or of zeros), a north edge ANDs in one packed b-row.  The
-    grids share both candidate sides, so they are stacked on the state's
-    leading grid axis, and so is each one's ``prime_weight_transform`` when
-    p, q >= 1: the prime counts are the same reachability on that reindexed
-    grid, over the same candidates and weights.  Each stacked state is
-    unpacked and reduced on its own axis; ``einsum`` weighs the unpacked bits
-    in buffered chunks, so the reduction holds one byte per candidate pair,
-    not a full int64 copy.  Semantics match ``is_u_pf`` / ``is_u_prime``
-    exactly; the tests compare them, and ``is_u_prime``'s two methods.
-
-    The a-candidates, their weights and east masks are built in blocks that
-    are reduced before the next one starts, so memory is bounded by the
-    block, not by the candidate grid.  A block holds at most ``_BLOCK_BITS``
-    candidate pairs per grid of the stack, its transform riding along: a
-    lone grid keeps its a-rows, and a stack of g grids takes 1/g of them.
-    A stack takes at most as many grids as leave each one a-row; a larger
-    group is swept one such stack after another.
-
-    A side of at most ``_BLOCK_BITS // 64`` rows, the most a block can take,
-    is built once per (bound, length, dtype) and kept (``_kept_side``): up to
-    128 sides, each no larger than the a-rows and weights of one full block,
-    for the life of the process; a kept a-side holds all its rows even when
-    a block takes a few at a time.  A larger b-side is built per sweep and a
-    larger a-side block by block.
-
-    No count exceeds the nominal space ``bu**p * bv**q``, and neither does any
-    partial sum of the weighted reduction, so int64 is exact below 2**63;
-    larger spaces reduce in Python ints (``dtype=object``).
+    The module docstring gives the design: packed states, blocks, stacks and
+    the reduction.  Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the
+    tests compare them, and ``is_u_prime``'s two methods.
     """
     p, q, bu, bv = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v
     if not (nb := _multisets(bv, q)):

@@ -68,12 +68,6 @@ class WeightMatrix:
         grid.__dict__.update(p=p, q=q, rows=rows)
         return grid
 
-    def u(self, k: int, l: int) -> int:
-        return self.rows[l][k][0]
-
-    def v(self, k: int, l: int) -> int:
-        return self.rows[l][k][1]
-
     @property
     def max_u(self) -> int:
         return self.rows[-1][-1][0]

@@ -31,12 +31,6 @@ def validate_capacity(u: Sequence[int]) -> Seq:
     return out
 
 
-def difference_vector(u: Sequence[int]) -> Seq:
-    """First-difference form (u0, u1-u0, ..., u_{n-1}-u_{n-2}) of a boundary."""
-    uu = validate_capacity(u)
-    return (uu[0],) + tuple(uu[i] - uu[i - 1] for i in range(1, len(uu)))
-
-
 def _checked(a: Sequence[int], u: Sequence[int]) -> tuple[Seq, Seq]:
     aa, uu = as_seq(a), validate_capacity(u)
     if len(aa) != len(uu):

@@ -414,10 +414,10 @@ def test_verify_suite_is_a_name_not_a_path(capsys, tmp_path):
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch):
-    import parkfn.cli as cli_mod
+    from parkfn import oracle
 
     # a reference no closed form takes, for every row
-    monkeypatch.setattr(cli_mod, "reference_values", lambda points, cap: [-1] * sum(len(point[2]) for point in points))
+    monkeypatch.setattr(oracle, "count_many", lambda specs, cap: [oracle.EnumerationReport(spec, -1, 0, 0.0) for spec in specs])
     code, out, _ = run_cli(capsys, ["verify", "--suite", "classical"])
     assert code == 2
     rows = out.splitlines()[1:]
@@ -476,6 +476,40 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run_cli(capsys, ["check", "--family", "pq", "--file", str(path)])
     assert code == 1 and "error" in err
+
+
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_check_refuses_deeply_nested_json(tmp_path, capsys, monkeypatch, route):
+    # an instance 5000 arrays deep printed a RecursionError traceback and exited 1 only by accident
+    document = '{"a": %s, "b": []}' % _DEEP
+    argv = ["check", "--family", "pq"]
+    if route == "file":
+        (tmp_path / "deep.json").write_text(document, encoding="utf-8")
+        argv += ["--file", str(tmp_path / "deep.json")]
+    else:
+        monkeypatch.setattr("sys.stdin", _FakeStdin(document))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "") and err.startswith("error:") and "Traceback" not in err
+
+
+def test_count_matrix_file_refuses_deeply_nested_json(tmp_path, capsys):
+    (tmp_path / "grid.json").write_text('{"p": 0, "q": 0, "nodes": %s}' % _DEEP, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["count", "--family", "twodim", "--matrix-file", str(tmp_path / "grid.json")])
+    assert (code, out) == (1, "") and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family,instance,field",
+    [("classical", {}, "a"), ("vector", {"a": [0]}, "u"), ("pq", {"a": [0]}, "b"), ("twodim", {"b": [0]}, "a")],
+)
+def test_missing_instance_field_is_named(capsys, monkeypatch, family, instance, field):
+    # a missing field printed only its key: "error: 'u'"
+    argv = ["check", "--family", family, "--affine", "0,1,1,0,1,1", "--p", "1", "--q", "1"]
+    code, out, err = run_cli(capsys, argv, stdin_obj=instance, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", f"error: the instance is missing field {field!r}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Lattice-path primitives and labelings."""
+"""Lattice-path primitives."""
 
 import pytest
 from hypothesis import given
@@ -29,7 +29,7 @@ def test_path_of_increasing_examples():
     assert core.path_of_increasing((1, 1, 3), 3).steps == "ENNEEN"
     assert core.path_of_increasing((0, 0, 0), 0).steps == "NNN"
     path = core.path_of_increasing((0, 0, 1, 5, 6), 6)
-    assert path.vertical_step_xs() == (0, 0, 1, 5, 6)
+    assert path.steps == "NNENEEEENEN"
     assert (path.width, path.height) == (6, 5)
 
 
@@ -103,45 +103,11 @@ def test_common_points_form_a_chain(w1, w2):
         assert x0 <= x1 and y0 <= y1
 
 
-def test_label_vertical_examples():
-    assert core.label_vertical((2, 0, 3, 0), 4).vertical_labels == (1, 3, 0, 2)
-    single = core.label_vertical((0,), 1)
-    assert single.path.steps == "NE" and single.vertical_labels == (0,)
-    assert core.label_vertical((7, 3, 0, 4, 0, 3), 8).vertical_labels == (2, 4, 1, 5, 3, 0)
-
-
-def test_label_vertical_out_of_range():
-    with pytest.raises(OutOfRange):
-        core.label_vertical((5,), 4)
-
-
-@given(small_seqs.filter(lambda s: len(s) > 0))
-def test_label_vertical_round_trip(entries):
-    labeled = core.label_vertical(entries, max(entries) + 1)
-    assert labeled.vertical_preferences() == tuple(entries)
-
-
-def test_labeled_path_invariants_enforced():
-    path = core.path_of_increasing((0, 0), 1)
-    with pytest.raises(ValueError):
-        core.LabeledPath(path, (1, 0))  # decreasing within the column
-    with pytest.raises(ValueError):
-        core.LabeledPath(path, (0, 2))  # not a permutation
-
-
-def test_labeled_path_horizontal_labels():
-    path = LatticePath("ENEEN")  # horizontal steps at heights 0, 1, 1
-    labeled = core.LabeledPath(path, (0, 1), horizontal_labels=(2, 0, 1))
-    assert labeled.horizontal_labels == (2, 0, 1)
-    with pytest.raises(ValueError):
-        core.LabeledPath(path, (0, 1), horizontal_labels=(2, 1, 0))  # ties must increase left-to-right
-
-
 def test_vertices_and_step_coordinates():
     path = LatticePath("ENNEEN")
     assert path.vertices()[0] == Point(0, 0)
     assert path.vertices()[-1] == Point(3, 3)
-    assert path.vertical_step_xs() == (1, 1, 3)
+    assert core.path_of_increasing((1, 1, 3), 3) == path  # its N steps sit at x = 1, 1, 3
     assert path.horizontal_step_ys() == (0, 2, 2)
 
 

@@ -1,6 +1,5 @@
 """Brute-force oracle: enumeration order, count consistency, bounds, exact reduction."""
 
-import json
 import random
 import tracemalloc
 from itertools import combinations_with_replacement, product
@@ -142,6 +141,16 @@ def test_search_space_cap():
     assert oracle.count(FamilySpec("classical", n=3), cap=27).count == 16
 
 
+def test_pq_grid_is_built_only_to_count_under_the_cap(monkeypatch):
+    # u0_matrix(p, q) builds (p+1)(q+1) nodes: a pq spec far over the cap must not reach it, and
+    # enumerate_members, which never counts on a grid, must not build one for a shape with an empty side
+    monkeypatch.setattr(oracle, "u0_matrix", lambda p, q: pytest.fail("built a pq grid"))
+    for run in (oracle.count, lambda spec: list(oracle.enumerate_members(spec))):
+        with pytest.raises(SearchSpaceTooLarge):
+            run(FamilySpec("pq", p=50, q=50))
+    assert list(oracle.enumerate_members(FamilySpec("pq", p=0, q=1000))) == [((), (0,) * 1000)]
+
+
 def test_count_many_checks_every_cap_before_counting(monkeypatch):
     swept = []
     monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: swept.append(grids) or [(0, 0, 0, 0)] * len(grids))
@@ -261,16 +270,6 @@ def test_family_spec_flags_must_be_bools(value):
     for flags in ({"prime": value}, {"increasing": value}):
         with pytest.raises(ValueError):
             FamilySpec("pq", p=1, q=1, **flags)
-
-
-def test_report_serialization():
-    report = oracle.count(FamilySpec("pq", p=2, q=2))
-    data = report.to_json_dict()
-    json.dumps(data)
-    assert data["count"] == report.count
-    assert data["spec"]["family"] == "pq"
-    report = oracle.count(FamilySpec("twodim", weights=u0_matrix(1, 1)))
-    assert report.to_json_dict()["spec"]["weights"]["nodes"]
 
 
 def test_twodim_counts_cross_check_scalar_predicates():
@@ -435,7 +434,7 @@ def test_pq_prime_grid_matches_is_pq_prime_pointwise():
 def test_vector_row_grids_match_the_predicates_pointwise(u):
     # the one-row grids count takes for u and for its primes, over a box one entry wider
     for prime, test in ((False, vector.is_vector_pf), (True, vector.is_prime_vector_pf)):
-        grid, grid_prime = oracle._count_grid(FamilySpec("vector", prime, u=u))
+        _, _, _, grid, grid_prime = oracle._family(FamilySpec("vector", prime, u=u), None)
         assert (grid.p, grid.q, grid_prime) == (len(u), 0, False)
         assert twodim.WeightMatrix(grid.p, grid.q, grid.rows) == grid  # built without the check
         if prime:

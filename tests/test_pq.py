@@ -229,10 +229,10 @@ def test_decomposition_json_needs_json_integers(key, value):
 
 def test_u0_matrix_nodes():
     u0 = pq.u0_matrix(3, 4)
-    assert (u0.u(2, 3), u0.v(2, 3)) == (4, 3)
+    assert u0.rows[3][2] == (4, 3)
     u0p = pq.u0_prime_matrix(3, 4)
     assert u0p.rows[2][0] == (1, 1)
-    assert (u0p.u(2, 3), u0p.v(2, 3)) == (3, 2)
+    assert u0p.rows[3][2] == (3, 2)
 
 
 @pytest.mark.parametrize("p, q", [(True, 2), (2, False), (-1, 2), (2, -1), (1.0, 2), (2, "2")])

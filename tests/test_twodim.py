@@ -50,8 +50,8 @@ def _admissible(a, b, weights):
     """Edge admissibility tables for the sorted pair against the grid."""
     sa, sb = sorted(a), sorted(b)
     p, q = weights.p, weights.q
-    east_ok = [[sa[k] < weights.u(k, l) for l in range(q + 1)] for k in range(p)]
-    north_ok = [[sb[l] < weights.v(k, l) for l in range(q)] for k in range(p + 1)]
+    east_ok = [[sa[k] < weights.rows[l][k][0] for l in range(q + 1)] for k in range(p)]
+    north_ok = [[sb[l] < weights.rows[l][k][1] for l in range(q)] for k in range(p + 1)]
     return east_ok, north_ok
 
 
@@ -80,11 +80,11 @@ def reference_is_u_pf(a, b, weights):
     while (k, l) != (p, q):
         if k < p and east_ok[k][l] and reach[k + 1][l]:
             word.append("E")
-            east.append(weights.u(k, l))
+            east.append(weights.rows[l][k][0])
             k += 1
         else:
             word.append("N")
-            north.append(weights.v(k, l))
+            north.append(weights.rows[l][k][1])
             l += 1
     return True, ("".join(word), tuple(east), tuple(north))
 
@@ -221,7 +221,7 @@ def test_affine_matrix_examples():
     assert all(node == (0, 0) for row in flat.rows for node in row)
     spec = AffineWeightSpec(0, 1, 1, 0, 1, 1, 3, 4)
     grid = twodim.affine_weight_matrix(spec)
-    assert (grid.u(2, 3), grid.v(2, 3)) == (4, 3)
+    assert grid.rows[3][2] == (4, 3)
 
 
 def test_weight_matrix_json_round_trip():
@@ -265,10 +265,10 @@ def test_witness_bounds_order_statistics_strictly():
         east, north = [], []
         for step in witness.path.steps:
             if step == "E":
-                east.append(grid.u(k, l))
+                east.append(grid.rows[l][k][0])
                 k += 1
             else:
-                north.append(grid.v(k, l))
+                north.append(grid.rows[l][k][1])
                 l += 1
         assert (k, l) == (grid.p, grid.q)
         assert tuple(east) == witness.east_weights
@@ -291,11 +291,11 @@ def test_witness_is_lexicographically_first():
         sa, sb = sorted(a), sorted(b)
         for step in word:
             if step == "E":
-                good = good and sa[east_i] < grid.u(k, l)
+                good = good and sa[east_i] < grid.rows[l][k][0]
                 east_i += 1
                 k += 1
             else:
-                good = good and sb[north_i] < grid.v(k, l)
+                good = good and sb[north_i] < grid.rows[l][k][1]
                 north_i += 1
                 l += 1
         if good:
@@ -312,7 +312,7 @@ def test_prime_weight_transform_examples():
     assert twodim.prime_weight_transform(flat) == flat
     grid = twodim.affine_weight_matrix(AffineWeightSpec(0, 1, 1, 0, 1, 1, 2, 2))
     transformed = twodim.prime_weight_transform(grid)
-    assert transformed.rows[1][1] == (grid.u(1, 0), grid.v(0, 1)) == (1, 1)
+    assert transformed.rows[1][1] == (grid.rows[0][1][0], grid.rows[1][0][1]) == (1, 1)
 
 
 def test_prime_weight_transform_requires_real_grid():
@@ -372,12 +372,12 @@ def test_two_paths_exist_for_prime_members():
         sa, sb = sorted(a), sorted(b)
         for step in word:
             if step == "E":
-                if sa[east_i] >= grid.u(k, l):
+                if sa[east_i] >= grid.rows[l][k][0]:
                     return False
                 east_i += 1
                 k += 1
             else:
-                if sb[north_i] >= grid.v(k, l):
+                if sb[north_i] >= grid.rows[l][k][1]:
                     return False
                 north_i += 1
                 l += 1

@@ -54,11 +54,6 @@ def test_capacity_vector_validation():
         vector.validate_capacity((2, 1))
 
 
-def test_difference_vector():
-    assert vector.difference_vector((1, 2, 4, 5, 7, 8)) == (1, 1, 2, 1, 2, 1)
-    assert vector.difference_vector((3,)) == (3,)
-
-
 # -- parking process ---------------------------------------------------------
 
 
