@@ -317,27 +317,29 @@ def _verify_rows(points, cap: Optional[int]) -> list[dict]:
     A ``ppf-sum`` point's reference is the alternative formula; every other
     row's is its oracle count, and all of those are counted in one
     ``oracle.count_many`` call, so grids of one shape share a stacked sweep.
-    A point's formula arguments and FamilySpec keywords are built once for
-    all its quantities, so an affine point builds its one WeightMatrix once.
+    Only the specs are held across that call; the closed forms are evaluated
+    after it, in the walk that builds the rows.  A point's FamilySpec
+    keywords serve all its quantities: an affine point builds one WeightMatrix.
     """
-    formulas, specs = [], []  # per point: its formula values and its ppf-sum reference (None: oracle counts)
+    specs = []
     for family, params, quantities in points:
-        if family == "pq-ppf-sum":
-            formulas.append(([pq.count_pq_ppf(params["p"], params["q"])], pq.count_pq_ppf_sum(params["p"], params["q"])))
-            continue
-        name = _GRIDS[family][0]
-        formula_args, spec_kwargs = _FAMILIES[name].formula_args(params), _FAMILIES[name].spec_kwargs(params)
-        variants = [_QUANTITY_LABELS.index(quantity) for quantity in quantities]
-        specs += (_family_spec(name, variant, spec_kwargs) for variant in variants)
-        formulas.append(([_formula(name, variant, formula_args) for variant in variants], None))
+        if family != "pq-ppf-sum":
+            name = _GRIDS[family][0]
+            spec_kwargs = _FAMILIES[name].spec_kwargs(params)
+            specs += (_family_spec(name, _QUANTITY_LABELS.index(quantity), spec_kwargs) for quantity in quantities)
     counts = iter([report.count for report in oracle.count_many(specs, cap=cap)])
     del specs  # freed before the rows are built
     rows = []
-    for (family, params, quantities), (values, reference) in zip(points, formulas):
+    for family, params, quantities in points:
+        if family == "pq-ppf-sum":
+            values = [(pq.count_pq_ppf(params["p"], params["q"]), pq.count_pq_ppf_sum(params["p"], params["q"]))]
+        else:
+            name = _GRIDS[family][0]
+            formula_args = _FAMILIES[name].formula_args(params)
+            values = [(_formula(name, _QUANTITY_LABELS.index(quantity), formula_args), next(counts)) for quantity in quantities]
         text = ";".join(f"{key}={value}" for key, value in params.items())
-        for quantity, formula in zip(quantities, values):
-            count = next(counts) if reference is None else reference
-            rows.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, count, formula == count))))
+        for quantity, (formula, reference) in zip(quantities, values):
+            rows.append(dict(zip(_ROW_FIELDS, (family, text, quantity, formula, reference, formula == reference))))
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Sequences, lattice paths, and path-comparison primitives.
+"""Sequences, lattice paths, path-comparison primitives, and the cut/place pair.
 
 A lattice path is a word over {N, E} read from (0, 0); the step word is the
 single source of truth and vertex lists are derived on demand.  All values
@@ -8,9 +8,10 @@ are immutable, so everything here is safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, NotIncreasing, OutOfRange
+from .errors import DimensionMismatch, InconsistentDecomposition, NotIncreasing, OutOfRange
 
 Seq = tuple[int, ...]
 
@@ -56,6 +57,28 @@ def stable_sort_indices(s: Sequence[int]) -> tuple[int, ...]:
     the normative tie-breaking for every decomposition here.
     """
     return tuple(sorted(range(len(s)), key=lambda i: (s[i], i)))
+
+
+def take(seq: Seq, indices: Sequence[int], shift: int) -> tuple[Seq, frozenset[int]]:
+    """One component cut from ``seq``: its entries at ``indices``, in index order less ``shift``, and the index set."""
+    return tuple(seq[i] - shift for i in sorted(indices)), frozenset(indices)
+
+
+def place(n: int, parts: Sequence[tuple[Seq, frozenset[int], int]]) -> Seq:
+    """Inverse of :func:`take`: the length-``n`` sequence with each part's entries, plus its shift, at its positions.
+
+    Raises InconsistentDecomposition unless the position sets partition
+    ``range(n)``, one position per entry; nothing else checks positions.
+    """
+    if any(len(entries) != len(positions) for entries, positions, _ in parts) or sorted(
+        chain.from_iterable(positions for _, positions, _ in parts)
+    ) != list(range(n)):
+        raise InconsistentDecomposition(f"position sets do not partition 0..{n - 1} one per entry")
+    out = [0] * n
+    for entries, positions, shift in parts:
+        for i, value in zip(sorted(positions), entries):
+            out[i] = value + shift
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,8 @@ def _family(spec: FamilySpec, cap: Optional[int], with_grid: bool = True) -> Fam
     The space is checked against the cap before a pq grid's (p+1)(q+1) nodes
     are built.  Without ``with_grid`` no pq or vector grid is built (None is
     returned): a pq shape with an empty side has one candidate but q+1 or p+1
-    nodes.  The predicates are this module's globals at call time.
+    nodes.  Nor is one built for a pq prime with an empty side, which counts
+    by predicate.  The predicates are this module's globals at call time.
     """
     if spec.family == "twodim":
         grid = spec.weights
@@ -134,7 +135,8 @@ def _family(spec: FamilySpec, cap: Optional[int], with_grid: bool = True) -> Fam
     if spec.family == "pq":
         shapes, pair_test = ((spec.p, spec.q + 1), (spec.q, spec.p + 1)), is_pq_prime if spec.prime else is_pq_pf
         space = _checked_space(spec, shapes, cap)
-        return space, shapes, lambda c: pair_test(PQPair(*c)), u0_matrix(spec.p, spec.q) if with_grid else None, spec.prime
+        grid = u0_matrix(spec.p, spec.q) if with_grid and not (spec.prime and 0 in (spec.p, spec.q)) else None
+        return space, shapes, lambda c: pair_test(PQPair(*c)), grid, spec.prime
     u, vector_test = spec.u, is_prime_vector_pf if spec.prime else is_vector_pf
     shapes, grid = ((len(u), u[-1]),), _row_grid(prime_reduction(u) if spec.prime else u) if with_grid else None
     return _checked_space(spec, shapes, cap), shapes, lambda c: vector_test(c[0], u), grid, False
@@ -205,7 +207,7 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     swept: dict[WeightMatrix, Optional[tuple[tuple[int, int, int, int], float]]] = {}
     groups: dict[tuple[int, int, int, int], list[WeightMatrix]] = {}
     for grid, prime in zip(grids, primes):
-        if prime and not (grid.p and grid.q) or grid in swept:
+        if grid is None or grid in swept:
             continue
         if (four := _counted.pop(grid, None)) is None:  # popped to be stored again as the newest
             swept[grid] = None
@@ -222,7 +224,7 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
                 _counted.popitem(last=False)
     reports = []
     for spec, space, grid, prime in zip(specs, spaces, grids, primes):
-        if prime and not (grid.p and grid.q):  # the (∅,(0)) / ((0),∅) convention is not a grid transform
+        if grid is None:  # a pq prime with an empty side: the (∅,(0)) / ((0),∅) convention is not a grid transform
             start = time.perf_counter()
             total = sum(1 for _ in enumerate_members(spec, cap=cap))
             reports.append(EnumerationReport(spec, total, space, time.perf_counter() - start))

@@ -22,7 +22,9 @@ from .core import (
     json_ints,
     order_statistics,
     path_of_increasing,
+    place,
     stable_sort_indices,
+    take,
     transpose,
     weakly_above,
 )
@@ -56,9 +58,6 @@ class PQPair:
     def reflected_horizontal_path(self) -> LatticePath:
         """Path in L(p, q) whose i-th E step has y-coordinate a_(i)."""
         return transpose(path_of_increasing(order_statistics(self.a), self.q))
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "q": self.q, "a": list(self.a), "b": list(self.b)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PQPair":
@@ -98,19 +97,23 @@ def is_pq_prime(pair: PQPair) -> bool:
     Degenerate shapes follow the convention that the only prime pairs with
     an empty side are (empty, (0)) and ((0), empty).
     """
-    if pair.p == 0:
-        return pair.b == (0,)
-    if pair.q == 0:
-        return pair.a == (0,)
-    sa, sb = sorted(pair.a), sorted(pair.b)
+    return _sorted_prime(sorted(pair.a), sorted(pair.b))
+
+
+def _sorted_prime(sa: list[int], sb: list[int]) -> bool:
+    """:func:`is_pq_prime` on the order statistics of the pair."""
+    if not sa:
+        return sb == [0]
+    if not sb:
+        return sa == [0]
     # Both sides must contain a 0.  For p + q >= 3 the strict inequalities
     # below already force this; at shape (1, 1) they are vacuous and the zero
     # requirement is what separates the one indecomposable pair from the two
     # pairs that split into a horizontal and a vertical atom.
     if sa[0] or sb[0] or not _sorted_pf(sa, sb):
         return False
-    return all(bisect_left(sa, i) > sb[i] for i in range(1, pair.q)) and all(
-        bisect_left(sb, i) > sa[i] for i in range(1, pair.p)
+    return all(bisect_left(sa, i) > sb[i] for i in range(1, len(sb))) and all(
+        bisect_left(sb, i) > sa[i] for i in range(1, len(sa))
     )
 
 
@@ -199,11 +202,9 @@ def decompose_pq(pair: PQPair) -> PQPrimeDecomposition:
     ranks_b = stable_sort_indices(pair.b)
     components = []
     for (x0, y0), (x1, y1) in zip(cuts, cuts[1:]):
-        a_pos = ranks_a[x0:x1]
-        b_pos = ranks_b[y0:y1]
-        comp_a = tuple(pair.a[i] - y0 for i in sorted(a_pos))
-        comp_b = tuple(pair.b[j] - x0 for j in sorted(b_pos))
-        components.append(PQComponent(comp_a, comp_b, frozenset(a_pos), frozenset(b_pos)))
+        comp_a, a_pos = take(pair.a, ranks_a[x0:x1], y0)
+        comp_b, b_pos = take(pair.b, ranks_b[y0:y1], x0)
+        components.append(PQComponent(comp_a, comp_b, a_pos, b_pos))
     return PQPrimeDecomposition(tuple(components), cuts)
 
 
@@ -225,43 +226,22 @@ def _cut_points(sa: list[int], sb: list[int]) -> tuple[Point, ...]:
 def compose_pq(d: PQPrimeDecomposition) -> PQPair:
     """Rebuild the pair from a decomposition; inverse of :func:`decompose_pq`.
 
-    A decomposition with no components is valid and yields the empty pair.
+    The cut points must chain from (0,0) by the component shapes and each
+    component must be prime; :func:`core.place` then checks the position
+    sets.  A decomposition with no components yields the empty pair.
     """
-    if len(d.cut_points) != len(d.components) + 1 or d.cut_points[0] != (0, 0):
-        raise InconsistentDecomposition("cut points must chain from (0,0), one per component")
-    p = sum(len(c.a) for c in d.components)
-    q = sum(len(c.b) for c in d.components)
-    if d.cut_points[-1] != (p, q):
-        raise InconsistentDecomposition(f"cut points must end at ({p},{q})")
-    a: list[int | None] = [None] * p
-    b: list[int | None] = [None] * q
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    x0 = y0 = 0
-    for comp, cut in zip(d.components, d.cut_points):
-        if len(comp.a) != len(comp.a_positions) or len(comp.b) != len(comp.b_positions):
-            raise InconsistentDecomposition("component sizes disagree with position sets")
-        if cut != (x0, y0):
-            raise InconsistentDecomposition(f"cut point {cut} does not chain to ({x0},{y0})")
-        if not is_pq_prime(PQPair(comp.a, comp.b)):
+    cuts = [(0, 0)]
+    for comp in d.components:
+        cuts.append((cuts[-1][0] + len(comp.a), cuts[-1][1] + len(comp.b)))
+    if tuple(d.cut_points) != tuple(cuts):
+        raise InconsistentDecomposition(f"cut points must chain as {tuple(cuts)}")
+    for comp in d.components:
+        if not _sorted_prime(sorted(as_seq(comp.a)), sorted(as_seq(comp.b))):
             raise InconsistentDecomposition(f"component {(comp.a, comp.b)} is not prime")
-        if not (comp.a_positions.isdisjoint(seen_a) and comp.b_positions.isdisjoint(seen_b)):
-            raise InconsistentDecomposition("position sets overlap")
-        seen_a |= comp.a_positions
-        seen_b |= comp.b_positions
-        for value, idx in zip(comp.a, sorted(comp.a_positions)):
-            if not 0 <= idx < p:
-                raise InconsistentDecomposition(f"a-position {idx} out of range")
-            a[idx] = value + y0
-        for value, idx in zip(comp.b, sorted(comp.b_positions)):
-            if not 0 <= idx < q:
-                raise InconsistentDecomposition(f"b-position {idx} out of range")
-            b[idx] = value + x0
-        x0 += len(comp.a)
-        y0 += len(comp.b)
-    if seen_a != set(range(p)) or seen_b != set(range(q)):
-        raise InconsistentDecomposition("positions do not partition the index sets")
-    return PQPair(tuple(a), tuple(b))  # type: ignore[arg-type]
+    p, q = cuts[-1]
+    a = place(p, [(comp.a, comp.a_positions, y0) for comp, (_, y0) in zip(d.components, cuts)])
+    b = place(q, [(comp.b, comp.b_positions, x0) for comp, (x0, _) in zip(d.components, cuts)])
+    return PQPair(a, b)
 
 
 # ---------------------------------------------------------------------------

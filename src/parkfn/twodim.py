@@ -109,9 +109,6 @@ class AffineWeightSpec:
         if min(values) < 0:
             raise ValueError("affine weight parameters must be non-negative")
 
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d, "s": self.s, "t": self.t, "p": self.p, "q": self.q}
-
     @classmethod
     def from_json_dict(cls, data: object) -> "AffineWeightSpec":
         """Parse ``{"a", ..., "t", "p", "q"}``; anything but JSON integers raises ValueError."""

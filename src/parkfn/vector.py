@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .core import Point, Seq, as_seq, json_ints, stable_sort_indices
+from .core import Point, Seq, as_seq, json_ints, place, stable_sort_indices, take
 from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunction
 
 
@@ -167,44 +167,33 @@ def decompose(a: Sequence[int], u: Sequence[int]) -> VectorPrimeDecomposition:
     cuts = _split_points(aa, uu)
     ranks = stable_sort_indices(aa)
     components = []
-    offsets = []
     for (x0, y0), (_, y1) in zip(cuts, cuts[1:]):
-        positions = ranks[y0:y1]
-        comp_a = tuple(aa[i] - x0 for i in sorted(positions))
-        comp_u = tuple(uu[i] - x0 for i in range(y0, y1))
-        components.append(VectorComponent(comp_a, comp_u, frozenset(positions)))
-        offsets.append(x0)
-    return VectorPrimeDecomposition(tuple(components), tuple(offsets))
+        comp_a, positions = take(aa, ranks[y0:y1], x0)
+        components.append(VectorComponent(comp_a, tuple(x - x0 for x in uu[y0:y1]), positions))
+    return VectorPrimeDecomposition(tuple(components), tuple(x0 for x0, _ in cuts[:-1]))
 
 
 def compose(d: VectorPrimeDecomposition) -> tuple[Seq, Seq]:
-    """Rebuild (a, u) from a decomposition; inverse of :func:`decompose`."""
+    """Rebuild (a, u) from a decomposition; inverse of :func:`decompose`.
+
+    Each component must be prime, its offset the sum of the ``u[-1]`` before
+    it; :func:`core.place` then checks the position sets.
+    """
     if len(d.components) != len(d.offsets) or not d.components:
         raise InconsistentDecomposition("component and offset lists disagree")
-    n = sum(len(c.a) for c in d.components)
-    seen: set[int] = set()
     expected_offset = 0
-    a: list[int | None] = [None] * n
-    u: list[int] = []
+    parts, u = [], []
     for comp, offset in zip(d.components, d.offsets):
-        if len(comp.a) != len(comp.u) or len(comp.a) != len(comp.positions):
+        if len(comp.a) != len(comp.u):
             raise InconsistentDecomposition("component sizes disagree")
         if offset != expected_offset:
             raise InconsistentDecomposition(f"offset {offset} != cumulative shift {expected_offset}")
         if not is_prime_vector_pf(comp.a, comp.u):
             raise InconsistentDecomposition(f"component {comp.a} is not prime for {comp.u}")
-        if not comp.positions.isdisjoint(seen):
-            raise InconsistentDecomposition("position sets overlap")
-        seen |= comp.positions
-        for value, idx in zip(comp.a, sorted(comp.positions)):
-            if not 0 <= idx < n:
-                raise InconsistentDecomposition(f"position {idx} out of range")
-            a[idx] = value + offset
+        parts.append((comp.a, comp.positions, offset))
         u.extend(entry + offset for entry in comp.u)
         expected_offset = offset + comp.u[-1]
-    if seen != set(range(n)):
-        raise InconsistentDecomposition("positions do not partition 0..n-1")
-    return tuple(a), tuple(u)  # type: ignore[arg-type]
+    return place(len(u), parts), tuple(u)
 
 
 # ---------------------------------------------------------------------------

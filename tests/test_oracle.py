@@ -151,6 +151,13 @@ def test_pq_grid_is_built_only_to_count_under_the_cap(monkeypatch):
     assert list(oracle.enumerate_members(FamilySpec("pq", p=0, q=1000))) == [((), (0,) * 1000)]
 
 
+def test_pq_primes_with_an_empty_side_build_no_grid(monkeypatch):
+    # they count by predicate: count --family pq --p 0 --q 300000 --prime built a 300001-node u0_matrix it never read
+    monkeypatch.setattr(oracle, "u0_matrix", lambda p, q: pytest.fail("built a pq grid"))
+    specs = [FamilySpec("pq", prime=True, p=0, q=1000), FamilySpec("pq", prime=True, increasing=True, p=1, q=0)]
+    assert [report.count for report in oracle.count_many(specs)] == [0, 1]
+
+
 def test_count_many_checks_every_cap_before_counting(monkeypatch):
     swept = []
     monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: swept.append(grids) or [(0, 0, 0, 0)] * len(grids))

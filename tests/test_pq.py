@@ -3,13 +3,14 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from parkfn import pq
 from parkfn.core import Point, common_points
 from parkfn.errors import InconsistentDecomposition, NotParkingFunction, NotPrime
 from parkfn.pq import PQPair
+from test_vector import ENTRY_CORRUPTIONS, POSITION_CORRUPTIONS, corrupt_entry, corrupt_positions
 
 
 def all_pairs(p, q):
@@ -208,6 +209,31 @@ def test_compose_rejects_inconsistent_input():
         pq.compose_pq(shuffled)
 
 
+@given(pq_members(), st.sampled_from(("reorder", "offset", *POSITION_CORRUPTIONS, *ENTRY_CORRUPTIONS)), st.data())
+def test_compose_rejects_every_single_corruption(pair, corruption, data):
+    # the entry checks raise ValueError, every structural one InconsistentDecomposition
+    pick = lambda values: data.draw(st.sampled_from(values))
+    d = pq.decompose_pq(pair)
+    comps, cuts = list(d.components), list(d.cut_points)
+    if corruption == "reorder":  # adjacent components of different shapes, so the cut points no longer chain
+        shape = lambda comp: (len(comp.a), len(comp.b))
+        swaps = [i for i in range(len(comps) - 1) if shape(comps[i]) != shape(comps[i + 1])]
+        assume(swaps)
+        i = pick(swaps)
+        comps[i : i + 2] = comps[i + 1], comps[i]
+    elif corruption == "offset":
+        i = pick(range(len(cuts)))
+        cuts[i] = Point(*(c + step for c, step in zip(cuts[i], pick([(-1, 0), (1, 0), (0, -1), (0, 1)]))))
+    elif corruption in ENTRY_CORRUPTIONS:
+        assume(comps)
+        comps = corrupt_entry(comps, ("a", "b"), corruption, pick)
+    else:
+        field, n = pick([("a_positions", pair.p), ("b_positions", pair.q)])
+        comps = corrupt_positions(comps, field, n, corruption, pick)
+    with pytest.raises(ValueError if corruption in ENTRY_CORRUPTIONS else InconsistentDecomposition):
+        pq.compose_pq(pq.PQPrimeDecomposition(tuple(comps), tuple(cuts)))
+
+
 def test_decomposition_json_round_trip():
     d = pq.decompose_pq(PQPair((3, 0, 3, 2, 3, 0), (6, 1, 0, 5, 0)))
     assert pq.PQPrimeDecomposition.from_json_dict(d.to_json_dict()) == d
@@ -310,6 +336,6 @@ def test_ppf_sum_equals_closed_form():
 
 def test_pair_json_round_trip():
     pair = PQPair((3, 0, 3), (1, 0, 1, 0))
-    assert PQPair.from_json_dict(pair.to_json_dict()) == pair
+    assert PQPair.from_json_dict({"p": 3, "q": 4, "a": [3, 0, 3], "b": [1, 0, 1, 0]}) == pair
     with pytest.raises(ValueError):
         PQPair.from_json_dict({"p": 5, "q": 4, "a": [3, 0, 3], "b": [1, 0, 1, 0]})

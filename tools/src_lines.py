@@ -1,0 +1,43 @@
+"""Print the physical and code line counts of ``src/parkfn/*.py``.
+
+Physical lines are what ``wc -l`` counts.  A code line is one on which some
+token lies other than a comment, NL, NEWLINE, INDENT, DEDENT or ENDMARKER,
+leaving out a string token that begins a logical line (a docstring or bare
+string statement).  A token spanning several lines lies on each of them.
+
+Run from anywhere: ``python3 tools/src_lines.py``.
+"""
+
+from __future__ import annotations
+
+import io
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "parkfn"
+_SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Number of lines of ``text`` that carry code, as the module docstring defines it."""
+    lines: set[int] = set()
+    starts_logical = True
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in _SKIPPED:
+            starts_logical = starts_logical or tok.type == tokenize.NEWLINE
+            continue
+        if not (tok.type == tokenize.STRING and starts_logical):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        starts_logical = False
+    return len(lines)
+
+
+def main() -> None:
+    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    physical = sum(text.count("\n") for text in texts)
+    print(f"physical {physical}")
+    print(f"code {sum(code_lines(text) for text in texts)}")
+
+
+if __name__ == "__main__":
+    main()
