@@ -9,25 +9,24 @@ beyond the bound can never belong to a member.
 lexicographic order and filters by the family's own predicate.
 ``count_many`` counts a batch of specs, and ``count`` is the batch of one.
 ``_family`` is the one place that tells the families apart.  It gives each
-spec its candidate shapes, its member test, and the weight grid it counts
-on: pq on ``u0_matrix(p, q)``, a vector family on its one-row grid
-(``_row_grid``), its primes on that of ``prime_reduction(u)``, and a twodim
-family on its own grid.  Grid primes are plain reachability on
-``prime_weight_transform``, which matches ``is_u_prime``; the tests compare
-both routes.  Only the pq primes with an empty side, whose ``(∅,(0))`` /
-``((0),∅)`` convention is not a grid transform, count by predicate.
+spec the weight grid whose four counts are its family's: pq on
+``u0_matrix(p, q)``, a vector family on its one-row grid (``_row_grid``),
+and a twodim family on its own grid.  Primes are plain reachability on the
+grid's ``_prime_companion``, which matches the prime predicates; the tests
+compare both routes.  Only a pq shape with an empty side gets no grid: it
+has one candidate, tested by predicate.
 
 A batch sweeps each distinct grid once.  The grids of one shape
 ``(p, q, max_u, max_v)`` share both candidate sides, so they share one
 stacked sweep: each grid rides on the leading axis of one DP state, with its
-prime transform beside it when p, q >= 1.  The kernel sweeps only weakly
+prime companion beside it when p >= 1.  The kernel sweeps only weakly
 increasing candidates and weighs each member by its rearrangements.  The
 b-candidates are packed 64 to a ``uint64`` word, so a state is a (grid x
 a-candidate x word) array: an east edge masks whole a-rows, a north edge
 ANDs in one packed b-row.  The a-candidates come in blocks of at most
 ``_BLOCK_BITS`` candidate pairs per stacked grid, each reduced before the
 next is built, so memory is bounded by one block however many grids share
-it: a lone grid and its transform keep a full block's a-rows, a stack of g
+it: a lone grid and its companion keep a full block's a-rows, a stack of g
 grids takes 1/g of them, and a group too large to leave each grid one a-row
 is swept one stack after another.  The reduction weighs the unpacked bits
 with ``einsum``, which casts them in buffered chunks, so it holds one byte
@@ -63,13 +62,13 @@ from .core import Seq
 from .errors import SearchSpaceTooLarge
 from .pq import PQPair, is_pq_pf, is_pq_prime, u0_matrix
 from .twodim import WeightMatrix, is_u_pf, is_u_prime, prime_weight_transform
-from .vector import is_prime_vector_pf, is_vector_pf, prime_reduction, validate_capacity
+from .vector import is_prime_vector_pf, is_vector_pf, validate_capacity
 
 DEFAULT_SEARCH_CAP = 10**8
 
 Instance = tuple[Seq, ...]  # (a,) for one-sequence families, (a, b) for pairs
 Shapes = tuple[tuple[int, int], ...]  # (length, exclusive entry bound) per sequence
-Family = tuple[int, Shapes, Callable[[Instance], bool], Optional[WeightMatrix], bool]  # space, shapes, member test, grid, prime flag
+Family = tuple[int, Optional[WeightMatrix], Shapes, Callable[[Instance], bool]]  # space, grid, shapes, member test
 
 
 @dataclass(frozen=True)
@@ -118,41 +117,40 @@ class EnumerationReport:
     elapsed: float
 
 
-def _family(spec: FamilySpec, cap: Optional[int], with_grid: bool = True) -> Family:
-    """Nominal space, candidate shapes, member test, and the grid whose plain (False) or prime (True) counts are the family's.
+def _family(spec: FamilySpec, cap: Optional[int]) -> Family:
+    """Nominal space, the grid whose four counts are the family's, candidate shapes, and member test.
 
     The space is checked against the cap before a pq grid's (p+1)(q+1) nodes
-    are built.  Without ``with_grid`` no pq or vector grid is built (None is
-    returned): a pq shape with an empty side has one candidate but q+1 or p+1
-    nodes.  Nor is one built for a pq prime with an empty side, which counts
-    by predicate.  The predicates are this module's globals at call time.
+    are built.  A pq shape with an empty side gets no grid (None): it has
+    exactly one candidate, and counts by predicate.  The predicates are this
+    module's globals at call time.
     """
     if spec.family == "twodim":
         grid = spec.weights
         shapes = ((grid.p, grid.max_u), (grid.q, grid.max_v))
         member = (lambda c: is_u_prime(*c, grid, method="direct")) if spec.prime else (lambda c: is_u_pf(*c, grid)[0])
-        return _checked_space(spec, shapes, cap), shapes, member, grid, spec.prime
+        return _checked_space(spec, shapes, cap), grid, shapes, member
     if spec.family == "pq":
         shapes, pair_test = ((spec.p, spec.q + 1), (spec.q, spec.p + 1)), is_pq_prime if spec.prime else is_pq_pf
         space = _checked_space(spec, shapes, cap)
-        grid = u0_matrix(spec.p, spec.q) if with_grid and not (spec.prime and 0 in (spec.p, spec.q)) else None
-        return space, shapes, lambda c: pair_test(PQPair(*c)), grid, spec.prime
+        return space, u0_matrix(spec.p, spec.q) if spec.p and spec.q else None, shapes, lambda c: pair_test(PQPair(*c))
     u, vector_test = spec.u, is_prime_vector_pf if spec.prime else is_vector_pf
-    shapes, grid = ((len(u), u[-1]),), _row_grid(prime_reduction(u) if spec.prime else u) if with_grid else None
-    return _checked_space(spec, shapes, cap), shapes, lambda c: vector_test(c[0], u), grid, False
+    shapes = ((len(u), u[-1]),)
+    return _checked_space(spec, shapes, cap), _row_grid(u), shapes, lambda c: vector_test(c[0], u)
 
 
 def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
-    """Every candidate, lazily, in lexicographic order of the flattened tuple.
-
-    Each sequence runs over the weakly increasing tuples or over the full box.
-    """
-    def seqs(length: int, bound: int) -> Iterator[Seq]:
-        return combinations_with_replacement(range(bound), length) if increasing else product(range(bound), repeat=length)
-
+    """Every candidate, lazily, in lexicographic order of the flattened tuple."""
     if len(shapes) == 1:
-        return ((a,) for a in seqs(*shapes[0]))
-    return ((a, b) for a in seqs(*shapes[0]) for b in seqs(*shapes[1]))
+        return ((a,) for a in _seqs(*shapes[0], increasing))
+    return ((a, b) for a in _seqs(*shapes[0], increasing) for b in _seqs(*shapes[1], increasing))
+
+
+def _seqs(length: int, bound: int, increasing: bool = True) -> Iterator[Seq]:
+    """The weakly increasing tuples of ``length`` entries below ``bound``, or the full box, lazily in lexicographic order."""
+    if not length:  # one empty tuple, whatever the bound: no pool of range(bound) is built
+        return iter([()])
+    return combinations_with_replacement(range(bound), length) if increasing else product(range(bound), repeat=length)
 
 
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
@@ -170,16 +168,12 @@ def enumerate_members(spec: FamilySpec, *, cap: Optional[int] = None) -> Iterato
     Candidates are generated one at a time, so memory stays flat however
     large the space; the cap is checked at the call, before the first one.
     """
-    _, shapes, member, _, _ = _family(spec, cap, with_grid=False)
+    _, _, shapes, member = _family(spec, cap)
     return filter(member, _sweep(shapes, spec.increasing))
 
 
 def count(spec: FamilySpec, *, cap: Optional[int] = None) -> EnumerationReport:
-    """Count the members of the family over the full candidate space: ``count_many`` of one spec.
-
-    The report's ``elapsed`` is the time its grid's sweep took, or 0.0 when
-    one of the last grids counted was equal to it.
-    """
+    """Count the members of the family over the full candidate space: ``count_many`` of one spec."""
     return count_many((spec,), cap=cap)[0]
 
 
@@ -194,19 +188,14 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     A report's ``elapsed`` is the wall time of the work that counted it: the
     stacked sweep of its grid's whole group, shared by every spec of that
     group, so one call's reports need not add up to its time; 0.0 for a grid
-    counted by an earlier call; the predicate count of its own candidates for
-    a pq prime with an empty side.
+    counted by an earlier call; the predicate test of its one candidate for a
+    pq shape with an empty side.
     """
     specs = list(specs)
-    spaces, grids, primes = [], [], []  # not the member tests: a batch may hold thousands of specs
-    for spec in specs:
-        space, _, _, grid, prime = _family(spec, cap)
-        spaces.append(space)
-        grids.append(grid)
-        primes.append(prime)
+    families = [_family(spec, cap)[:2] for spec in specs]  # space and grid, not the member tests: a batch may hold thousands
     swept: dict[WeightMatrix, Optional[tuple[tuple[int, int, int, int], float]]] = {}
     groups: dict[tuple[int, int, int, int], list[WeightMatrix]] = {}
-    for grid, prime in zip(grids, primes):
+    for _, grid in families:
         if grid is None or grid in swept:
             continue
         if (four := _counted.pop(grid, None)) is None:  # popped to be stored again as the newest
@@ -223,14 +212,14 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
             if len(_counted) > _KEPT_GRIDS:
                 _counted.popitem(last=False)
     reports = []
-    for spec, space, grid, prime in zip(specs, spaces, grids, primes):
-        if grid is None:  # a pq prime with an empty side: the (∅,(0)) / ((0),∅) convention is not a grid transform
+    for spec, (space, grid) in zip(specs, families):
+        if grid is None:  # a pq shape with an empty side: its one candidate is tested by predicate
             start = time.perf_counter()
             total = sum(1 for _ in enumerate_members(spec, cap=cap))
             reports.append(EnumerationReport(spec, total, space, time.perf_counter() - start))
         else:
             four, elapsed = swept[grid]
-            reports.append(EnumerationReport(spec, four[2 * prime + spec.increasing], space, elapsed))
+            reports.append(EnumerationReport(spec, four[2 * spec.prime + spec.increasing], space, elapsed))
     return reports
 
 
@@ -238,10 +227,19 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
 def _row_grid(u: Seq) -> WeightMatrix:
     """The one-row grid (q = 0) of a capacity vector: the east edge leaving node k weighs u[k]; node n repeats u[-1].
 
-    u is a valid capacity vector, so the grid needs no check; it is immutable,
-    so the 128 most recent are kept and handed out again.
+    u is a valid capacity vector, so the grid needs no check; the 128 most recent are kept.
     """
     return WeightMatrix._unchecked(len(u), 0, (tuple((x, 1) for x in u + u[-1:]),))
+
+
+def _prime_companion(grid: WeightMatrix) -> WeightMatrix:
+    """The grid (p >= 1) whose plain members are ``grid``'s primes: ``prime_weight_transform`` when q >= 1.
+
+    A one-row grid's is its row shifted one node east, (z0, z0, z1, ..., z_{p-1}):
+    ``prime_reduction`` in grid form, unchecked, as a twodim row may weigh 0.
+    """
+    row = grid.rows[0]
+    return prime_weight_transform(grid) if grid.q else WeightMatrix._unchecked(grid.p, 0, (row[:1] + row[:-1],))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +268,9 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     out: list[tuple[int, int, int, int]] = []
     for first in range(0, len(grids), rows):
         chunk = grids[first : first + rows]
-        stack = chunk + [prime_weight_transform(grid) for grid in chunk] if p and q else chunk
+        stack = chunk + [_prime_companion(grid) for grid in chunk] if p else chunk
         east_bound, north = _packed_edges(arr_b, stack)
-        # [g] sums grid g's plain counts, [len(chunk) + g] its prime counts (none when p or q is 0)
+        # [g] sums grid g's plain counts, [len(chunk) + g] its prime counts (none when p is 0)
         sums, pops = np.zeros(2 * len(chunk), dtype), np.zeros(2 * len(chunk), np.int64)
         for arr_a, wa in _side_blocks(bu, p, dtype, rows // len(chunk)):
             state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
@@ -303,7 +301,7 @@ def _side_blocks(bound: int, length: int, dtype, rows: int) -> Iterator[tuple[np
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
-    tuples = combinations_with_replacement(range(bound), length)
+    tuples = _seqs(length, bound)
     while len(arr := _sorted_rows(islice(tuples, rows), length)):
         yield arr, _rearrangement_weights(arr, dtype)
 
@@ -311,7 +309,7 @@ def _side_blocks(bound: int, length: int, dtype, rows: int) -> Iterator[tuple[np
 @lru_cache(maxsize=128)
 def _kept_side(bound: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Every sorted row of a side and its weights, read-only: every caller shares them; the 128 most recently used sides stay."""
-    arr = _sorted_rows(combinations_with_replacement(range(bound), length), length)
+    arr = _sorted_rows(_seqs(length, bound), length)
     side = arr, _rearrangement_weights(arr, dtype)
     for part in side:
         part.setflags(write=False)
@@ -322,14 +320,16 @@ def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndar
     """Stacked edges of same-shape grids for ``_vector_reach``: on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l].
 
     north[l, k, g, 0] packs the sorted b-candidates that may take the north
-    edge at (k, l) on grid g, with zero pad bits.
+    edge at (k, l) on grid g, with zero pad bits.  Only the weights of edges
+    that exist are cast to int64: an empty side's channel may hold any int.
     """
     p, q, nb = grids[0].p, grids[0].q, len(arr_b)
-    nodes = np.array([grid.rows for grid in grids], dtype=np.int64)  # nodes[g, l, k] = (u, v)
+    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in grids)))
+    nodes = np.fromiter(flat, object).reshape(len(grids), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
     north = np.zeros((q, p + 1, len(grids), 1, 8 * -(-nb // 64)), dtype=np.uint8)
-    below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].transpose(1, 2, 0)[..., None, None]
+    below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].astype(np.int64).transpose(1, 2, 0)[..., None, None]
     north[..., : -(-nb // 8)] = np.packbits(below, axis=-1, bitorder="little")
-    return nodes[:, :, :p, 0].transpose(0, 2, 1), north.view(np.uint64)
+    return nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1), north.view(np.uint64)
 
 
 def _sorted_rows(tuples: Iterable[Seq], length: int) -> np.ndarray:

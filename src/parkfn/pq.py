@@ -62,10 +62,9 @@ class PQPair:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PQPair":
         pair = cls(tuple(data["a"]), tuple(data["b"]))
-        if "p" in data and data["p"] != pair.p:
-            raise ValueError(f"declared p = {data['p']} but |a| = {pair.p}")
-        if "q" in data and data["q"] != pair.q:
-            raise ValueError(f"declared q = {data['q']} but |b| = {pair.q}")
+        for key, side, size in (("p", "a", pair.p), ("q", "b", pair.q)):
+            if key in data and json_ints([data[key]], f"the declared {key!r}")[0] != size:
+                raise ValueError(f"declared {key} = {data[key]} but |{side}| = {size}")
         return pair
 
 

@@ -166,6 +166,22 @@ def test_empty_side_with_zero_bound_counts_one_candidate(tmp_path, capsys, grid,
     assert run_cli(capsys, argv) == (0, "1\n", "")
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"p": 1, "q": 0, "nodes": [[[1, 2**70], [1, 2**70]]]},
+        {"p": 0, "q": 1, "nodes": [[[2**70, 1]], [[2**70, 1]]]},
+    ],
+)
+@pytest.mark.parametrize("command", [["count", "--method", "oracle"], ["count", "--method", "oracle", "--increasing"], ["list", "--increasing"]])
+def test_empty_side_ignores_its_bound_and_weights(tmp_path, capsys, grid, command):
+    # the empty side's bound and weights weigh no edge: range(2**70) and an int64 cast of them raised OverflowError
+    path = write_instance(tmp_path, grid, "grid.json")
+    code, out, err = run_cli(capsys, [command[0], "--family", "twodim", "--matrix-file", path, *command[1:]])
+    assert (code, err) == (0, "")
+    assert out == ("1\n" if command[0] == "count" else '{"a":[0],"b":[]}\n' if grid["p"] else '{"a":[],"b":[0]}\n')
+
+
 def test_list_twodim_prime(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -235,6 +251,15 @@ def test_decompose_vector_six_car_golden(tmp_path, capsys):
     assert got["components"][0] == {"B": [2, 4], "a": [0, 0], "offset": 0, "u": [1, 2]}
     assert got["components"][1] == {"B": [1, 3, 5], "a": [1, 2, 1], "offset": 2, "u": [2, 3, 5]}
     assert got["components"][2] == {"B": [0], "a": [0], "offset": 7, "u": [1]}
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("key", ["p", "q"])
+@pytest.mark.parametrize("value", [True, 1.0, "1", [1]])
+def test_pq_declared_sizes_must_be_json_integers(tmp_path, capsys, command, key, value):
+    path = write_instance(tmp_path, {"a": [0], "b": [0], "p": 1, "q": 1, key: value})
+    code, out, err = run_cli(capsys, [command, "--family", "pq", "--file", path])
+    assert (code, out) == (1, "") and err.startswith(f"error: the declared '{key}' must be")
 
 
 def test_decompose_pq_golden(tmp_path, capsys):

@@ -151,11 +151,34 @@ def test_pq_grid_is_built_only_to_count_under_the_cap(monkeypatch):
     assert list(oracle.enumerate_members(FamilySpec("pq", p=0, q=1000))) == [((), (0,) * 1000)]
 
 
-def test_pq_primes_with_an_empty_side_build_no_grid(monkeypatch):
-    # they count by predicate: count --family pq --p 0 --q 300000 --prime built a 300001-node u0_matrix it never read
+def test_pq_shapes_with_an_empty_side_sweep_no_grid(monkeypatch):
+    # their one candidate is tested by predicate: count --family pq --p 0 --q 300000 built a
+    # 300001-node u0_matrix and swept it one row of numpy calls per unit of q
     monkeypatch.setattr(oracle, "u0_matrix", lambda p, q: pytest.fail("built a pq grid"))
-    specs = [FamilySpec("pq", prime=True, p=0, q=1000), FamilySpec("pq", prime=True, increasing=True, p=1, q=0)]
-    assert [report.count for report in oracle.count_many(specs)] == [0, 1]
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: pytest.fail("swept a grid"))
+    shapes = [(0, 1000), (1, 0), (0, 1), (3, 0)]
+    specs = [FamilySpec("pq", prime, increasing, p=p, q=q) for p, q in shapes for prime in (False, True) for increasing in (False, True)]
+    assert [report.count for report in oracle.count_many(specs)] == [1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0]
+
+
+def test_a_vector_family_sweeps_one_grid_for_its_four_variants(monkeypatch):
+    # the primes ride on the row grid's prime companion, not on a second grid of prime_reduction(u)
+    swept, stacked = [], oracle._stacked_counts
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: swept.extend(grids) or stacked(grids))
+    oracle._counted.clear()
+    specs = [FamilySpec("vector", prime, increasing, u=(1, 3, 4)) for prime in (False, True) for increasing in (False, True)]
+    counts = [report.count for report in oracle.count_many(specs)]
+    assert len(swept) == 1 and counts == [len(list(oracle.enumerate_members(spec))) for spec in specs]
+
+
+@pytest.mark.parametrize("row", [((0, 0), (0, 0), (2, 1), (3, 1)), ((0, 1), (1, 1), (1, 1)), ((0, 2), (0, 2))])
+def test_twodim_row_grids_with_zero_weights_count_their_members(row):
+    # a twodim row may weigh 0, so its prime companion, swept beside it, is built without validate_capacity
+    grid = twodim.WeightMatrix(len(row) - 1, 0, (row,))
+    for increasing in (False, True):
+        spec = FamilySpec("twodim", increasing=increasing, weights=grid)
+        oracle._counted.clear()
+        assert oracle.count(spec).count == len(list(oracle.enumerate_members(spec))), spec
 
 
 def test_count_many_checks_every_cap_before_counting(monkeypatch):
@@ -176,7 +199,7 @@ def _affine_specs(*grids):
     ]
 
 
-# Specs for the batch: grids that share a shape, p = 0 and q = 0 grids, the pq primes
+# Specs for the batch: grids that share a shape, p = 0 and q = 0 grids, the pq shapes
 # with an empty side, counts past int64, and a group whose stack spans several blocks.
 BATCH_SPECS = SMALL_SPECS + _affine_specs(
     (1, 0, 0, 1, 1, 1, 2, 2),  # shape (2, 2, 3, 3), with the next two
@@ -439,15 +462,16 @@ def test_pq_prime_grid_matches_is_pq_prime_pointwise():
 
 @pytest.mark.parametrize("u", [(1,), (3,), (1, 2, 3, 4), (1, 1, 3), (2, 3, 4), (1, 3, 5, 7), (2, 2, 2, 5)])
 def test_vector_row_grids_match_the_predicates_pointwise(u):
-    # the one-row grids count takes for u and for its primes, over a box one entry wider
-    for prime, test in ((False, vector.is_vector_pf), (True, vector.is_prime_vector_pf)):
-        _, _, _, grid, grid_prime = oracle._family(FamilySpec("vector", prime, u=u), None)
-        assert (grid.p, grid.q, grid_prime) == (len(u), 0, False)
-        assert twodim.WeightMatrix(grid.p, grid.q, grid.rows) == grid  # built without the check
-        if prime:
-            assert [node[0] for node in grid.rows[0][:-1]] == list(vector.prime_reduction(u))
+    # count takes every variant from u's one-row grid and its prime companion; checked over a box one entry wider
+    grid = oracle._family(FamilySpec("vector", u=u), None)[1]
+    assert oracle._family(FamilySpec("vector", True, u=u), None)[1] is grid
+    companion = oracle._prime_companion(grid)
+    assert (grid.p, grid.q, grid.max_u) == (companion.p, companion.q, companion.max_u) == (len(u), 0, u[-1])
+    assert [node[0] for node in companion.rows[0][:-1]] == list(vector.prime_reduction(u))
+    for row, test in ((grid, vector.is_vector_pf), (companion, vector.is_prime_vector_pf)):
+        assert twodim.WeightMatrix(row.p, row.q, row.rows) == row  # built without the check
         for a in product(range(u[-1] + 1), repeat=len(u)):
-            assert twodim.is_u_pf(a, (), grid)[0] == test(a, u), (u, prime, a)
+            assert twodim.is_u_pf(a, (), row)[0] == test(a, u), (u, test, a)
 
 
 @pytest.mark.parametrize(

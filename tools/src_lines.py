@@ -1,4 +1,4 @@
-"""Print the physical and code line counts of ``src/parkfn/*.py``.
+"""Print the physical and code line counts of ``src/parkfn/*.py``, then the code lines of each file.
 
 Physical lines are what ``wc -l`` counts.  A code line is one on which some
 token lies other than a comment, NL, NEWLINE, INDENT, DEDENT or ENDMARKER,
@@ -33,10 +33,14 @@ def code_lines(text: str) -> int:
 
 
 def main() -> None:
-    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    paths = sorted(SRC.glob("*.py"))
+    texts = [path.read_text() for path in paths]
     physical = sum(text.count("\n") for text in texts)
+    code = [code_lines(text) for text in texts]
     print(f"physical {physical}")
-    print(f"code {sum(code_lines(text) for text in texts)}")
+    print(f"code {sum(code)}")
+    for path, lines in zip(paths, code):
+        print(f"code {path.name} {lines}")
 
 
 if __name__ == "__main__":
