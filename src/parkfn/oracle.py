@@ -13,8 +13,8 @@ spec the weight grid whose four counts are its family's: pq on
 ``u0_matrix(p, q)``, a vector family on its one-row grid (``_row_grid``),
 and a twodim family on its own grid.  Primes are plain reachability on the
 grid's ``_prime_companion``, which matches the prime predicates; the tests
-compare both routes.  Only a pq shape with an empty side gets no grid: it
-has one candidate, tested by predicate.
+compare both routes.  A spec of at most one candidate tests it by predicate
+and sweeps no grid; a pq shape with an empty side gets no grid at all.
 
 A batch sweeps each distinct grid once.  The grids of one shape
 ``(p, q, max_u, max_v)`` share both candidate sides, so they share one
@@ -48,6 +48,7 @@ Four caches of 128 entries live as long as the process:
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -154,11 +155,14 @@ def _seqs(length: int, bound: int, increasing: bool = True) -> Iterator[Seq]:
 
 
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
-    """Nominal candidate count (one for an empty side, whatever its bound); raises when it exceeds the cap."""
+    """Nominal candidate count (one for an empty side, whatever its bound); raises past the cap, or when a side of
+    length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or past it too."""
     total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
     if total > cap:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
+    if (total > sys.maxsize or not total) and (top := max(bound for length, bound in shapes if length)) > sys.maxsize:
+        raise SearchSpaceTooLarge(f"an entry bound of {top} exceeds {sys.maxsize}, the largest a sweep can pool")
     return total
 
 
@@ -188,15 +192,15 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     A report's ``elapsed`` is the wall time of the work that counted it: the
     stacked sweep of its grid's whole group, shared by every spec of that
     group, so one call's reports need not add up to its time; 0.0 for a grid
-    counted by an earlier call; the predicate test of its one candidate for a
-    pq shape with an empty side.
+    counted by an earlier call; the predicate test of its candidate for a
+    spec whose nominal space is at most one.
     """
     specs = list(specs)
     families = [_family(spec, cap)[:2] for spec in specs]  # space and grid, not the member tests: a batch may hold thousands
     swept: dict[WeightMatrix, Optional[tuple[tuple[int, int, int, int], float]]] = {}
     groups: dict[tuple[int, int, int, int], list[WeightMatrix]] = {}
-    for _, grid in families:
-        if grid is None or grid in swept:
+    for space, grid in families:
+        if space <= 1 or grid in swept:
             continue
         if (four := _counted.pop(grid, None)) is None:  # popped to be stored again as the newest
             swept[grid] = None
@@ -213,7 +217,7 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
                 _counted.popitem(last=False)
     reports = []
     for spec, (space, grid) in zip(specs, families):
-        if grid is None:  # a pq shape with an empty side: its one candidate is tested by predicate
+        if space <= 1:  # at most one candidate: tested by predicate
             start = time.perf_counter()
             total = sum(1 for _ in enumerate_members(spec, cap=cap))
             reports.append(EnumerationReport(spec, total, space, time.perf_counter() - start))

@@ -2,8 +2,10 @@
 
 The vertical path of b must stay weakly above the reflected horizontal path
 of a.  Membership is decided through the equivalent counting inequalities;
-the geometric test is kept alongside as an independent route.  Conventions
-for p = 0 or q = 0 follow the all-zero degenerate pairs.
+the geometric test is kept alongside as an independent route.  The prime
+decomposition cuts where the paths meet: twodim's meeting walk on the nodes
+of ``u0_matrix(p, q)``.  Conventions for p = 0 or q = 0 follow the all-zero
+degenerate pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
     weakly_above,
 )
 from .errors import InconsistentDecomposition, NotParkingFunction, NotPrime
-from .twodim import WeightMatrix
+from .twodim import WeightMatrix, _meeting
 
 
 @dataclass(frozen=True)
@@ -166,60 +168,37 @@ class PQPrimeDecomposition:
             ]
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PQPrimeDecomposition":
-        """Parse ``to_json_dict`` output; an ``A``, ``B`` or ``offset`` that is not JSON integers raises ValueError."""
-        comps = []
-        cuts = [Point(0, 0)]
-        for entry in data["components"]:
-            comp = PQComponent(
-                as_seq(entry["a"]),
-                as_seq(entry["b"]),
-                frozenset(json_ints(entry["A"], "a component's 'A'")),
-                frozenset(json_ints(entry["B"], "a component's 'B'")),
-            )
-            if json_ints(entry["offset"], "a component's 'offset'", 2) != tuple(cuts[-1]):
-                raise InconsistentDecomposition(f"offset {entry['offset']} does not chain")
-            comps.append(comp)
-            cuts.append(Point(cuts[-1].x + len(comp.a), cuts[-1].y + len(comp.b)))
-        return cls(tuple(comps), tuple(cuts))
+
+class _U0Row(int):
+    """Row l of ``u0_matrix(p, q)``, for any p, as the int l + 1: node k weighs (l + 1, k + 1), built as the walk reads it."""
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        return self.real, k + 1  # plain ints, as a grid holds: the walk shared with twodim keeps its specialized int ops
 
 
 def decompose_pq(pair: PQPair) -> PQPrimeDecomposition:
-    """Cut a pair at the common points of its two paths.
+    """Cut a pair where its two paths meet: twodim's meeting walk on ``u0_matrix(p, q)``, chained from (0,0) to (p,q).
 
     Between consecutive cut points, each side keeps the original indices of
     the entries whose ranks fall in the segment (A and B label sets) and is
     rebased by the segment's lower-left corner; a purely vertical segment
     yields an empty a-side, a purely horizontal one an empty b-side.
     """
-    sa, sb = sorted(pair.a), sorted(pair.b)
-    if not _sorted_pf(sa, sb):
-        raise NotParkingFunction(f"{(pair.a, pair.b)} is not a (p,q)-parking function")
-    cuts = _cut_points(sa, sb)
-    ranks_a = stable_sort_indices(pair.a)
-    ranks_b = stable_sort_indices(pair.b)
+    p, q = pair.p, pair.q
+    sa, sb = [*sorted(pair.a), q + 1], [*sorted(pair.b), p + 1]  # closed by U0's top corner (q+1, p+1)
+    rows = tuple(map(_U0Row, range(1, q + 2)))
+    cuts = [Point(0, 0)]
+    while cuts[-1] != (p, q):
+        if (node := _meeting(sa, sb, rows, *cuts[-1])) is None:
+            raise NotParkingFunction(f"{(pair.a, pair.b)} is not a (p,q)-parking function")
+        cuts.append(Point(*node))
+    ranks_a, ranks_b = stable_sort_indices(pair.a), stable_sort_indices(pair.b)
     components = []
     for (x0, y0), (x1, y1) in zip(cuts, cuts[1:]):
         comp_a, a_pos = take(pair.a, ranks_a[x0:x1], y0)
         comp_b, b_pos = take(pair.b, ranks_b[y0:y1], x0)
         components.append(PQComponent(comp_a, comp_b, a_pos, b_pos))
-    return PQPrimeDecomposition(tuple(components), cuts)
-
-
-def _cut_points(sa: list[int], sb: list[int]) -> tuple[Point, ...]:
-    """Common points of a member's a-path and b-path, walking both one anti-diagonal at a time."""
-    p, q = len(sa), len(sb)
-    k_low = k_high = 0
-    cuts = [Point(0, 0)]
-    for r in range(p + q):
-        if k_low < p and sa[k_low] <= r - k_low:  # the a-path steps E once its height reaches a_(k)
-            k_low += 1
-        if not (r - k_high < q and sb[r - k_high] <= k_high):  # the b-path steps N once its column reaches b_(l)
-            k_high += 1
-        if k_low == k_high:
-            cuts.append(Point(k_low, r + 1 - k_low))
-    return tuple(cuts)
+    return PQPrimeDecomposition(tuple(components), tuple(cuts))
 
 
 def compose_pq(d: PQPrimeDecomposition) -> PQPair:

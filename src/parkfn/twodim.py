@@ -203,8 +203,8 @@ def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method
     ``direct`` walks in lockstep the lowest bounding path (east first) and,
     by the mirror of :func:`is_u_pf`'s argument, the highest (north first).
     Every bounding path lies between them, so two with disjoint interiors
-    exist exactly when the lowest stays strictly east of the highest on every
-    interior anti-diagonal.  ``transform`` tests membership on the reindexed grid.
+    exist exactly when the walk from (0, 0) first meets at (p, q), the lowest
+    strictly east of the highest on every interior anti-diagonal.  ``transform`` tests membership on the reindexed grid.
     """
     aa, bb = as_seq(a), as_seq(b)
     p, q = weights.p, weights.q
@@ -215,26 +215,29 @@ def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method
         return is_u_pf(aa, bb, prime_weight_transform(weights))[0]
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    sa, sb = _closed_order_statistics(aa, bb, weights)
-    rows = weights.rows
-    k_low = l_low = k_high = l_high = 0  # both walks, one anti-diagonal r at a time
-    for r in range(1, p + q + 1):
+    return _meeting(*_closed_order_statistics(aa, bb, weights), weights.rows, 0, 0) == (p, q)
+
+
+def _meeting(sa: list[int], sb: list[int], rows, k: int, l: int) -> Optional[tuple[int, int]]:
+    """The first node past (k, l) where the highest bounding path from (k, l) meets the lowest, both walked one
+    anti-diagonal at a time over the closed order statistics; None once the lowest is stuck, as it is at (p, q)."""
+    k_low, l_low, k_high, l_high = k, l, k, l
+    while True:
         u, v = rows[l_low][k_low]
         if sa[k_low] < u:
             k_low += 1
         elif sb[l_low] < v:
             l_low += 1
         else:
-            return False
+            return None
         # north when it can, else east: the lowest walk, never west of this one, went east from column k_high
         # at this row or below, so east is admissible here
         if sb[l_high] < rows[l_high][k_high][1]:
             l_high += 1
         else:
             k_high += 1
-        if k_low == k_high and r < p + q:
-            return False
-    return True
+        if k_low == k_high:
+            return k_low, l_low
 
 
 # ---------------------------------------------------------------------------

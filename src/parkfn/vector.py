@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .core import Point, Seq, as_seq, json_ints, place, stable_sort_indices, take
+from .core import Point, Seq, as_seq, place, stable_sort_indices, take
 from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunction
 
 
@@ -143,17 +143,6 @@ class VectorPrimeDecomposition:
                 for c, off in zip(self.components, self.offsets)
             ]
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VectorPrimeDecomposition":
-        """Parse ``to_json_dict`` output; a ``B`` or ``offset`` that is not JSON integers raises ValueError."""
-        comps = []
-        offs = []
-        for entry in data["components"]:
-            positions = json_ints(entry["B"], "a component's 'B'")
-            comps.append(VectorComponent(as_seq(entry["a"]), validate_capacity(entry["u"]), frozenset(positions)))
-            offs.append(json_ints([entry["offset"]], "a component's 'offset'")[0])
-        return cls(tuple(comps), tuple(offs))
 
 
 def decompose(a: Sequence[int], u: Sequence[int]) -> VectorPrimeDecomposition:

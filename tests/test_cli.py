@@ -182,6 +182,17 @@ def test_empty_side_ignores_its_bound_and_weights(tmp_path, capsys, grid, comman
     assert out == ("1\n" if command[0] == "count" else '{"a":[0],"b":[]}\n' if grid["p"] else '{"a":[],"b":[0]}\n')
 
 
+@pytest.mark.parametrize("v", [1, 0])  # with v = 0 the space is 0
+@pytest.mark.parametrize("command", [["count", "--method", "oracle"], ["list"]])
+def test_entry_bounds_past_int64_exit_with_an_error_line(tmp_path, capsys, command, v):
+    # with the cap raised past the nominal space, range(2**70) raised OverflowError while pooling the a-side
+    grid = {"p": 1, "q": 1, "nodes": [[[0, 0], [0, 0]], [[0, 0], [2**70, v]]]}
+    path = write_instance(tmp_path, grid, "grid.json")
+    argv = [command[0], "--family", "twodim", "--matrix-file", path, *command[1:], "--cap", str(10**32)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "") and err == f"error: an entry bound of {2**70} exceeds {sys.maxsize}, the largest a sweep can pool\n"
+
+
 def test_list_twodim_prime(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -452,7 +463,8 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
 def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls.
     # The 2916 grids share 36 candidate sides; building both sides per grid took 5834 weight calls.
-    # The grids fall into 852 shapes (p, q, max_u, max_v), each counted in one stacked sweep.
+    # The grids fall into 852 shapes (p, q, max_u, max_v); the 9 with u = v = 1 at every node hold one
+    # candidate, tested by predicate, and each of the other 843 is counted in one stacked sweep.
     from parkfn import oracle, twodim
 
     calls, build = [], twodim.affine_weight_matrix
@@ -473,8 +485,8 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     assert len(calls) == 2916
     assert sides and len(sides) == len(set(sides))
     shapes = [{(grid.p, grid.q, grid.max_u, grid.max_v) for grid in grids} for grids in sweeps]
-    assert len(sweeps) == 852 and all(len(shape) == 1 for shape in shapes)
-    assert len(set().union(*shapes)) == 852 and sum(map(len, sweeps)) == 2916
+    assert len(sweeps) == 843 and all(len(shape) == 1 for shape in shapes)
+    assert len(set().union(*shapes)) == 843 and sum(map(len, sweeps)) == 2907
 
 
 def test_verify_memory_stays_bounded():

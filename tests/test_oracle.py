@@ -161,6 +161,14 @@ def test_pq_shapes_with_an_empty_side_sweep_no_grid(monkeypatch):
     assert [report.count for report in oracle.count_many(specs)] == [1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0]
 
 
+def test_a_twodim_grid_with_one_candidate_sweeps_no_grid(monkeypatch):
+    # p = 0, q = 30000 with every node (0, 1) took 0.34-0.40 s through the kernel, one row of numpy calls per unit of q
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: pytest.fail("swept a grid"))
+    oracle._counted.clear()
+    grid = twodim.WeightMatrix(0, 3000, (((0, 1),),) * 3001)
+    assert [oracle.count(FamilySpec("twodim", increasing=increasing, weights=grid)).count for increasing in (False, True)] == [1, 1]
+
+
 def test_a_vector_family_sweeps_one_grid_for_its_four_variants(monkeypatch):
     # the primes ride on the row grid's prime companion, not on a second grid of prime_reduction(u)
     swept, stacked = [], oracle._stacked_counts

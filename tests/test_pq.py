@@ -234,22 +234,6 @@ def test_compose_rejects_every_single_corruption(pair, corruption, data):
         pq.compose_pq(pq.PQPrimeDecomposition(tuple(comps), tuple(cuts)))
 
 
-def test_decomposition_json_round_trip():
-    d = pq.decompose_pq(PQPair((3, 0, 3, 2, 3, 0), (6, 1, 0, 5, 0)))
-    assert pq.PQPrimeDecomposition.from_json_dict(d.to_json_dict()) == d
-
-
-@pytest.mark.parametrize(
-    "key,value",
-    [("A", ["0"]), ("A", [True]), ("B", [0.0]), ("B", 0), ("offset", ["0", 0]), ("offset", [0.0, 0]), ("offset", [0]), ("offset", 0)],
-)
-def test_decomposition_json_needs_json_integers(key, value):
-    data = pq.decompose_pq(PQPair((0,), (0,))).to_json_dict()
-    data["components"][0][key] = value
-    with pytest.raises(ValueError):
-        pq.PQPrimeDecomposition.from_json_dict(data)
-
-
 # -- weight-grid views -------------------------------------------------------
 
 

@@ -89,6 +89,28 @@ def reference_is_u_pf(a, b, weights):
     return True, ("".join(word), tuple(east), tuple(north))
 
 
+def reference_meeting_nodes(a, b, weights):
+    """Nodes past (0, 0) shared by the lowest and the highest bounding path, read off the table; None for non-members."""
+    p, q = weights.p, weights.q
+    east_ok, north_ok = _admissible(a, b, weights)
+    reach = _reach_end(east_ok, north_ok, p, q)
+    if not reach[0][0]:
+        return None
+
+    def path(east_first):
+        k = l = 0
+        nodes = []
+        while (k, l) != (p, q):
+            east = k < p and east_ok[k][l] and reach[k + 1][l]
+            north = l < q and north_ok[k][l] and reach[k][l + 1]
+            k, l = (k + 1, l) if east and (east_first or not north) else (k, l + 1)
+            nodes.append((k, l))
+        return nodes
+
+    highest = set(path(east_first=False))
+    return [node for node in path(east_first=True) if node in highest]
+
+
 def reference_is_u_prime(a, b, weights):
     """Two bounding paths with disjoint interiors, by a DP over anti-diagonals.
 
@@ -135,11 +157,11 @@ def monotone_grids(draw, max_side=4):
 
 
 @st.composite
-def grids_with_pairs(draw):
+def grids_with_pairs(draw, grids=monotone_grids()):
     """A grid and a pair drawn along a random path, each entry at most one past
     the weight of its edge, so members and near misses both occur and entries
     reach past max_u and max_v."""
-    grid = draw(monotone_grids())
+    grid = draw(grids)
     a, b = [], []
     k = l = 0
     for step in draw(st.permutations("E" * grid.p + "N" * grid.q)):
@@ -164,6 +186,18 @@ def test_walks_match_the_table_references(case):
         prime = reference_is_u_prime(a, b, grid)
         assert twodim.is_u_prime(a, b, grid, method="direct") == prime
         assert twodim.is_u_prime(a, b, grid, method="transform") == prime
+
+
+@settings(max_examples=600, deadline=None)
+@given(grids_with_pairs(st.builds(random_monotone_matrix, st.randoms(use_true_random=False), *[st.integers(0, 4)] * 3)))
+def test_chained_meeting_walk_finds_the_common_nodes_of_the_two_paths(case):
+    # the walk decompose_pq chains over the nodes of u0_matrix: from each meeting node to the next, until (p, q) or a stuck walk
+    grid, a, b = case
+    sa, sb = twodim._closed_order_statistics(a, b, grid)
+    nodes = [(0, 0)]
+    while nodes[-1] not in ((grid.p, grid.q), None):
+        nodes.append(twodim._meeting(sa, sb, grid.rows, *nodes[-1]))
+    assert (None if nodes[-1] is None else nodes[1:]) == reference_meeting_nodes(a, b, grid)
 
 
 # -- weight grids ------------------------------------------------------------

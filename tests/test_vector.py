@@ -258,19 +258,6 @@ def test_compose_rejects_every_single_corruption(member, corruption, data):
         vector.compose(vector.VectorPrimeDecomposition(tuple(comps), tuple(offsets)))
 
 
-def test_decomposition_json_round_trip():
-    d = vector.decompose((7, 3, 0, 4, 0, 3), (1, 2, 4, 5, 7, 8))
-    assert vector.VectorPrimeDecomposition.from_json_dict(d.to_json_dict()) == d
-
-
-@pytest.mark.parametrize("key,value", [("offset", "0"), ("offset", 0.0), ("offset", True), ("B", ["x"]), ("B", [0.0]), ("B", 5)])
-def test_decomposition_json_needs_json_integers(key, value):
-    data = vector.decompose((0,), (1,)).to_json_dict()
-    data["components"][0][key] = value
-    with pytest.raises(ValueError):
-        vector.VectorPrimeDecomposition.from_json_dict(data)
-
-
 # -- counting formulas -------------------------------------------------------
 
 
