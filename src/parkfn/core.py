@@ -99,9 +99,6 @@ class LatticePath:
     def height(self) -> int:
         return self.steps.count("N")
 
-    def __str__(self) -> str:
-        return self.steps
-
     def vertices(self) -> tuple[Point, ...]:
         pts = [Point(0, 0)]
         x = y = 0

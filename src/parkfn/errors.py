@@ -27,10 +27,6 @@ class NotParkingFunction(ParkfnError):
     """An operation defined only on parking functions was given a non-member."""
 
 
-class NotPrime(ParkfnError):
-    """An operation defined only on prime parking functions was given a non-prime one."""
-
-
 class InconsistentDecomposition(ParkfnError):
     """A decomposition object violates its structural invariants."""
 

@@ -23,25 +23,34 @@ prime companion beside it when p >= 1.  The kernel sweeps only weakly
 increasing candidates and weighs each member by its rearrangements.  The
 b-candidates are packed 64 to a ``uint64`` word, so a state is a (grid x
 a-candidate x word) array: an east edge masks whole a-rows, a north edge
-ANDs in one packed b-row.  The a-candidates come in blocks of at most
-``_BLOCK_BITS`` candidate pairs per stacked grid, each reduced before the
-next is built, so memory is bounded by one block however many grids share
-it: a lone grid and its companion keep a full block's a-rows, a stack of g
-grids takes 1/g of them, and a group too large to leave each grid one a-row
-is swept one stack after another.  The reduction weighs the unpacked bits
-with ``einsum``, which casts them in buffered chunks, so it holds one byte
-per candidate pair.  No count or partial sum exceeds the nominal space, so
-int64 is exact below 2**63; larger spaces reduce in Python ints.
+ANDs in one packed b-row.  Both sides follow one block rule
+(``_side_blocks``): the b-candidates come in b-blocks of at most
+``_BLOCK_BITS`` rows, each built once per sweep, and against each b-block the
+a-candidates come in a-blocks of at most ``_BLOCK_BITS`` candidate pairs
+(a-rows x the b-block's padded bits) per stacked grid, each reduced before
+the next is built.  So memory is bounded by one block on each side however
+large the space and however many grids share it: a lone grid and its
+companion keep a full block's a-rows, a stack of g grids takes 1/g of them,
+and a group too large to leave each grid one a-row is swept one stack after
+another.  A one-entry side counts up a ``range`` and pools nothing; a longer
+one pools its bound's entries, far fewer than its candidates.  The reduction weighs the unpacked bits with ``einsum``, which
+casts them in buffered chunks, so it holds one byte per candidate pair.  A
+side's rows are int64 and its weights int64 while n! < 2**63, Python ints
+past it; the grid's exact dtype is applied once per b-block, to the
+b-weights.  No count or partial sum exceeds the nominal space, so int64 is
+exact below 2**63; larger spaces reduce in Python ints.
 
 Four caches of 128 entries live as long as the process:
 
 - ``_counted``, the four counts of the last grids counted, so the other
   variants of a grid cost no sweep;
 - ``_kept_side``, the candidate sides: the sorted rows and weights of one
-  sequence depend only on its entry bound and length.  A side of at most
-  ``_BLOCK_BITS // 64`` rows, the most one block takes, is kept read-only
-  and whole, even when its blocks take a few rows at a time, and shared by
-  every grid that needs it; a larger side is rebuilt per sweep;
+  sequence depend only on its entry bound and length, so each
+  (bound, length) has one entry, whichever side it serves.  A side of at
+  most ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept
+  read-only and whole, even when its blocks take a few rows at a time, and
+  shared by every grid that needs it; a larger side is rebuilt per sweep,
+  one block at a time;
 - ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
   are kept does not rebuild its grid either.
 """
@@ -74,7 +83,11 @@ Family = tuple[int, Optional[WeightMatrix], Shapes, Callable[[Instance], bool]] 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family to enumerate, with its parameters and variant flags."""
+    """Which family to enumerate, with its parameters and variant flags.
+
+    Each family reads its own fields (classical n, vector u, pq p and q,
+    twodim weights) and refuses the others.
+    """
 
     family: str  # classical | vector | pq | twodim
     prime: bool = False
@@ -88,10 +101,14 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if type(self.prime) is not bool or type(self.increasing) is not bool:
             raise ValueError(f"prime and increasing must be bools, got {self.prime!r}, {self.increasing!r}")
+        reads = {"classical": ("n",), "vector": ("u",), "pq": ("p", "q"), "twodim": ("weights",)}.get(self.family, ())
+        if (self.n, self.u, self.p, self.q, self.weights).count(None) != 5 - len(reads):  # scan only when more or fewer fields are set than it reads
+            for field in ("n", "u", "p", "q", "weights"):
+                if field not in reads and getattr(self, field) is not None:
+                    raise ValueError(f"the {self.family} family takes no {field}, got {getattr(self, field)!r}")
         if self.family == "classical":
             if type(self.n) is not int or self.n < 1:
                 raise ValueError(f"classical family needs an int n >= 1, got {self.n!r}")
-            object.__setattr__(self, "u", tuple(range(1, self.n + 1)))
         elif self.family == "vector":
             if self.u is None:
                 raise ValueError("vector family needs a capacity vector u")
@@ -135,7 +152,7 @@ def _family(spec: FamilySpec, cap: Optional[int]) -> Family:
         shapes, pair_test = ((spec.p, spec.q + 1), (spec.q, spec.p + 1)), is_pq_prime if spec.prime else is_pq_pf
         space = _checked_space(spec, shapes, cap)
         return space, u0_matrix(spec.p, spec.q) if spec.p and spec.q else None, shapes, lambda c: pair_test(PQPair(*c))
-    u, vector_test = spec.u, is_prime_vector_pf if spec.prime else is_vector_pf
+    u, vector_test = spec.u or tuple(range(1, spec.n + 1)), is_prime_vector_pf if spec.prime else is_vector_pf
     shapes = ((len(u), u[-1]),)
     return _checked_space(spec, shapes, cap), _row_grid(u), shapes, lambda c: vector_test(c[0], u)
 
@@ -149,8 +166,8 @@ def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
 
 def _seqs(length: int, bound: int, increasing: bool = True) -> Iterator[Seq]:
     """The weakly increasing tuples of ``length`` entries below ``bound``, or the full box, lazily in lexicographic order."""
-    if not length:  # one empty tuple, whatever the bound: no pool of range(bound) is built
-        return iter([()])
+    if length <= 1:  # one empty tuple, whatever the bound, or one-entry tuples: no pool of range(bound) is built
+        return zip(range(bound)) if length else iter([()])
     return combinations_with_replacement(range(bound), length) if increasing else product(range(bound), repeat=length)
 
 
@@ -264,28 +281,25 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     tests compare them, and ``is_u_prime``'s two methods.
     """
     p, q, bu, bv = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v
-    if not (nb := _multisets(bv, q)):
-        return [(0, 0, 0, 0)] * len(grids)
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
-    arr_b, wb = next(_side_blocks(bv, q, dtype, nb))
-    rows = max(1, _BLOCK_BITS // (64 * -(-nb // 64)))  # a lone grid's a-rows per block
-    out: list[tuple[int, int, int, int]] = []
-    for first in range(0, len(grids), rows):
-        chunk = grids[first : first + rows]
-        stack = chunk + [_prime_companion(grid) for grid in chunk] if p else chunk
-        east_bound, north = _packed_edges(arr_b, stack)
-        # [g] sums grid g's plain counts, [len(chunk) + g] its prime counts (none when p is 0)
-        sums, pops = np.zeros(2 * len(chunk), dtype), np.zeros(2 * len(chunk), np.int64)
-        for arr_a, wa in _side_blocks(bu, p, dtype, rows // len(chunk)):
-            state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
-            # the pad bits past nb in the last word are dropped here, never counted
-            bits = np.unpackbits(state.view(np.uint8), axis=-1, count=nb, bitorder="little")
-            sums[: len(stack)] += np.einsum("gij,j->gi", bits, wb) @ wa
-            pops[: len(stack)] += bits.sum(axis=(1, 2), dtype=np.int64)
-            del arr_a, wa, state, bits  # free this block first: a streamed side builds the next block's weights when resumed
-        plain, prime = slice(len(chunk)), slice(len(chunk), None)
-        out += zip(sums[plain].tolist(), pops[plain].tolist(), sums[prime].tolist(), pops[prime].tolist())
-    return out
+    rows = max(1, _BLOCK_BITS // (64 * -(-min(_multisets(bv, q), _BLOCK_BITS) // 64)))  # a lone grid's a-rows per block
+    # [0, g] sums grid g's plain counts, [1, g] its prime counts (none when p is 0)
+    sums, pops = np.zeros((2, len(grids)), object), np.zeros((2, len(grids)), np.int64)
+    for arr_b, wb in _side_blocks(bv, q, _BLOCK_BITS):
+        wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
+        for first in range(0, len(grids), rows):
+            chunk = grids[first : first + rows]
+            stack = chunk + [_prime_companion(grid) for grid in chunk] if p else chunk
+            east_bound, north = _packed_edges(arr_b, stack)
+            at = np.s_[: len(stack) // len(chunk), first : first + len(chunk)]
+            for arr_a, wa in _side_blocks(bu, p, rows // len(chunk)):
+                state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
+                # the pad bits past the b-block's last row are dropped here, never counted
+                bits = np.unpackbits(state.view(np.uint8), axis=-1, count=len(arr_b), bitorder="little")
+                sums[at] += (np.einsum("gij,j->gi", bits, wb) @ wa).reshape(-1, len(chunk))
+                pops[at] += bits.sum(axis=(1, 2), dtype=np.int64).reshape(-1, len(chunk))
+                del arr_a, wa, state, bits  # free this block first: a streamed side builds the next block when resumed
+    return list(zip(sums[0].tolist(), pops[0].tolist(), sums[1].tolist(), pops[1].tolist()))
 
 
 def _multisets(bound: int, length: int) -> int:
@@ -293,28 +307,27 @@ def _multisets(bound: int, length: int) -> int:
     return comb(bound + length - 1, length) if length else 1
 
 
-def _side_blocks(bound: int, length: int, dtype, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _side_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A candidate side's sorted rows and their rearrangement weights, ``rows`` at a time.
 
-    A side of at most one block's worth of rows is built once per (bound,
-    length, dtype) and kept read-only, so the grids that share it slice it;
-    a larger one is built anew, one block at a time.
+    A side of at most ``_BLOCK_BITS // 64`` rows is built once per (bound,
+    length) and kept read-only, so the grids that share it slice it; a
+    larger one is built anew, one block at a time.
     """
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
-        arr, weights = _kept_side(bound, length, dtype)
+        arr, weights = _kept_side(bound, length)
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
     tuples = _seqs(length, bound)
-    while len(arr := _sorted_rows(islice(tuples, rows), length)):
-        yield arr, _rearrangement_weights(arr, dtype)
+    while len((side := _side(islice(tuples, rows), length))[0]):
+        yield side
 
 
 @lru_cache(maxsize=128)
-def _kept_side(bound: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _kept_side(bound: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Every sorted row of a side and its weights, read-only: every caller shares them; the 128 most recently used sides stay."""
-    arr = _sorted_rows(_seqs(length, bound), length)
-    side = arr, _rearrangement_weights(arr, dtype)
+    side = _side(_seqs(length, bound), length)
     for part in side:
         part.setflags(write=False)
     return side
@@ -323,9 +336,9 @@ def _kept_side(bound: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
 def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked edges of same-shape grids for ``_vector_reach``: on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l].
 
-    north[l, k, g, 0] packs the sorted b-candidates that may take the north
-    edge at (k, l) on grid g, with zero pad bits.  Only the weights of edges
-    that exist are cast to int64: an empty side's channel may hold any int.
+    north[l, k, g, 0] packs the b-block's sorted candidates that may take the
+    north edge at (k, l) on grid g, with zero pad bits.  Only the weights of
+    edges that exist are cast to int64: an empty side's channel may hold any int.
     """
     p, q, nb = grids[0].p, grids[0].q, len(arr_b)
     flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in grids)))
@@ -336,22 +349,22 @@ def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndar
     return nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1), north.view(np.uint64)
 
 
-def _sorted_rows(tuples: Iterable[Seq], length: int) -> np.ndarray:
-    """The given tuples of one length, one per row."""
-    if not length:  # fromiter sees no entries in empty tuples, so count them
-        return np.zeros((sum(1 for _ in tuples), 0), dtype=np.int64)
-    return np.fromiter(chain.from_iterable(tuples), dtype=np.int64).reshape(-1, length)
+def _side(tuples: Iterable[Seq], length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The given sorted tuples of one length, one per row, and each row's distinct rearrangements.
 
-
-def _rearrangement_weights(rows: np.ndarray, dtype) -> np.ndarray:
-    """Distinct rearrangements of every sorted row: n! over the product of each entry's position in its run."""
-    n = rows.shape[1]
-    wide = np.int64 if factorial(n) < 2**63 else object
-    col = np.arange(n)
+    A row's weight is n! over the product of each entry's position in its
+    run: int64 while n! < 2**63, Python ints past it.
+    """
+    if length:
+        rows = np.fromiter(chain.from_iterable(tuples), dtype=np.int64).reshape(-1, length)
+    else:  # fromiter sees no entries in empty tuples, so count them
+        rows = np.zeros((sum(1 for _ in tuples), 0), dtype=np.int64)
+    col = np.arange(length)
     new_run = np.ones(rows.shape, dtype=bool)
     new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
     run_start = np.maximum.accumulate(col * new_run, axis=1)
-    return (factorial(n) // (col + 1 - run_start).astype(wide).prod(axis=1)).astype(dtype)
+    wide = np.int64 if factorial(length) < 2**63 else object
+    return rows, factorial(length) // (col + 1 - run_start).astype(wide).prod(axis=1)
 
 
 def _vector_reach(east, north, p: int, q: int):

@@ -30,7 +30,7 @@ from .core import (
     transpose,
     weakly_above,
 )
-from .errors import InconsistentDecomposition, NotParkingFunction, NotPrime
+from .errors import InconsistentDecomposition, NotParkingFunction
 from .twodim import WeightMatrix, _meeting
 
 
@@ -116,20 +116,6 @@ def _sorted_prime(sa: list[int], sb: list[int]) -> bool:
     return all(bisect_left(sa, i) > sb[i] for i in range(1, len(sb))) and all(
         bisect_left(sb, i) > sa[i] for i in range(1, len(sa))
     )
-
-
-def remove_zero_reduction(pair: PQPair) -> PQPair:
-    """Drop the first 0 of a and of b; any zero choice works, so normalize.
-
-    Defined for prime pairs with p, q >= 1; the result is a (p-1, q-1)
-    parking function.
-    """
-    if pair.p < 1 or pair.q < 1:
-        raise NotPrime("the reduction needs p, q >= 1")
-    if not is_pq_prime(pair):  # a prime pair has a 0 on each side
-        raise NotPrime(f"{(pair.a, pair.b)} is not a prime pair")
-    ia, ib = pair.a.index(0), pair.b.index(0)
-    return PQPair(pair.a[:ia] + pair.a[ia + 1 :], pair.b[:ib] + pair.b[ib + 1 :])
 
 
 # ---------------------------------------------------------------------------

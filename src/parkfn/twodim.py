@@ -76,9 +76,6 @@ class WeightMatrix:
     def max_v(self) -> int:
         return self.rows[-1][-1][1]
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "q": self.q, "nodes": [[list(node) for node in row] for row in self.rows]}
-
     @classmethod
     def from_json_dict(cls, data: object) -> "WeightMatrix":
         """Parse ``{"p", "q", "nodes"}``; anything but JSON integers raises ValueError."""

@@ -88,9 +88,18 @@ def test_check_twodim_golden_witness(tmp_path, capsys):
 
 
 def test_check_twodim_embedded_grid(tmp_path, capsys):
-    from parkfn.pq import u0_matrix
-
-    instance = {"a": [0, 0, 3], "b": [0, 0, 1, 1], "U": u0_matrix(3, 4).to_json_dict()}
+    u0_34 = {
+        "p": 3,
+        "q": 4,
+        "nodes": [
+            [[1, 1], [1, 2], [1, 3], [1, 4]],
+            [[2, 1], [2, 2], [2, 3], [2, 4]],
+            [[3, 1], [3, 2], [3, 3], [3, 4]],
+            [[4, 1], [4, 2], [4, 3], [4, 4]],
+            [[5, 1], [5, 2], [5, 3], [5, 4]],
+        ],
+    }
+    instance = {"a": [0, 0, 3], "b": [0, 0, 1, 1], "U": u0_34}
     path = write_instance(tmp_path, instance)
     code, out, _ = run_cli(capsys, ["check", "--family", "twodim", "--file", path])
     assert code == 0 and json.loads(out)["prime"] is True
@@ -125,9 +134,8 @@ def test_check_compares_shapes_before_building_an_affine_grid(tmp_path, capsys, 
 
 
 def test_check_twodim_matrix_file(tmp_path, capsys):
-    from parkfn.pq import u0_matrix
-
-    grid_path = write_instance(tmp_path, u0_matrix(2, 2).to_json_dict(), "grid.json")
+    u0_22 = {"p": 2, "q": 2, "nodes": [[[1, 1], [1, 2], [1, 3]], [[2, 1], [2, 2], [2, 3]], [[3, 1], [3, 2], [3, 3]]]}
+    grid_path = write_instance(tmp_path, u0_22, "grid.json")
     inst = write_instance(tmp_path, {"a": [0, 1], "b": [1, 0]})
     code, out, _ = run_cli(
         capsys, ["check", "--family", "twodim", "--matrix-file", grid_path, "--file", inst]
@@ -469,13 +477,14 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
 
     calls, build = [], twodim.affine_weight_matrix
     monkeypatch.setattr(twodim, "affine_weight_matrix", lambda spec: calls.append(spec) or build(spec))
-    sides, weigh = [], oracle._rearrangement_weights
+    sides, build_side = [], oracle._side
 
-    def weights(rows, dtype):
-        sides.append((rows.shape, rows.tobytes(), dtype))
-        return weigh(rows, dtype)
+    def side(tuples, length):
+        rows, weights = build_side(tuples, length)
+        sides.append((rows.shape, rows.tobytes()))
+        return rows, weights
 
-    monkeypatch.setattr(oracle, "_rearrangement_weights", weights)
+    monkeypatch.setattr(oracle, "_side", side)
     sweeps, stacked = [], oracle._stacked_counts
     monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: sweeps.append(grids) or stacked(grids))
     oracle._counted.clear()

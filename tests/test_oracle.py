@@ -83,8 +83,8 @@ def test_count_golden_values():
 def _widened_box(spec):
     """(length, entry bound) per sequence, one wider than the oracle's, and the public predicate."""
     if spec.family in ("classical", "vector"):
-        test = vector.is_prime_vector_pf if spec.prime else vector.is_vector_pf
-        return [(len(spec.u), spec.u[-1] + 1)], lambda a: test(a, spec.u)
+        test, u = vector.is_prime_vector_pf if spec.prime else vector.is_vector_pf, spec.u or tuple(range(1, spec.n + 1))
+        return [(len(u), u[-1] + 1)], lambda a: test(a, u)
     if spec.family == "pq":
         test = pq.is_pq_prime if spec.prime else pq.is_pq_pf
         return [(spec.p, spec.q + 2), (spec.q, spec.p + 2)], lambda a, b: test(pq.PQPair(a, b))
@@ -109,14 +109,16 @@ def test_widened_box_admits_no_new_members():
 
 
 def test_enumerate_members_streams():
-    tracemalloc.start()
-    try:
-        first = next(oracle.enumerate_members(FamilySpec("classical", n=7)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == ((0,) * 7,)
-    assert peak < 2**20
+    # the one-entry side of u = (10**6,) used to pool range(10**6) into a tuple before the first member
+    for spec, want in ((FamilySpec("classical", n=7), ((0,) * 7,)), (FamilySpec("vector", u=(10**6,)), ((0,),))):
+        tracemalloc.start()
+        try:
+            first = next(oracle.enumerate_members(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == want, spec
+        assert peak < 2**20, spec
 
 
 def test_increasing_counts_match_distinct_multisets():
@@ -284,7 +286,14 @@ def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("twodim", weights=5)  # raised AttributeError
     with pytest.raises(ValueError):
-        FamilySpec("twodim", weights=u0_matrix(1, 1).to_json_dict())
+        FamilySpec("twodim", weights={"p": 1, "q": 1, "nodes": [[[1, 1], [1, 2]], [[2, 1], [2, 2]]]})
+    # a field the family does not read is refused by name; each was silently ignored or replaced
+    with pytest.raises(ValueError, match="takes no u"):
+        FamilySpec("classical", n=3, u=(9, 9, 9))  # counted 16, as n = 3
+    with pytest.raises(ValueError, match="takes no n"):
+        FamilySpec("pq", p=1, q=1, n=7, weights=u0_matrix(2, 2))  # counted 3, as p = q = 1
+    with pytest.raises(ValueError, match="takes no p"):
+        FamilySpec("vector", u=(1, 2), p=5)  # counted 3, as u = (1, 2)
 
 
 not_ints = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.integers(0, 9).map(str), st.just([1]))
@@ -394,9 +403,9 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
 
 
 def test_kept_sides_refuse_writes():
-    arr, weights = oracle._kept_side(4, 3, np.int64)
-    assert oracle._kept_side(4, 3, np.int64)[0] is arr
-    for part in (arr, weights, *next(oracle._side_blocks(4, 3, np.int64, 5))):
+    arr, weights = oracle._kept_side(4, 3)
+    assert oracle._kept_side(4, 3)[0] is arr
+    for part in (arr, weights, *next(oracle._side_blocks(4, 3, 5))):
         with pytest.raises(ValueError):
             part[0] = 0
 
@@ -409,7 +418,7 @@ def test_kept_sides_retain_at_most_128_sides():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for bound in range(500, 700):
-            for _ in oracle._side_blocks(bound, 1, np.int64, oracle._BLOCK_BITS // 64):
+            for _ in oracle._side_blocks(bound, 1, oracle._BLOCK_BITS // 64):
                 pass
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -437,11 +446,20 @@ def test_vectorised_weights_match_rearrangements(length):
     rows = list(combinations_with_replacement(range(5), length))
     if length >= 20:
         rows.append(tuple(range(length)))  # all distinct: the weight is length! itself
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), length)
-    want = [_rearrangements(row) for row in rows]
-    assert oracle._rearrangement_weights(arr, object).tolist() == want
-    if factorial(length) < 2**63:
-        assert oracle._rearrangement_weights(arr, np.int64).tolist() == want
+    arr, weights = oracle._side(iter(rows), length)
+    assert arr.tolist() == [list(row) for row in rows]
+    assert weights.tolist() == [_rearrangements(row) for row in rows]
+    assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)  # int64 at its natural width
+
+
+@pytest.mark.parametrize("grid", [(0, 1, 1, 0, 1, 1, 21, 1), (0, 1, 1, 0, 1, 1, 1, 21)])
+def test_sides_weighed_in_python_ints_sweep_an_int64_grid(grid):
+    # a side of 21 entries weighs in Python ints (21! > 2**63) though the grid's space fits int64
+    aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
+    assert weights.max_u**weights.p * weights.max_v**weights.q < 2**63
+    closed = (twodim.count_affine_pf, twodim.count_affine_ipf, twodim.count_affine_ppf, twodim.count_affine_ippf)
+    oracle._counted.clear()
+    assert [oracle.count(spec).count for spec in _affine_variants(grid)] == [count(aspec) for count in closed]
 
 
 def test_twodim_kernel_memory_is_bounded():
@@ -456,6 +474,31 @@ def test_twodim_kernel_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_blocked_b_side_matches_closed_forms_at_bounded_memory(monkeypatch):
+    # 43758 sorted b-candidates of length 10 on 4096-bit blocks: 11 b-blocks of at most 4096 rows,
+    # traced at 1.6 MiB; taking the whole b-side as one block peaked at 13.8 MiB
+    grid = (0, 1, 1, 0, 8, 8, 1, 10)
+    aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 2**12)
+    assert comb(weights.max_v + weights.q - 1, weights.q) > 10 * oracle._BLOCK_BITS  # the b-candidates span 11 blocks
+    closed = {
+        (False, False): twodim.count_affine_pf(aspec),
+        (False, True): twodim.count_affine_ipf(aspec),
+        (True, False): twodim.count_affine_ppf(aspec),
+        (True, True): twodim.count_affine_ippf(aspec),
+    }
+    oracle._counted.clear()
+    oracle._kept_side.cache_clear()
+    tracemalloc.start()
+    try:
+        got = {(spec.prime, spec.increasing): oracle.count(spec, cap=10**30).count for spec in _affine_variants(grid)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == closed
+    assert peak < 2**21
 
 
 def test_pq_prime_grid_matches_is_pq_prime_pointwise():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from parkfn import pq
 from parkfn.core import Point, common_points
-from parkfn.errors import InconsistentDecomposition, NotParkingFunction, NotPrime
+from parkfn.errors import InconsistentDecomposition, NotParkingFunction
 from parkfn.pq import PQPair
 from test_vector import ENTRY_CORRUPTIONS, POSITION_CORRUPTIONS, corrupt_entry, corrupt_positions
 
@@ -98,29 +98,6 @@ def test_three_way_equivalence_on_parking_functions():
                 assert prime == pq.is_pq_pf(reduced), pair
             else:
                 assert not prime
-
-
-def test_remove_zero_reduction_examples():
-    got = pq.remove_zero_reduction(PQPair((0, 0, 3), (0, 0, 1, 1)))
-    assert got == PQPair((0, 3), (0, 1, 1))
-    assert pq.is_pq_pf(got)
-    assert pq.remove_zero_reduction(PQPair((0,), (0,))) == PQPair((), ())
-    assert pq.is_pq_prime(PQPair((0, 1, 0), (0, 0, 1)))
-    assert pq.remove_zero_reduction(PQPair((0, 1, 0), (0, 0, 1))) == PQPair((1, 0), (0, 1))
-
-
-def test_remove_zero_reduction_errors():
-    with pytest.raises(NotPrime):
-        pq.remove_zero_reduction(PQPair((3, 0, 3), (1, 0, 1, 0)))
-    with pytest.raises(NotPrime):
-        pq.remove_zero_reduction(PQPair((), (0,)))
-
-
-def test_reduction_always_yields_member():
-    for p, q in product(range(1, 4), range(1, 4)):
-        for pair in all_pairs(p, q):
-            if pq.is_pq_prime(pair):
-                assert pq.is_pq_pf(pq.remove_zero_reduction(pair))
 
 
 # -- decomposition -----------------------------------------------------------

@@ -158,20 +158,18 @@ def monotone_grids(draw, max_side=4):
 
 @st.composite
 def grids_with_pairs(draw, grids=monotone_grids()):
-    """A grid and a pair drawn along a random path, each entry at most one past
-    the weight of its edge, so members and near misses both occur and entries
-    reach past max_u and max_v."""
+    """A grid and a pair drawn along a random path.  Most entries lie strictly
+    below the weight of their edge; about one in ten, and every entry on an
+    edge of weight 0, is a near miss at the weight or one past it.  So members
+    and near misses both occur, and entries reach past max_u and max_v."""
     grid = draw(grids)
     a, b = [], []
     k = l = 0
     for step in draw(st.permutations("E" * grid.p + "N" * grid.q)):
-        u, v = grid.rows[l][k]
-        if step == "E":
-            a.append(draw(st.integers(0, u + 1)))
-            k += 1
-        else:
-            b.append(draw(st.integers(0, v + 1)))
-            l += 1
+        weight = grid.rows[l][k][step == "N"]
+        hit = weight and draw(st.integers(0, 9))
+        (a if step == "E" else b).append(draw(st.integers(0, weight - 1) if hit else st.integers(weight, weight + 1)))
+        k, l = (k + 1, l) if step == "E" else (k, l + 1)
     return grid, tuple(draw(st.permutations(a))), tuple(draw(st.permutations(b)))
 
 
@@ -188,7 +186,7 @@ def test_walks_match_the_table_references(case):
         assert twodim.is_u_prime(a, b, grid, method="transform") == prime
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(grids_with_pairs(st.builds(random_monotone_matrix, st.randoms(use_true_random=False), *[st.integers(0, 4)] * 3)))
 def test_chained_meeting_walk_finds_the_common_nodes_of_the_two_paths(case):
     # the walk decompose_pq chains over the nodes of u0_matrix: from each meeting node to the next, until (p, q) or a stuck walk
@@ -259,8 +257,18 @@ def test_affine_matrix_examples():
 
 
 def test_weight_matrix_json_round_trip():
-    grid = U0_34()
-    assert WeightMatrix.from_json_dict(grid.to_json_dict()) == grid
+    u0_34 = {
+        "p": 3,
+        "q": 4,
+        "nodes": [
+            [[1, 1], [1, 2], [1, 3], [1, 4]],
+            [[2, 1], [2, 2], [2, 3], [2, 4]],
+            [[3, 1], [3, 2], [3, 3], [3, 4]],
+            [[4, 1], [4, 2], [4, 3], [4, 4]],
+            [[5, 1], [5, 2], [5, 3], [5, 4]],
+        ],
+    }
+    assert WeightMatrix.from_json_dict(u0_34) == U0_34()
 
 
 # -- membership and witnesses ------------------------------------------------
