@@ -6,7 +6,8 @@ reduce to.  Entry bounds are the provably sufficient ones: an entry at or
 beyond the bound can never belong to a member.
 
 ``enumerate_members`` is definitional: it walks every candidate tuple in
-lexicographic order and filters by the family's own predicate.
+lexicographic order (``_seqs``, the only ``itertools`` candidates left) and
+filters by the family's own predicate.
 ``count_many`` counts a batch of specs, and ``count`` is the batch of one.
 ``_family`` is the one place that tells the families apart.  It gives each
 spec the weight grid whose four counts are its family's: pq on
@@ -32,15 +33,20 @@ the next is built.  So memory is bounded by one block on each side however
 large the space and however many grids share it: a lone grid and its
 companion keep a full block's a-rows, a stack of g grids takes 1/g of them,
 and a group too large to leave each grid one a-row is swept one stack after
-another.  A one-entry side counts up a ``range`` and pools nothing; a longer
-one pools its bound's entries, far fewer than its candidates.  The reduction weighs the unpacked bits with ``einsum``, which
-casts them in buffered chunks, so it holds one byte per candidate pair.  A
-side's rows are int64 and its weights int64 while n! < 2**63, Python ints
-past it; the grid's exact dtype is applied once per b-block, to the
-b-weights.  No count or partial sum exceeds the nominal space, so int64 is
-exact below 2**63; larger spaces reduce in Python ints.
+another.  A side is built in numpy, never from Python tuples
+(``_built_side``): a one-entry side counts up a ``range`` a block at a time
+and pools nothing; a longer one is the sorted join (``_join``) of its two
+halves' tables, each table the join of its own halves, and is joined one
+block of rows at a time.  A side's rows are column-major, so each compare
+in ``_packed_edges`` reads one entry of every row from contiguous memory,
+and int8 below bound 128, int64 past it; its weights are int64 while
+n! < 2**63, Python ints past it.  The reduction weighs the unpacked bits
+with ``einsum``, which casts them in buffered chunks, so it holds one byte
+per candidate pair.  The grid's exact dtype is applied once per b-block, to
+the b-weights.  No count or partial sum exceeds the nominal space, so int64
+is exact below 2**63; larger spaces reduce in Python ints.
 
-Four caches of 128 entries live as long as the process:
+Five caches of 128 entries live as long as the process:
 
 - ``_counted``, the four counts of the last grids counted, so the other
   variants of a grid cost no sweep;
@@ -52,7 +58,9 @@ Four caches of 128 entries live as long as the process:
   shared by every grid that needs it; a larger side is rebuilt per sweep,
   one block at a time;
 - ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
-  are kept does not rebuild its grid either.
+  are kept does not rebuild its grid either;
+- ``_binomials``, the small tables of C(r+s, r) a join divides its weights
+  by, one per pair of half lengths.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -164,7 +172,7 @@ def _sweep(shapes: Shapes, increasing: bool) -> Iterator[Instance]:
     return ((a, b) for a in _seqs(*shapes[0], increasing) for b in _seqs(*shapes[1], increasing))
 
 
-def _seqs(length: int, bound: int, increasing: bool = True) -> Iterator[Seq]:
+def _seqs(length: int, bound: int, increasing: bool) -> Iterator[Seq]:
     """The weakly increasing tuples of ``length`` entries below ``bound``, or the full box, lazily in lexicographic order."""
     if length <= 1:  # one empty tuple, whatever the bound, or one-entry tuples: no pool of range(bound) is built
         return zip(range(bound)) if length else iter([()])
@@ -308,29 +316,95 @@ def _multisets(bound: int, length: int) -> int:
 
 
 def _side_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A candidate side's sorted rows and their rearrangement weights, ``rows`` at a time.
+    """A candidate side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
 
     A side of at most ``_BLOCK_BITS // 64`` rows is built once per (bound,
     length) and kept read-only, so the grids that share it slice it; a
-    larger one is built anew, one block at a time.
+    larger one is built anew, one block at a time (``_built_side``).
     """
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
         arr, weights = _kept_side(bound, length)
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
-    tuples = _seqs(length, bound)
-    while len((side := _side(islice(tuples, rows), length))[0]):
-        yield side
+    yield from _built_side(bound, length, rows)
 
 
 @lru_cache(maxsize=128)
 def _kept_side(bound: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Every sorted row of a side and its weights, read-only: every caller shares them; the 128 most recently used sides stay."""
-    side = _side(_seqs(length, bound), length)
+    side = next(_built_side(bound, length, _multisets(bound, length)))
     for part in side:
         part.setflags(write=False)
     return side
+
+
+def _built_side(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A side's sorted rows, column-major, and their weights, built anew ``rows`` at a time (see the module docstring).
+
+    A row's weight is n! over the factorials of its entries' multiplicities.
+    A side of at most one entry counts up a range (the empty side is one
+    empty row).  A longer one holds the tables of its two halves (each table
+    of two or more entries is the join of its own halves, built once) and
+    one block of their join.
+    """
+    n, dtype = _multisets(bound, length), np.int8 if bound < 128 else np.int64
+    if length < 2:
+        for start in range(0, n, rows):
+            entries = np.arange(start, min(start + rows, n), dtype=dtype)
+            yield entries[:, None][:, :length], np.ones(len(entries), np.int64)
+        return
+    ones = np.ones(bound, np.int64)
+    tables = {1: (np.arange(bound, dtype=dtype)[None], ones, ones, ones)}
+
+    def table(k: int) -> tuple[np.ndarray, ...]:
+        if k not in tables:
+            tables[k] = _join(table(k - k // 2), table(k // 2), 0, _multisets(bound, k))
+        return tables[k]
+
+    head, tail = table(length - length // 2), table(length // 2)
+    for start in range(0, n, rows):
+        cols, weights, _, _ = _join(head, tail, start, min(start + rows, n))
+        yield cols.T, weights
+
+
+def _join(head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, as a table.
+
+    A table is (cols, weights, front runs, back runs): its sorted rows, one
+    entry per row of ``cols``, each row's weight, and how many of its entries
+    equal its first and its last one.  The tail rows that may follow a head
+    row are those whose first entry is at least its last, a run at the end
+    of the sorted tail table, so the joined rows of consecutive head rows are
+    consecutive runs.  The joined weight is C(d+e, d) * w_head * w_tail over
+    C(r+s, r), where r is the head row's back run and s the tail row's front
+    run if it starts on the same value (else 0); the product before the
+    division is at most (d+e)!, so int64 is exact while (d+e)! < 2**63.
+    """
+    hcols, hweights, hfront, hback = head
+    tcols, tweights, tfront, tback = tail
+    d, e, nt = len(hcols), len(tcols), tcols.shape[1]
+    edges = np.zeros(hcols.shape[1] + 1, np.int64)  # where each head row's run begins, and the last one ends
+    np.cumsum(nt - np.searchsorted(tcols[0], hcols[-1]), out=edges[1:])
+    clipped = np.minimum(np.maximum(edges, start), stop)
+    i = np.repeat(np.arange(len(clipped) - 1), clipped[1:] - clipped[:-1])  # each row's head row
+    t = np.arange(start + nt, stop + nt) - edges[1:][i]  # and its tail row: every run ends on the tail's last row
+    cols = np.empty((d + e, stop - start), hcols.dtype)
+    np.take(hcols, i, axis=1, out=cols[:d], mode="clip")  # the indices are in range; "raise" would buffer the output
+    np.take(tcols, t, axis=1, out=cols[d:], mode="clip")
+    same = cols[d] == cols[d - 1]
+    s, r = tfront[t] * same, hback[i]
+    binomials = _binomials(d, e)
+    weights = comb(d + e, d) * hweights[i].astype(binomials.dtype, copy=False) * tweights[t] // binomials[r, s]
+    front, back = hfront[i], tback[t]
+    return cols, weights, front + s * (front == d), back + r * same * (back == e)
+
+
+@lru_cache(maxsize=128)
+def _binomials(d: int, e: int) -> np.ndarray:
+    """C(r+s, r) at [r, s] for r <= d and s <= e, in the dtype of a joined weight of d+e entries."""
+    wide = np.int64 if factorial(d + e) < 2**63 else object
+    return np.array([[comb(r + s, r) for s in range(e + 1)] for r in range(d + 1)], wide)
 
 
 def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndarray, np.ndarray]:
@@ -338,33 +412,18 @@ def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndar
 
     north[l, k, g, 0] packs the b-block's sorted candidates that may take the
     north edge at (k, l) on grid g, with zero pad bits.  Only the weights of
-    edges that exist are cast to int64: an empty side's channel may hold any int.
+    edges that exist are cast: an empty side's channel may hold any int.  An
+    east weight is cast to int64; a north weight is at most the b-side's
+    bound, the last node's v, so it takes the b-rows' own dtype and the
+    compare casts nothing.
     """
     p, q, nb = grids[0].p, grids[0].q, len(arr_b)
     flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in grids)))
     nodes = np.fromiter(flat, object).reshape(len(grids), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
     north = np.zeros((q, p + 1, len(grids), 1, 8 * -(-nb // 64)), dtype=np.uint8)
-    below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].astype(np.int64).transpose(1, 2, 0)[..., None, None]
+    below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].astype(arr_b.dtype).transpose(1, 2, 0)[..., None, None]
     north[..., : -(-nb // 8)] = np.packbits(below, axis=-1, bitorder="little")
     return nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1), north.view(np.uint64)
-
-
-def _side(tuples: Iterable[Seq], length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The given sorted tuples of one length, one per row, and each row's distinct rearrangements.
-
-    A row's weight is n! over the product of each entry's position in its
-    run: int64 while n! < 2**63, Python ints past it.
-    """
-    if length:
-        rows = np.fromiter(chain.from_iterable(tuples), dtype=np.int64).reshape(-1, length)
-    else:  # fromiter sees no entries in empty tuples, so count them
-        rows = np.zeros((sum(1 for _ in tuples), 0), dtype=np.int64)
-    col = np.arange(length)
-    new_run = np.ones(rows.shape, dtype=bool)
-    new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    run_start = np.maximum.accumulate(col * new_run, axis=1)
-    wide = np.int64 if factorial(length) < 2**63 else object
-    return rows, factorial(length) // (col + 1 - run_start).astype(wide).prod(axis=1)
 
 
 def _vector_reach(east, north, p: int, q: int):

@@ -477,14 +477,14 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
 
     calls, build = [], twodim.affine_weight_matrix
     monkeypatch.setattr(twodim, "affine_weight_matrix", lambda spec: calls.append(spec) or build(spec))
-    sides, build_side = [], oracle._side
+    sides, build_side = [], oracle._built_side
 
-    def side(tuples, length):
-        rows, weights = build_side(tuples, length)
-        sides.append((rows.shape, rows.tobytes()))
-        return rows, weights
+    def side(bound, length, rows):
+        for arr, weights in build_side(bound, length, rows):
+            sides.append((arr.shape, arr.tobytes()))
+            yield arr, weights
 
-    monkeypatch.setattr(oracle, "_side", side)
+    monkeypatch.setattr(oracle, "_built_side", side)
     sweeps, stacked = [], oracle._stacked_counts
     monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: sweeps.append(grids) or stacked(grids))
     oracle._counted.clear()

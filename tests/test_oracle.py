@@ -121,6 +121,20 @@ def test_enumerate_members_streams():
         assert peak < 2**20, spec
 
 
+def test_count_streams_a_one_entry_side():
+    # the 10**6 candidates of u = (10**6,) come in blocks counted up a range, at 0.27 MiB traced;
+    # building the side whole would hold 16 MB of rows and weights
+    oracle._counted.clear()
+    tracemalloc.start()
+    try:
+        total = oracle.count(FamilySpec("vector", u=(10**6,))).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 10**6
+    assert peak < 2**20
+
+
 def test_increasing_counts_match_distinct_multisets():
     for spec in SMALL_SPECS:
         if spec.increasing:
@@ -441,15 +455,57 @@ def _rearrangements(sorted_tuple: Seq) -> int:
     return total
 
 
+def _joined(blocks):
+    """The rows and weights of a side's blocks, concatenated."""
+    return (np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _table(rows):
+    """A join table of explicit sorted rows: columns, weights, and the runs of each row's first and last entry."""
+    runs = [[row.count(row[0]) for row in rows], [row.count(row[-1]) for row in rows]]
+    return np.array(rows, np.int8).T, np.array([_rearrangements(row) for row in rows]), *map(np.array, runs)
+
+
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 6, 20, 21])  # 20! < 2**63 < 21!
 def test_vectorised_weights_match_rearrangements(length):
     rows = list(combinations_with_replacement(range(5), length))
-    if length >= 20:
-        rows.append(tuple(range(length)))  # all distinct: the weight is length! itself
-    arr, weights = oracle._side(iter(rows), length)
+    arr, weights = _joined(oracle._built_side(5, length, 1000))
     assert arr.tolist() == [list(row) for row in rows]
     assert weights.tolist() == [_rearrangements(row) for row in rows]
     assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)  # int64 at its natural width
+    if length >= 20:  # all distinct: the weight is length! itself, the largest product a join forms
+        head, tail = _table([tuple(range(length // 2))]), _table([tuple(range(length // 2, length))])
+        cols, weights, _, _ = oracle._join(head, tail, 0, 1)
+        assert cols.T.tolist() == [list(range(length))]
+        assert weights.tolist() == [factorial(length)]
+        assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)
+
+
+@st.composite
+def side_shapes(draw):
+    """A side's (bound, length) of at most 20000 rows, and a block size from one row to past the whole side."""
+    bound = draw(st.integers(1, 12))
+    length = draw(st.integers(0, 22).filter(lambda length: comb(bound + length - 1, length) <= 20000))
+    return bound, length, draw(st.integers(max(1, comb(bound + length - 1, length) // 200), 2**12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(side_shapes())
+@example((12, 3, 5))  # fewer rows per block than the bound
+@example((2, 22, 1))  # one row per block, past 21!
+@example((3, 20, 7))  # 20!: int64 weights
+@example((3, 21, 50))  # 21!: Python-int weights
+@example((7, 1, 3))  # one entry per row, counted up a range
+def test_built_side_streams_sorted_rows_and_their_rearrangements(shape):
+    bound, length, rows = shape
+    blocks = list(oracle._built_side(bound, length, rows))
+    assert all(0 < len(arr) <= rows and len(arr) == len(weights) for arr, weights in blocks)
+    arr, weights = _joined(blocks)
+    want = list(combinations_with_replacement(range(bound), length))
+    assert arr.tolist() == [list(row) for row in want]
+    assert weights.tolist() == [_rearrangements(row) for row in want]
+    assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)
+    assert arr.dtype == np.int8
 
 
 @pytest.mark.parametrize("grid", [(0, 1, 1, 0, 1, 1, 21, 1), (0, 1, 1, 0, 1, 1, 1, 21)])
