@@ -101,6 +101,18 @@ _affine_values = itemgetter(*_AFFINE_KEYS)
 
 
 def _params_from_args(args) -> dict:
+    """Family parameters from the flags.  A family flag they are not read from is refused, except --u beside a whole
+    vector --s/--b/--n triple, which wins over it."""
+    params = _flag_params(args)
+    read = {"classical": "n", "vector": "s b n u" if "s" in params else "u", "pq": "p q"}
+    read = read.get(args.family, "matrix_file" if "weights" in params else "affine p q").split()
+    for flag in ("n", "u", "s", "b", "p", "q", "affine", "matrix_file"):
+        if flag not in read and getattr(args, flag) is not None:
+            raise ValueError(f"the {args.family} family takes no --{flag.replace('_', '-')}")
+    return params
+
+
+def _flag_params(args) -> dict:
     """Family parameters from the flags; for vector, --s/--b/--n wins over --u."""
     if args.family == "classical":
         if args.n is None:
@@ -407,11 +419,20 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if any(isinstance(value, list) for value in vars(args).values()):  # argparse reads "--flag=--" as []
-        parser.error("an option was given '--' as its value")
+    """Run one command and return its exit code.
+
+    Python's limit on the digits of an int<->str conversion (3.10.7 on) is
+    lifted while it runs, so exact integers of any length pass through flags,
+    JSON and output, and put back on return: ``main`` may run in-process.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if any(isinstance(value, list) for value in vars(args).values()):  # argparse reads "--flag=--" as []
+            parser.error("an option was given '--' as its value")
         return _COMMANDS[args.command](args)
     except SearchSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -419,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParkfnError, ValueError, argparse.ArgumentTypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

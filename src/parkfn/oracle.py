@@ -18,22 +18,25 @@ compare both routes.  A spec of at most one candidate tests it by predicate
 and sweeps no grid; a pq shape with an empty side gets no grid at all.
 
 A batch sweeps each distinct grid once.  The grids of one shape
-``(p, q, max_u, max_v)`` share both candidate sides, so they share one
-stacked sweep: each grid rides on the leading axis of one DP state, with its
-prime companion beside it when p >= 1.  The kernel sweeps only weakly
-increasing candidates and weighs each member by its rearrangements.  The
-b-candidates are packed 64 to a ``uint64`` word, so a state is a (grid x
-a-candidate x word) array: an east edge masks whole a-rows, a north edge
-ANDs in one packed b-row.  Both sides follow one block rule
-(``_side_blocks``): the b-candidates come in b-blocks of at most
-``_BLOCK_BITS`` rows, each built once per sweep, and against each b-block the
-a-candidates come in a-blocks of at most ``_BLOCK_BITS`` candidate pairs
-(a-rows x the b-block's padded bits) per stacked grid, each reduced before
-the next is built.  So memory is bounded by one block on each side however
-large the space and however many grids share it: a lone grid and its
-companion keep a full block's a-rows, a stack of g grids takes 1/g of them,
-and a group too large to leave each grid one a-row is swept one stack after
-another.  A side is built in numpy, never from Python tuples
+``(p, q, max_u, max_v)`` share both candidate sides, so each such group is
+swept as one stack, built once: every grid rides on the leading axis of one
+DP state, with its prime companion beside it when p >= 1.  The kernel sweeps
+only weakly increasing candidates and weighs each member by its
+rearrangements.  The b-candidates are packed 64 to a ``uint64`` word, so a
+state is a (grid x a-candidate x word) array: an east edge masks whole
+a-rows, a north edge ANDs in one packed b-row.  Both sides follow one block
+rule (``_side_blocks``): the b-candidates come in b-blocks of at most
+``_BLOCK_BITS`` rows, each built once per sweep and packed once for the whole
+stack, and against each b-block the a-candidates come in a-blocks of at most
+``_BLOCK_BITS`` candidate pairs (a-rows x the b-block's padded bits) summed
+over the group's grids, each reduced before the next is built.  So memory is
+bounded by one block on each side however large the space and however many
+grids share it: a lone grid and its companion keep a full block's a-rows,
+and a group of g grids 1/g of them.  A group too large for each grid to keep
+one a-row against a full b-block takes b-blocks of
+``64 * max(1, _BLOCK_BITS // (64 * g))`` rows instead; past
+``_BLOCK_BITS // 64`` grids, each holds one a-row and one word of b-bits.
+A side is built in numpy, never from Python tuples
 (``_built_side``): a one-entry side counts up a ``range`` a block at a time
 and pools nothing; a longer one is the sorted join (``_join``) of its two
 halves' tables, each table the join of its own halves, and is joined one
@@ -275,7 +278,7 @@ def _prime_companion(grid: WeightMatrix) -> WeightMatrix:
 # Packed grid kernel, vectorized over candidate pairs and stacked grids
 # ---------------------------------------------------------------------------
 
-_BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) per stacked grid in a block, at least one a-row
+_BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) over a group's grids in a block; a multiple of 64
 _ONES = np.uint64(2**64 - 1)
 _KEPT_GRIDS = 128
 _counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  # the last grids counted, oldest first
@@ -288,26 +291,25 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     the reduction.  Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the
     tests compare them, and ``is_u_prime``'s two methods.
     """
-    p, q, bu, bv = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v
+    p, q, bu, bv, g = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v, len(grids)
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
-    rows = max(1, _BLOCK_BITS // (64 * -(-min(_multisets(bv, q), _BLOCK_BITS) // 64)))  # a lone grid's a-rows per block
-    # [0, g] sums grid g's plain counts, [1, g] its prime counts (none when p is 0)
-    sums, pops = np.zeros((2, len(grids)), object), np.zeros((2, len(grids)), np.int64)
-    for arr_b, wb in _side_blocks(bv, q, _BLOCK_BITS):
+    stack = grids + [_prime_companion(grid) for grid in grids] if p else grids
+    # a full block, or the whole side, while each grid keeps an a-row against one; narrower for a larger group
+    b_rows = 64 * max(1, _BLOCK_BITS // (64 * g))
+    a_rows = max(1, _BLOCK_BITS // (64 * -(-min(_multisets(bv, q), b_rows) // 64)) // g)
+    # [:g] sums the grids' plain counts, [g:] their prime counts (none when p is 0)
+    sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
+    for arr_b, wb in _side_blocks(bv, q, b_rows):
         wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
-        for first in range(0, len(grids), rows):
-            chunk = grids[first : first + rows]
-            stack = chunk + [_prime_companion(grid) for grid in chunk] if p else chunk
-            east_bound, north = _packed_edges(arr_b, stack)
-            at = np.s_[: len(stack) // len(chunk), first : first + len(chunk)]
-            for arr_a, wa in _side_blocks(bu, p, rows // len(chunk)):
-                state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
-                # the pad bits past the b-block's last row are dropped here, never counted
-                bits = np.unpackbits(state.view(np.uint8), axis=-1, count=len(arr_b), bitorder="little")
-                sums[at] += (np.einsum("gij,j->gi", bits, wb) @ wa).reshape(-1, len(chunk))
-                pops[at] += bits.sum(axis=(1, 2), dtype=np.int64).reshape(-1, len(chunk))
-                del arr_a, wa, state, bits  # free this block first: a streamed side builds the next block when resumed
-    return list(zip(sums[0].tolist(), pops[0].tolist(), sums[1].tolist(), pops[1].tolist()))
+        east_bound, north = _packed_edges(arr_b, stack)
+        for arr_a, wa in _side_blocks(bu, p, a_rows):
+            state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
+            # the pad bits past the b-block's last row are dropped here, never counted
+            bits = np.unpackbits(state.view(np.uint8), axis=-1, count=len(arr_b), bitorder="little")
+            sums[: len(stack)] += np.einsum("gij,j->gi", bits, wb) @ wa
+            pops[: len(stack)] += bits.sum(axis=(1, 2), dtype=np.int64)
+            del arr_a, wa, state, bits  # free this block first: a streamed side builds the next block when resumed
+    return list(zip(sums[:g].tolist(), pops[:g].tolist(), sums[g:].tolist(), pops[g:].tolist()))
 
 
 def _multisets(bound: int, length: int) -> int:

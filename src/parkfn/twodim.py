@@ -243,7 +243,32 @@ def _meeting(sa: list[int], sb: list[int], rows, k: int, l: int) -> Optional[tup
 
 
 def count_affine_pf(spec: AffineWeightSpec) -> int:
-    """Number of pairs bounded by the affine grid.
+    """Number of pairs bounded by the affine grid."""
+    return _affine_count(spec, exact.power, 1)
+
+
+def count_affine_ipf(spec: AffineWeightSpec) -> int:
+    """Number of increasing pairs bounded by the affine grid."""
+    return _affine_count(spec, _rising, factorial(spec.p) * factorial(spec.q))
+
+
+def count_affine_ppf(spec: AffineWeightSpec) -> int:
+    """Number of prime pairs for the affine grid (p, q >= 1), with 0^0 = 1."""
+    return _affine_prime_count(spec, exact.power, 1)
+
+
+def count_affine_ippf(spec: AffineWeightSpec) -> int:
+    """Number of increasing prime pairs for the affine grid (p, q >= 1)."""
+    return _affine_prime_count(spec, _rising, factorial(spec.p) * factorial(spec.q))
+
+
+def _rising(x: int, n: int) -> int | Fraction:
+    """(x+1)^(n), the rising factorial that takes the place of x^n in the increasing counts."""
+    return exact.rising_factorial(x + 1, n)
+
+
+def _affine_count(spec: AffineWeightSpec, power, divisor: int) -> int:
+    """The pf form with x^n written ``power(x, n)``, divided by ``divisor``.
 
     Exact rationals handle the degenerate p = 0 or q = 0 reductions, where an
     exponent of -1 appears; p = q = 0 counts the single empty pair.
@@ -251,52 +276,19 @@ def count_affine_pf(spec: AffineWeightSpec) -> int:
     a, b, c, d, s, t, p, q = spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
     if p == 0 and q == 0:
         return 1
-    lead = s * t + t * b * q + s * c * p
-    return exact.as_integer(lead * exact.power(s + a * p + b * q, p - 1) * exact.power(t + c * p + d * q, q - 1))
+    value = (s * t + t * b * q + s * c * p) * power(s + a * p + b * q, p - 1) * power(t + c * p + d * q, q - 1)
+    return exact.as_integer(Fraction(value, divisor) if divisor > 1 else value)
 
 
-def count_affine_ipf(spec: AffineWeightSpec) -> int:
-    """Number of increasing pairs bounded by the affine grid."""
+def _affine_prime_count(spec: AffineWeightSpec, power, divisor: int) -> int:
+    """The ppf form with x^n written ``power(x, n)``, divided by ``divisor``."""
     a, b, c, d, s, t, p, q = spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
-    if p == 0 and q == 0:
-        return 1
-    value = (
-        (s * t + t * b * q + s * c * p)
-        * exact.rising_factorial(s + a * p + b * q + 1, p - 1)
-        * exact.rising_factorial(t + c * p + d * q + 1, q - 1)
-    )
-    return exact.as_integer(Fraction(value, factorial(p) * factorial(q)))
-
-
-def count_affine_ppf(spec: AffineWeightSpec) -> int:
-    """Number of prime pairs for the affine grid (p, q >= 1), with 0^0 = 1."""
-    a, b, c, d, s, t, p, q = _prime_params(spec)
-    x = a * p + b * (q - 1)
-    y = c * (p - 1) + d * q
-    return (
-        ((s + b * q - b) * (t + c * p - c) - b * c * p * q) * (s + x) ** (p - 1) * (t + y) ** (q - 1)
-        + b * (c * (p + q - 1) + t - t * q) * x ** (p - 1) * (t + y) ** (q - 1)
-        + c * (b * (p + q - 1) + s - s * p) * (s + x) ** (p - 1) * y ** (q - 1)
-        - b * c * (p + q - 1) * x ** (p - 1) * y ** (q - 1)
-    )
-
-
-def count_affine_ippf(spec: AffineWeightSpec) -> int:
-    """Number of increasing prime pairs for the affine grid (p, q >= 1)."""
-    a, b, c, d, s, t, p, q = _prime_params(spec)
-    x = a * p + b * (q - 1)
-    y = c * (p - 1) + d * q
-    rf = exact.rising_factorial
-    value = (
-        ((s + b * q - b) * (t + c * p - c) - b * c * p * q) * rf(s + x + 1, p - 1) * rf(t + y + 1, q - 1)
-        + b * (c * (p + q - 1) + t - t * q) * rf(x + 1, p - 1) * rf(t + y + 1, q - 1)
-        + c * (b * (p + q - 1) + s - s * p) * rf(s + x + 1, p - 1) * rf(y + 1, q - 1)
-        - b * c * (p + q - 1) * rf(x + 1, p - 1) * rf(y + 1, q - 1)
-    )
-    return exact.as_integer(Fraction(value, factorial(p) * factorial(q)))
-
-
-def _prime_params(spec: AffineWeightSpec):
-    if spec.p < 1 or spec.q < 1:
+    if p < 1 or q < 1:
         raise DegenerateGrid("prime counts need p, q >= 1")
-    return spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
+    x, y = a * p + b * (q - 1), c * (p - 1) + d * q
+    sx, x0, ty, y0 = power(s + x, p - 1), power(x, p - 1), power(t + y, q - 1), power(y, q - 1)
+    value = (
+        (((s + b * q - b) * (t + c * p - c) - b * c * p * q) * ty + c * (b * (p + q - 1) + s - s * p) * y0) * sx
+        + (b * (c * (p + q - 1) + t - t * q) * ty - b * c * (p + q - 1) * y0) * x0
+    )
+    return exact.as_integer(Fraction(value, divisor) if divisor > 1 else value)

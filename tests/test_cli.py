@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parkfn import pq, vector
 from parkfn.cli import main
 
 
@@ -378,6 +379,91 @@ def test_count_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PARKFN_SEARCH_CAP", "1000")
     code, out, _ = run_cli(capsys, ["count", "--family", "classical", "--n", "3", "--method", "oracle"])
     assert code == 0 and out == "16\n"
+
+
+_BIG = "1" + "0" * 4999  # past Python's default limit of 4300 digits for an int<->str conversion
+
+
+def _digits_limit():
+    """Python's int<->str digit limit; 0 (none) before 3.10.7."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@contextlib.contextmanager
+def _any_digits():
+    """The limit lifted, to compare long outputs in the test."""
+    limit = _digits_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--family", "classical", "--n", "3000", "--prime"], lambda: vector.count_ppf_arith(1, 1, 3000)),
+        (["--family", "pq", "--p", "1500", "--q", "1500"], lambda: pq.count_pq_pf(1500, 1500)),
+    ],
+    ids=["classical", "pq"],
+)
+def test_count_prints_a_formula_of_any_length(capsys, argv, expected):
+    limit = _digits_limit()
+    code, out, err = run_cli(capsys, ["count", *argv, "--method", "formula"])
+    assert _digits_limit() == limit  # put back on return: main may run in-process
+    with _any_digits():
+        assert (code, err, out) == (0, "", f"{expected()}\n") and len(out) > 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "classical", "--n", "3000", "--method", "oracle"],
+        ["list", "--family", "classical", "--n", "3000"],
+        ["count", "--family", "twodim", "--affine", "1,1,1,1,1,1", "--p", "1000", "--q", "1000", "--method", "oracle"],
+    ],
+    ids=["count", "list", "twodim"],
+)
+def test_a_space_of_any_length_exits_three(capsys, argv):
+    limit = _digits_limit()
+    code, out, err = run_cli(capsys, argv)
+    assert _digits_limit() == limit
+    assert (code, out) == (3, "") and re.fullmatch(r"error: [0-9]{4301,} candidates exceed the cap of 100000000\n", err)
+
+
+@pytest.mark.parametrize("route", ["flag", "env"])
+def test_a_cap_of_any_length_is_read(capsys, monkeypatch, route):
+    argv, limit = ["count", "--family", "classical", "--n", "3", "--method", "oracle"], _digits_limit()
+    if route == "flag":
+        argv += ["--cap", _BIG]
+    else:
+        monkeypatch.setenv("PARKFN_SEARCH_CAP", _BIG)
+    assert run_cli(capsys, argv) == (0, "16\n", "") and _digits_limit() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, family, flag",
+    [
+        (["count", "--family", "classical", "--n", "3", "--p", "7"], "classical", "--p"),
+        (["count", "--family", "classical", "--n", "3", "--p", "7", "--affine", "1,2"], "classical", "--p"),
+        (["list", "--family", "classical", "--n", "2", "--p", "4", "--u", "5"], "classical", "--u"),
+        (["count", "--family", "vector", "--u", "1,2", "--s", "1"], "vector", "--s"),
+        (["list", "--family", "vector", "--s", "1", "--b", "1", "--n", "2", "--q", "3"], "vector", "--q"),
+        (["count", "--family", "pq", "--p", "1", "--q", "1", "--n", "2", "--method", "oracle"], "pq", "--n"),
+        (["count", "--family", "twodim", "--affine", "0,0,0,0,1,1", "--p", "1", "--q", "1", "--s", "2"], "twodim", "--s"),
+        (["list", "--family", "twodim", "--matrix-file", "{grid}", "--p", "1"], "twodim", "--p"),
+        (["count", "--family", "twodim", "--matrix-file", "{grid}", "--affine", "0,0,0,0,1,1"], "twodim", "--affine"),
+    ],
+    ids=["classical-p", "classical-p-affine", "classical-p-u", "vector-u-s", "vector-triple-q", "pq-n", "affine-s",
+         "matrix-p", "matrix-affine"],
+)
+def test_count_and_list_refuse_a_flag_their_family_does_not_read(tmp_path, capsys, argv, family, flag):
+    grid = write_instance(tmp_path, {"p": 1, "q": 1, "nodes": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]}, "grid.json")
+    code, out, err = run_cli(capsys, [arg.format(grid=grid) for arg in argv])
+    assert (code, out, err) == (1, "", f"error: the {family} family takes no {flag}\n")
 
 
 def test_list_members(capsys):

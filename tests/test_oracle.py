@@ -266,12 +266,37 @@ def test_count_many_equals_lone_counts(specs, rng):
 
 
 def test_count_many_sweeps_a_group_larger_than_one_stack(monkeypatch):
-    # with 128-bit blocks a stack takes two grids of one word each, so a group of three takes two stacks
+    # with 128-bit blocks a lone grid keeps two a-rows of one word, fewer than a group of three needs: the group
+    # is still swept as one stack, in 64-row b-blocks, holding one a-row and one word per grid
     specs = _affine_specs((1, 0, 0, 1, 1, 1, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2), (0, 0, 0, 0, 3, 3, 2, 2))
     want = [_lone_count(spec) for spec in specs]
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 128)
     oracle._counted.clear()
     assert [report.count for report in oracle.count_many(specs)] == want
+
+
+def test_count_many_sweeps_a_large_group_as_one_stack_in_narrower_b_blocks(monkeypatch):
+    # with 256-bit blocks a lone grid keeps two a-rows against the 78-row b-side of two words, too few for three
+    # grids: the group takes 64-row b-blocks of one word, and each is packed once for its stack of six
+    specs = _affine_specs((1, 0, 1, 2, 1, 6, 2, 2), (0, 1, 2, 1, 1, 6, 2, 2), (0, 0, 0, 0, 3, 12, 2, 2))
+    want = [_lone_count(spec) for spec in specs]
+    packed_edges, side_blocks, stacks, b_rows = oracle._packed_edges, oracle._side_blocks, [], []
+
+    def spy_edges(arr_b, grids):
+        stacks.append((len(arr_b), len(grids)))
+        return packed_edges(arr_b, grids)
+
+    def spy_blocks(bound, length, rows):
+        if (bound, length) == (12, 2):  # the b-side: the a-side is (3, 2)
+            b_rows.append(rows)
+        return side_blocks(bound, length, rows)
+
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 256)
+    monkeypatch.setattr(oracle, "_packed_edges", spy_edges)
+    monkeypatch.setattr(oracle, "_side_blocks", spy_blocks)
+    oracle._counted.clear()
+    assert [report.count for report in oracle.count_many(specs)] == want
+    assert b_rows == [64] and stacks == [(64, 6), (14, 6)]
 
 
 def test_count_many_reports_share_their_group_sweep_time():
