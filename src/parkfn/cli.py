@@ -48,7 +48,7 @@ def _int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_int(part) for part in text.split(",")) if text else ()
+    return tuple(_int(part) for part in text.split(","))
 
 
 def _load_json(fh) -> object:
@@ -100,42 +100,34 @@ _AFFINE_KEYS = ("a", "b", "c", "d", "s", "t", "p", "q")
 _affine_values = itemgetter(*_AFFINE_KEYS)
 
 
-def _params_from_args(args) -> dict:
-    """Family parameters from the flags.  A family flag they are not read from is refused, except --u beside a whole
-    vector --s/--b/--n triple, which wins over it."""
-    params = _flag_params(args)
-    read = {"classical": "n", "vector": "s b n u" if "s" in params else "u", "pq": "p q"}
-    read = read.get(args.family, "matrix_file" if "weights" in params else "affine p q").split()
-    for flag in ("n", "u", "s", "b", "p", "q", "affine", "matrix_file"):
-        if flag not in read and getattr(args, flag) is not None:
+# The flag sets each family's parameters are read from, in order of preference.
+_FLAG_SETS = {"classical": (("n",),), "vector": (("s", "b", "n"), ("u",)), "pq": (("p", "q"),),
+              "twodim": (("matrix_file",), ("affine", "p", "q"))}
+
+
+def _params_from_args(args, sets: Sequence[tuple[str, ...]]) -> dict:
+    """Family parameters from the first flag set of ``sets`` that is given in full; any other family flag given is
+    refused.  With no sets, every family flag given is refused."""
+    family_flags = dict.fromkeys(flag for family in _FLAG_SETS.values() for flags in family for flag in flags)
+    given = {flag for flag in family_flags if getattr(args, flag, None) is not None}
+    read = next((flags for flags in sets if given.issuperset(flags)), ())
+    if sets and not read:
+        options = (" ".join(f"--{flag}" for flag in flags) for flags in sets)
+        raise ValueError(f"the {args.family} family needs {' or '.join(options).replace('_', '-')}")
+    for flag in family_flags:
+        if flag in given and flag not in read:
             raise ValueError(f"the {args.family} family takes no --{flag.replace('_', '-')}")
+    params = {flag: getattr(args, flag) for flag in read}
+    if "u" in params:
+        params["u"] = _parse_int_list(params["u"])
+    if "matrix_file" in params:
+        with open(params.pop("matrix_file"), "r", encoding="utf-8") as fh:
+            params["weights"] = twodim.WeightMatrix.from_json_dict(_load_json(fh))
+    if "affine" in params:
+        if len(coeffs := _parse_int_list(params.pop("affine"))) != 6:
+            raise ValueError(f"--affine takes six comma-separated weights a,b,c,d,s,t, got {len(coeffs)}")
+        params.update(zip(_AFFINE_KEYS, coeffs))
     return params
-
-
-def _flag_params(args) -> dict:
-    """Family parameters from the flags; for vector, --s/--b/--n wins over --u."""
-    if args.family == "classical":
-        if args.n is None:
-            raise ValueError("classical family needs --n")
-        return {"n": args.n}
-    if args.family == "vector":
-        if args.s is not None and args.b is not None and args.n is not None:
-            return {"s": args.s, "b": args.b, "n": args.n}
-        u = _parse_int_list(args.u or "")
-        if not u:
-            raise ValueError("vector family needs --u or the triple --s/--b/--n")
-        return {"u": u}
-    if args.family == "pq":
-        if args.p is None or args.q is None:
-            raise ValueError("pq family needs --p and --q")
-        return {"p": args.p, "q": args.q}
-    if args.matrix_file:
-        with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            return {"weights": twodim.WeightMatrix.from_json_dict(_load_json(fh))}
-    coeffs = _parse_int_list(args.affine or "")
-    if len(coeffs) != 6 or args.p is None or args.q is None:
-        raise ValueError("twodim family needs --matrix-file, or --affine a,b,c,d,s,t with --p and --q")
-    return dict(zip(_AFFINE_KEYS, coeffs + (args.p, args.q)))
 
 
 def _arith_u(s: int, b: int, n: int) -> tuple[int, ...]:
@@ -215,7 +207,10 @@ def _family_spec(family: str, variant: int, spec_kwargs: dict) -> FamilySpec:
 
 
 def _cmd_check(args) -> int:
+    """Grid flags are read only for a twodim instance that embeds no grid; in every other case they are refused."""
     data = _read_instance(args)
+    grid_from_flags = args.family == "twodim" and "U" not in data and "affine" not in data
+    params = _params_from_args(args, _FLAG_SETS["twodim"] if grid_from_flags else ())
     if args.family in ("classical", "vector"):
         a, u = _vector_instance(args.family, data)
         out: dict = {"member": vector.is_vector_pf(a, u), "prime": vector.is_prime_vector_pf(a, u)}
@@ -228,7 +223,6 @@ def _cmd_check(args) -> int:
         elif "affine" in data:
             grid = twodim.AffineWeightSpec.from_json_dict(data["affine"])
         else:
-            params = _params_from_args(args)
             grid = params["weights"] if "weights" in params else _affine(params)
         a, b = tuple(data["a"]), tuple(data["b"])
         # checked before an affine grid's (p+1)(q+1) nodes are built
@@ -263,8 +257,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    family, params, variant = args.family, _params_from_args(args), 2 * args.prime + args.increasing
+    family, params, variant = args.family, _params_from_args(args, _FLAG_SETS[args.family]), 2 * args.prime + args.increasing
     if args.method == "formula":
+        if args.cap is not None:
+            raise ValueError("count --method formula takes no --cap")
         print(_formula(family, variant, _FAMILIES[family].formula_args(params)))
     else:
         spec = _family_spec(family, variant, _FAMILIES[family].spec_kwargs(params))
@@ -273,7 +269,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    family, params = args.family, _params_from_args(args)
+    family, params = args.family, _params_from_args(args, _FLAG_SETS[args.family])
     spec = _family_spec(family, 2 * args.prime + args.increasing, _FAMILIES[family].spec_kwargs(params))
     for instance in oracle.enumerate_members(spec, cap=_resolve_cap(args)):
         _emit(dict(zip(("a", "b"), map(list, instance))))
@@ -376,35 +372,37 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_family_arguments(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    sub.add_argument("--family", required=True, choices=("classical", "vector", "pq", "twodim"))
-    sub.add_argument("--n", type=_int, help="length (classical, or arithmetic vector boundary)")
-    sub.add_argument("--u", help="comma-separated capacity vector, e.g. 1,2,4")
-    sub.add_argument("--s", type=_int, help="arithmetic boundary start u_i = s + b*i")
-    sub.add_argument("--b", type=_int, help="arithmetic boundary step")
-    sub.add_argument("--p", type=_int, help="pair shape p")
-    sub.add_argument("--q", type=_int, help="pair shape q")
-    sub.add_argument("--affine", help="six comma-separated affine weights a,b,c,d,s,t")
-    sub.add_argument("--matrix-file", help="JSON weight grid {p,q,nodes}")
-    sub.add_argument("--prime", action="store_true")
-    sub.add_argument("--increasing", action="store_true")
-    return sub
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each command registers only the options it reads; the groups it shares are written once, as parents."""
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=tuple(_FLAG_SETS))
+    instance = argparse.ArgumentParser(add_help=False, parents=[family])
+    instance.add_argument("--file", help="instance JSON (defaults to stdin)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--p", type=_int, help="pair shape p")
+    grid.add_argument("--q", type=_int, help="pair shape q")
+    grid.add_argument("--affine", help="six comma-separated affine weights a,b,c,d,s,t")
+    grid.add_argument("--matrix-file", help="JSON weight grid {p,q,nodes}")
+    counted = argparse.ArgumentParser(add_help=False, parents=[family, grid])
+    counted.add_argument("--n", type=_int, help="length (classical, or arithmetic vector boundary)")
+    counted.add_argument("--u", help="comma-separated capacity vector, e.g. 1,2,4")
+    counted.add_argument("--s", type=_int, help="arithmetic boundary start u_i = s + b*i")
+    counted.add_argument("--b", type=_int, help="arithmetic boundary step")
+    counted.add_argument("--prime", action="store_true")
+    counted.add_argument("--increasing", action="store_true")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=_int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
+
     parser = argparse.ArgumentParser(prog="parkfn", description="Parking-function toolkit: check, simulate, decompose, count, list, verify.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("check", "simulate", "decompose"):
-        _add_family_arguments(subs.add_parser(name)).add_argument("--file", help="instance JSON (defaults to stdin)")
-    count_p = _add_family_arguments(subs.add_parser("count"))
-    count_p.add_argument("--method", choices=("formula", "oracle"), default="formula")
-    list_p = _add_family_arguments(subs.add_parser("list"))
-    verify_p = subs.add_parser("verify")
+    subs.add_parser("check", parents=[instance, grid])
+    subs.add_parser("simulate", parents=[instance])
+    subs.add_parser("decompose", parents=[instance])
+    subs.add_parser("count", parents=[counted, capped]).add_argument("--method", choices=("formula", "oracle"), default="formula")
+    subs.add_parser("list", parents=[counted, capped])
+    verify_p = subs.add_parser("verify", parents=[capped])
     verify_p.add_argument("--suite", required=True)
     verify_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    for sub in (count_p, list_p, verify_p):
-        sub.add_argument("--cap", type=_int, help="candidate cap (overrides PARKFN_SEARCH_CAP)")
     return parser
 
 

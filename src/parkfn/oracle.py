@@ -72,6 +72,7 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial, prod
@@ -187,10 +188,11 @@ def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
     length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or past it too."""
     total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
+    # Decimal writes an int in full, where str() refuses one past Python's int/str digit limit
     if total > cap:
-        raise SearchSpaceTooLarge(f"{total} candidates exceed the cap of {cap}")
+        raise SearchSpaceTooLarge(f"{Decimal(total)} candidates exceed the cap of {Decimal(cap)}")
     if (total > sys.maxsize or not total) and (top := max(bound for length, bound in shapes if length)) > sys.maxsize:
-        raise SearchSpaceTooLarge(f"an entry bound of {top} exceeds {sys.maxsize}, the largest a sweep can pool")
+        raise SearchSpaceTooLarge(f"an entry bound of {Decimal(top)} exceeds {sys.maxsize}, the largest a sweep can pool")
     return total
 
 

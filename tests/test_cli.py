@@ -339,13 +339,6 @@ def test_count_vector_u_flag_detects_arithmetic(capsys):
 
 
 @pytest.mark.parametrize("method", ["formula", "oracle"])
-def test_count_vector_triple_wins_over_u(capsys, method):
-    argv = ["count", "--family", "vector", "--u", "1,1,4", "--s", "2", "--b", "1", "--n", "2", "--method", method]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0 and out == "8\n"
-
-
-@pytest.mark.parametrize("method", ["formula", "oracle"])
 @pytest.mark.parametrize(
     "family_args", [["--family", "classical"], ["--family", "vector", "--s", "1", "--b", "1"]], ids=["classical", "vector"]
 )
@@ -444,6 +437,9 @@ def test_a_cap_of_any_length_is_read(capsys, monkeypatch, route):
     assert run_cli(capsys, argv) == (0, "16\n", "") and _digits_limit() == limit
 
 
+_PLAIN_GRID = {"p": 1, "q": 1, "nodes": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]}
+
+
 @pytest.mark.parametrize(
     "argv, family, flag",
     [
@@ -451,19 +447,98 @@ def test_a_cap_of_any_length_is_read(capsys, monkeypatch, route):
         (["count", "--family", "classical", "--n", "3", "--p", "7", "--affine", "1,2"], "classical", "--p"),
         (["list", "--family", "classical", "--n", "2", "--p", "4", "--u", "5"], "classical", "--u"),
         (["count", "--family", "vector", "--u", "1,2", "--s", "1"], "vector", "--s"),
+        (["count", "--family", "vector", "--u", "1,1,4", "--s", "2", "--b", "1", "--n", "2"], "vector", "--u"),
+        (["count", "--family", "vector", "--u", "1,1,4", "--s", "2", "--b", "1", "--n", "2", "--method", "oracle"], "vector", "--u"),
         (["list", "--family", "vector", "--s", "1", "--b", "1", "--n", "2", "--q", "3"], "vector", "--q"),
         (["count", "--family", "pq", "--p", "1", "--q", "1", "--n", "2", "--method", "oracle"], "pq", "--n"),
         (["count", "--family", "twodim", "--affine", "0,0,0,0,1,1", "--p", "1", "--q", "1", "--s", "2"], "twodim", "--s"),
         (["list", "--family", "twodim", "--matrix-file", "{grid}", "--p", "1"], "twodim", "--p"),
         (["count", "--family", "twodim", "--matrix-file", "{grid}", "--affine", "0,0,0,0,1,1"], "twodim", "--affine"),
     ],
-    ids=["classical-p", "classical-p-affine", "classical-p-u", "vector-u-s", "vector-triple-q", "pq-n", "affine-s",
-         "matrix-p", "matrix-affine"],
+    ids=["classical-p", "classical-p-affine", "classical-p-u", "vector-u-s", "vector-triple-u-formula",
+         "vector-triple-u-oracle", "vector-triple-q", "pq-n", "affine-s", "matrix-p", "matrix-affine"],
 )
 def test_count_and_list_refuse_a_flag_their_family_does_not_read(tmp_path, capsys, argv, family, flag):
-    grid = write_instance(tmp_path, {"p": 1, "q": 1, "nodes": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]}, "grid.json")
+    grid = write_instance(tmp_path, _PLAIN_GRID, "grid.json")
     code, out, err = run_cli(capsys, [arg.format(grid=grid) for arg in argv])
     assert (code, out, err) == (1, "", f"error: the {family} family takes no {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["--family", "classical"], "--n"),
+        (["--family", "vector", "--s", "1", "--b", "1"], "--s --b --n or --u"),
+        (["--family", "pq", "--p", "1"], "--p --q"),
+        (["--family", "twodim", "--affine", "0,0,0,0,1,1", "--q", "1"], "--matrix-file or --affine --p --q"),
+    ],
+    ids=["classical", "vector", "pq", "twodim"],
+)
+def test_count_names_the_flag_sets_a_family_is_read_from(capsys, argv, needs):
+    family = argv[1]
+    assert run_cli(capsys, ["count", *argv]) == (1, "", f"error: the {family} family needs {needs}\n")
+
+
+@pytest.mark.parametrize("affine", ["", "1,2", "0,0,0,0,1,1,1"])
+def test_count_needs_six_affine_weights(capsys, affine):
+    code, out, err = run_cli(capsys, ["count", "--family", "twodim", f"--affine={affine}", "--p", "1", "--q", "1"])
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, instance, message",
+    [
+        (["check", "--family", "classical", "--p", "7", "--affine", "1,2"], {"a": [0, 0]}, "the classical family takes no --p"),
+        (["check", "--family", "vector", "--q", "1"], {"a": [0], "u": [1]}, "the vector family takes no --q"),
+        (["check", "--family", "pq", "--p", "1", "--q", "1"], {"a": [0], "b": [0]}, "the pq family takes no --p"),
+        (["check", "--family", "twodim", "--p", "1", "--q", "1"], {"a": [0], "b": [0], "U": _PLAIN_GRID}, "the twodim family takes no --p"),
+        (["check", "--family", "twodim", "--matrix-file", "nope.json"],
+         {"a": [0], "b": [0], "affine": {"a": 0, "b": 0, "c": 0, "d": 0, "s": 1, "t": 1, "p": 1, "q": 1}},
+         "the twodim family takes no --matrix-file"),
+        (["count", "--family", "classical", "--n", "3", "--cap", "1"], None, "count --method formula takes no --cap"),
+    ],
+    ids=["check-classical", "check-vector", "check-pq", "check-embedded-U", "check-embedded-affine", "count-formula-cap"],
+)
+def test_a_flag_the_command_does_not_read_exits_one(capsys, monkeypatch, argv, instance, message):
+    if instance is not None:
+        monkeypatch.setattr("sys.stdin", _FakeStdin(json.dumps(instance)))
+    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "decompose"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "9"], ["--u", "1,2"], ["--s", "1"], ["--b", "1"], ["--p", "1"], ["--q", "1"], ["--affine", "0,0,0,0,1,1"],
+     ["--matrix-file", "nope.json"], ["--prime"], ["--increasing"]],
+    ids=lambda flags: flags[0],
+)
+def test_an_option_the_command_never_takes_exits_two(capsys, monkeypatch, command, flags):
+    monkeypatch.setattr("sys.stdin", _FakeStdin(json.dumps({"a": [0], "u": [1]})))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "classical", *flags])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "") and f"unrecognized arguments: {flags[0]}" in captured.err
+
+
+def _options_in_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return sorted(set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"})
+
+
+def test_each_command_registers_only_the_options_it_reads(capsys):
+    options = {command: _options_in_help(capsys, command) for command in ("check", "simulate", "decompose", "count", "list", "verify")}
+    family, grid = ["--family"], ["--affine", "--matrix-file", "--p", "--q"]
+    counted = family + grid + ["--b", "--cap", "--increasing", "--n", "--prime", "--s", "--u"]
+    assert options == {
+        "check": sorted(family + grid + ["--file"]),
+        "simulate": ["--family", "--file"],
+        "decompose": ["--family", "--file"],
+        "count": sorted(counted + ["--method"]),
+        "list": sorted(counted),
+        "verify": ["--cap", "--format", "--suite"],
+    }
 
 
 def test_list_members(capsys):
@@ -694,7 +769,10 @@ _GRID_OBJECTS = st.dictionaries(st.sampled_from([*"abcdstpq", "nodes"]), _JSON_V
     | _JSON_VALUES,
 )
 def test_fuzzed_instances_exit_zero_or_one(command, family, instance):
-    argv = [command, "--family", family, "--affine", "0,1,1,0,1,1", "--p", "2", "--q", "2"]
+    # only check takes grid flags, and reads them only for a twodim instance that embeds no grid
+    argv = [command, "--family", family]
+    if (command, family) == ("check", "twodim") and not (isinstance(instance, dict) and {"U", "affine"} & instance.keys()):
+        argv += ["--affine", "0,1,1,0,1,1", "--p", "2", "--q", "2"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sys.stdin", _FakeStdin(json.dumps(instance)))
         mp.setattr("sys.stdout", io.StringIO())

@@ -1,0 +1,57 @@
+"""The prime closed forms checked against the pf closed forms through the paper's unique decomposition into primes.
+
+Every member splits uniquely into a prime first component and a remainder.
+For a vector family with arithmetic boundary u_i = s + b*i, ``decompose``
+rebases every component after the first to the boundary (b, 2b, ...), so
+the remainder of a length-n member whose first component has m cars is a
+member of the (b, b, n - m) family; the labelled count picks the first
+component's cars with C(n, m), the increasing one has a single choice.
+For increasing pq pairs the first component has any shape (i, j) other
+than (0, 0) and the remainder is an increasing pair of shape (p - i, q - j).
+
+These identities relate one closed form to another and use no oracle, so
+they reach sizes no sweep does, and a wrong ppf form beside a right pf form
+cannot pass them.
+"""
+
+from functools import cache
+from math import comb
+
+import pytest
+
+from parkfn import pq, vector
+
+_pf, _ipf = cache(vector.count_pf_arith), cache(vector.count_ipf_arith)
+_ppf, _ippf = cache(vector.count_ppf_arith), cache(vector.count_ippf_arith)
+_pq_ipf, _pq_ippf = cache(pq.count_pq_ipf), cache(pq.count_pq_ippf)
+
+
+def _remainders(count, b: int, n: int) -> int:
+    """count(b, b, n): the members a remainder of n cars can be, with one (empty) remainder when n = 0."""
+    return count(b, b, n) if n else 1
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+@pytest.mark.parametrize("b", range(1, 5))
+def test_vector_pf_is_the_sum_over_prime_first_components(s, b):
+    for n in range(1, 41):
+        total = sum(comb(n, m) * _ppf(s, b, m) * _remainders(_pf, b, n - m) for m in range(1, n + 1))
+        assert total == _pf(s, b, n), (s, b, n)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+@pytest.mark.parametrize("b", range(1, 5))
+def test_vector_ipf_is_the_sum_over_prime_first_components(s, b):
+    for n in range(1, 41):
+        total = sum(_ippf(s, b, m) * _remainders(_ipf, b, n - m) for m in range(1, n + 1))
+        assert total == _ipf(s, b, n), (s, b, n)
+
+
+def _nonempty_shapes(p: int, q: int):
+    return ((i, j) for i in range(p + 1) for j in range(q + 1) if (i, j) != (0, 0))
+
+
+def test_pq_ipf_is_the_sum_over_prime_first_components():
+    for p, q in _nonempty_shapes(39, 39):
+        total = sum(_pq_ippf(i, j) * _pq_ipf(p - i, q - j) for i, j in _nonempty_shapes(p, q))
+        assert total == _pq_ipf(p, q), (p, q)

@@ -1,6 +1,8 @@
 """Brute-force oracle: enumeration order, count consistency, bounds, exact reduction."""
 
+import contextlib
 import random
+import sys
 import tracemalloc
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
@@ -203,6 +205,41 @@ def test_twodim_row_grids_with_zero_weights_count_their_members(row):
         spec = FamilySpec("twodim", increasing=increasing, weights=grid)
         oracle._counted.clear()
         assert oracle.count(spec).count == len(list(oracle.enumerate_members(spec))), spec
+
+
+@contextlib.contextmanager
+def _int_max_str_digits(limit):
+    """Python's int/str digit limit set to ``limit`` (0: none), and put back."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_HUGE_BOUND_GRID = twodim.WeightMatrix(1, 1, (((0, 0), (0, 0)), ((0, 0), (10**5000, 1))))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before Python 3.10.7")
+@pytest.mark.parametrize(
+    "spec, cap, message",
+    [
+        (FamilySpec("classical", n=3000), None, lambda: f"{3000**3000} candidates exceed the cap of 100000000"),
+        (FamilySpec("classical", n=3000), 10**4400, lambda: f"{3000**3000} candidates exceed the cap of {10**4400}"),
+        (FamilySpec("twodim", weights=_HUGE_BOUND_GRID), 10**6000,
+         lambda: f"an entry bound of {10**5000} exceeds {sys.maxsize}, the largest a sweep can pool"),
+    ],
+    ids=["space", "cap", "entry-bound"],
+)
+def test_a_space_error_of_any_length_is_search_space_too_large(spec, cap, message):
+    # under the default limit of 4300 digits, where str() refuses these ints, the message is still the unlimited one
+    with _int_max_str_digits(0):
+        expected = message()
+    with _int_max_str_digits(4300), pytest.raises(SearchSpaceTooLarge) as exc:
+        oracle.count(spec, cap=cap)
+    with _int_max_str_digits(0):
+        assert str(exc.value) == expected
 
 
 def test_count_many_checks_every_cap_before_counting(monkeypatch):
