@@ -373,7 +373,8 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each command registers only the options it reads; the groups it shares are written once, as parents."""
+    """Each command registers only the options it reads, and its handler as ``run``; the groups it shares are written
+    once, as parents."""
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", required=True, choices=tuple(_FLAG_SETS))
     instance = argparse.ArgumentParser(add_help=False, parents=[family])
@@ -395,25 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="parkfn", description="Parking-function toolkit: check, simulate, decompose, count, list, verify.")
     subs = parser.add_subparsers(dest="command", required=True)
-    subs.add_parser("check", parents=[instance, grid])
-    subs.add_parser("simulate", parents=[instance])
-    subs.add_parser("decompose", parents=[instance])
-    subs.add_parser("count", parents=[counted, capped]).add_argument("--method", choices=("formula", "oracle"), default="formula")
-    subs.add_parser("list", parents=[counted, capped])
+    subs.add_parser("check", parents=[instance, grid]).set_defaults(run=_cmd_check)
+    subs.add_parser("simulate", parents=[instance]).set_defaults(run=_cmd_simulate)
+    subs.add_parser("decompose", parents=[instance]).set_defaults(run=_cmd_decompose)
+    count_p = subs.add_parser("count", parents=[counted, capped])
+    count_p.add_argument("--method", choices=("formula", "oracle"), default="formula")
+    count_p.set_defaults(run=_cmd_count)
+    subs.add_parser("list", parents=[counted, capped]).set_defaults(run=_cmd_list)
     verify_p = subs.add_parser("verify", parents=[capped])
     verify_p.add_argument("--suite", required=True)
     verify_p.add_argument("--format", choices=("csv", "json"), default="csv")
+    verify_p.set_defaults(run=_cmd_verify)
     return parser
-
-
-_COMMANDS = {
-    "check": _cmd_check,
-    "simulate": _cmd_simulate,
-    "decompose": _cmd_decompose,
-    "count": _cmd_count,
-    "list": _cmd_list,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -431,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if any(isinstance(value, list) for value in vars(args).values()):  # argparse reads "--flag=--" as []
             parser.error("an option was given '--' as its value")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SearchSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -8,6 +8,7 @@ are immutable, so everything here is safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -21,6 +22,14 @@ class Point(NamedTuple):
     y: int
 
 
+def shown(value: object) -> str:
+    """``repr(value)``, but each int in it (or in its nested tuples) written through Decimal, which writes an int in
+    full where ``str`` refuses one past Python's int/str digit limit."""
+    if type(value) is tuple:
+        return f"({', '.join(map(shown, value))}{',' if len(value) == 1 else ''})"
+    return str(Decimal(value)) if type(value) is int else repr(value)
+
+
 def as_seq(entries: Iterable[int]) -> Seq:
     """The entries as a tuple, if every one is a non-negative ``int``.
 
@@ -29,7 +38,7 @@ def as_seq(entries: Iterable[int]) -> Seq:
     out = tuple(entries)
     for e in out:
         if type(e) is not int or e < 0:
-            raise ValueError(f"sequence entries must be non-negative integers, got {out!r}")
+            raise ValueError(f"sequence entries must be non-negative integers, got {shown(out)}")
     return out
 
 
@@ -51,12 +60,12 @@ def order_statistics(s: Sequence[int]) -> Seq:
 
 
 def stable_sort_indices(s: Sequence[int]) -> tuple[int, ...]:
-    """Original indices of ``s`` sorted by value, ties kept in index order.
+    """Original indices of ``s`` sorted by value, ties kept in index order (the sort is stable).
 
     Entry ``r`` is the index whose value is the r-th order statistic; this is
     the normative tie-breaking for every decomposition here.
     """
-    return tuple(sorted(range(len(s)), key=lambda i: (s[i], i)))
+    return tuple(sorted(range(len(s)), key=s.__getitem__))
 
 
 def take(seq: Seq, indices: Sequence[int], shift: int) -> tuple[Seq, frozenset[int]]:

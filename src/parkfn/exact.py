@@ -1,29 +1,24 @@
 """Arbitrary-precision combinatorics primitives for the counting formulas.
 
-Only x^(-n), x^(-1) and a closed form's final division (never ``/`` on ints)
-go through ``fractions.Fraction``; the result is asserted integral.  Every
-count in this package is an exact integer, so a non-integral result always
-signals a bug or a misapplied formula.
+Binomials are ``math.comb``, for n, k >= 0 only: every closed form checks
+its sizes before it takes one.  Only x^(-n), x^(-1) and a closed form's
+final division (never ``/`` on ints) go through ``fractions.Fraction``; the
+result is asserted integral.  Every count in this package is an exact
+integer, so a non-integral result always signals a bug or a misapplied
+formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import ConventionUndefined, NonIntegralResult, ZeroToNegative
 
 
 def binomial(n: int, k: int) -> int:
-    """Generalized binomial coefficient C(n, k) = n(n-1)...(n-k+1) / k!.
-
-    ``n`` may be negative (falling-factorial definition); ``k`` must be >= 0.
-    """
-    if k < 0:
-        raise ValueError("binomial: k must be non-negative")
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - i + 1) // i
-    return result
+    """Binomial coefficient C(n, k) for ints n, k >= 0, 0 when k > n; a negative n or k raises ValueError."""
+    return comb(n, k)
 
 
 def rising_factorial(x: int, n: int) -> int | Fraction:

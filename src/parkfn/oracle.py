@@ -72,7 +72,6 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial, prod
@@ -80,7 +79,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import Seq
+from .core import Seq, shown
 from .errors import SearchSpaceTooLarge
 from .pq import PQPair, is_pq_pf, is_pq_prime, u0_matrix
 from .twodim import WeightMatrix, is_u_pf, is_u_prime, prime_weight_transform
@@ -112,29 +111,29 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if type(self.prime) is not bool or type(self.increasing) is not bool:
-            raise ValueError(f"prime and increasing must be bools, got {self.prime!r}, {self.increasing!r}")
+            raise ValueError(f"prime and increasing must be bools, got {shown(self.prime)}, {shown(self.increasing)}")
         reads = {"classical": ("n",), "vector": ("u",), "pq": ("p", "q"), "twodim": ("weights",)}.get(self.family, ())
         if (self.n, self.u, self.p, self.q, self.weights).count(None) != 5 - len(reads):  # scan only when more or fewer fields are set than it reads
             for field in ("n", "u", "p", "q", "weights"):
                 if field not in reads and getattr(self, field) is not None:
-                    raise ValueError(f"the {self.family} family takes no {field}, got {getattr(self, field)!r}")
+                    raise ValueError(f"the {self.family} family takes no {field}, got {shown(getattr(self, field))}")
         if self.family == "classical":
             if type(self.n) is not int or self.n < 1:
-                raise ValueError(f"classical family needs an int n >= 1, got {self.n!r}")
+                raise ValueError(f"classical family needs an int n >= 1, got {shown(self.n)}")
         elif self.family == "vector":
             if self.u is None:
                 raise ValueError("vector family needs a capacity vector u")
             object.__setattr__(self, "u", validate_capacity(self.u))
         elif self.family == "pq":
             if type(self.p) is not int or type(self.q) is not int or self.p < 0 or self.q < 0:
-                raise ValueError(f"pq family needs ints p, q >= 0, got {self.p!r}, {self.q!r}")
+                raise ValueError(f"pq family needs ints p, q >= 0, got {shown(self.p)}, {shown(self.q)}")
         elif self.family == "twodim":
             if not isinstance(self.weights, WeightMatrix):
-                raise ValueError(f"twodim family needs a WeightMatrix, got {self.weights!r}")
+                raise ValueError(f"twodim family needs a WeightMatrix, got {shown(self.weights)}")
             if self.prime and (self.weights.p < 1 or self.weights.q < 1):
                 raise ValueError("twodim primeness needs p, q >= 1")
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {shown(self.family)}")
 
 
 @dataclass(frozen=True)
@@ -188,11 +187,10 @@ def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
     length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or past it too."""
     total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
-    # Decimal writes an int in full, where str() refuses one past Python's int/str digit limit
     if total > cap:
-        raise SearchSpaceTooLarge(f"{Decimal(total)} candidates exceed the cap of {Decimal(cap)}")
+        raise SearchSpaceTooLarge(f"{shown(total)} candidates exceed the cap of {shown(cap)}")
     if (total > sys.maxsize or not total) and (top := max(bound for length, bound in shapes if length)) > sys.maxsize:
-        raise SearchSpaceTooLarge(f"an entry bound of {Decimal(top)} exceeds {sys.maxsize}, the largest a sweep can pool")
+        raise SearchSpaceTooLarge(f"an entry bound of {shown(top)} exceeds {sys.maxsize}, the largest a sweep can pool")
     return total
 
 

@@ -31,7 +31,7 @@ from .core import (
     weakly_above,
 )
 from .errors import InconsistentDecomposition, NotParkingFunction
-from .twodim import WeightMatrix, _meeting
+from .twodim import AffineWeightSpec, WeightMatrix, _meeting, affine_weight_matrix
 
 
 @dataclass(frozen=True)
@@ -215,27 +215,14 @@ def compose_pq(d: PQPrimeDecomposition) -> PQPair:
 
 @lru_cache(maxsize=128, typed=True)
 def u0_matrix(p: int, q: int) -> WeightMatrix:
-    """Grid with node (k, l) weighing (l+1, k+1); its members are the (p,q) pairs.
+    """U0, the affine grid (0,1,1,0,1,1): node (k, l) weighs (l+1, k+1); its members are the (p,q) pairs.
 
-    Its nodes are positive ints, weakly increasing in k and l, so only p and
-    q need a check.  The grid is immutable, so the 128 most recent are kept
-    and handed out again: the oracle asks for one per pq count.
+    ``AffineWeightSpec`` refuses sizes that are not ints >= 0.  The grid is
+    immutable, so the 128 most recent are kept and handed out again: the
+    oracle asks for one per pq count.  Its prime transform (``(l, k)`` off
+    the axes, ``(1, 1)`` on them) has the prime (p,q) pairs as its members.
     """
-    if type(p) is not int or type(q) is not int or p < 0 or q < 0:
-        raise ValueError(f"grid dimensions must be ints >= 0, got {p!r}, {q!r}")
-    rows = tuple(tuple((l + 1, k + 1) for k in range(p + 1)) for l in range(q + 1))
-    return WeightMatrix._unchecked(p, q, rows)
-
-
-def u0_prime_matrix(p: int, q: int) -> WeightMatrix:
-    """Grid with node (k, l) weighing (l, k) off the axes and (1, 1) on them.
-
-    Its members are exactly the prime (p,q) pairs when p, q >= 1.
-    """
-    rows = tuple(
-        tuple((l, k) if k >= 1 and l >= 1 else (1, 1) for k in range(p + 1)) for l in range(q + 1)
-    )
-    return WeightMatrix(p, q, rows)
+    return affine_weight_matrix(AffineWeightSpec(0, 1, 1, 0, 1, 1, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +230,12 @@ def u0_prime_matrix(p: int, q: int) -> WeightMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _check_pq(p: int, q: int) -> None:
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be non-negative")
+def _check_pq(p: int, q: int, least: int = 0) -> None:
+    """p and q must be ints (not bools) of at least ``least``: 0, or 1 for the summation form."""
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"p and q must be ints, got {type(p).__name__}, {type(q).__name__}")
+    if p < least or q < least:
+        raise ValueError("the summation form needs p, q >= 1" if least else "p and q must be non-negative")
 
 
 def count_pq_pf(p: int, q: int) -> int:
@@ -293,8 +283,7 @@ def count_pq_ppf_sum(p: int, q: int) -> int:
         i < p, j = q:  C(p,i) (q-1)^(p-i)
         i = p, j = q:  1
     """
-    if p < 1 or q < 1:
-        raise ValueError("the summation form needs p, q >= 1")
+    _check_pq(p, q, least=1)
     total = 0
     for i in range(1, p + 1):
         for j in range(1, q + 1):

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from . import exact
-from .core import LatticePath, Seq, as_seq, json_ints
+from .core import LatticePath, Seq, as_seq, json_ints, shown
 from .errors import DegenerateGrid, DimensionMismatch, NonMonotoneWeights
 
 
@@ -38,16 +38,16 @@ class WeightMatrix:
 
     def __post_init__(self) -> None:
         if type(self.p) is not int or type(self.q) is not int:
-            raise ValueError(f"grid dimensions must be ints, got {self.p!r}, {self.q!r}")
+            raise ValueError(f"grid dimensions must be ints, got {shown(self.p)}, {shown(self.q)}")
         if self.p < 0 or self.q < 0:
             raise ValueError("grid dimensions must be non-negative")
         if len(self.rows) != self.q + 1 or any(len(r) != self.p + 1 for r in self.rows):
-            raise ValueError(f"weight grid must be ({self.p + 1}) x ({self.q + 1})")
+            raise ValueError(f"weight grid must be ({shown(self.p + 1)}) x ({shown(self.q + 1)})")
         for l in range(self.q + 1):
             for k in range(self.p + 1):
                 uu, vv = self.rows[l][k]
                 if type(uu) is not int or type(vv) is not int:  # the oracle kernel casts nodes to int64
-                    raise ValueError(f"weights must be ints, got ({uu!r}, {vv!r}) at ({k},{l})")
+                    raise ValueError(f"weights must be ints, got {shown((uu, vv))} at ({k},{l})")
                 if uu < 0 or vv < 0:
                     raise ValueError("weights must be non-negative")
                 if k > 0 and (uu < self.rows[l][k - 1][0] or vv < self.rows[l][k - 1][1]):
@@ -102,7 +102,7 @@ class AffineWeightSpec:
     def __post_init__(self) -> None:
         values = (self.a, self.b, self.c, self.d, self.s, self.t, self.p, self.q)
         if any(type(x) is not int for x in values):
-            raise ValueError(f"affine weight parameters must be ints, got {values!r}")
+            raise ValueError(f"affine weight parameters must be ints, got {shown(values)}")
         if min(values) < 0:
             raise ValueError("affine weight parameters must be non-negative")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
-from .core import Point, Seq, as_seq, place, stable_sort_indices, take
+from .core import Point, Seq, as_seq, place, shown, stable_sort_indices, take
 from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunction
 
 
@@ -25,9 +25,9 @@ def validate_capacity(u: Sequence[int]) -> Seq:
     if not out:
         raise ValueError("capacity vector must be non-empty")
     if out[0] < 1:
-        raise ValueError(f"capacity entries must be >= 1, got {out}")
+        raise ValueError(f"capacity entries must be >= 1, got {shown(out)}")
     if any(out[i] > out[i + 1] for i in range(len(out) - 1)):
-        raise ValueError(f"capacity vector must be weakly increasing, got {out}")
+        raise ValueError(f"capacity vector must be weakly increasing, got {shown(out)}")
     return out
 
 
@@ -191,7 +191,9 @@ def compose(d: VectorPrimeDecomposition) -> tuple[Seq, Seq]:
 
 
 def _check_arith(s: int, b: int, n: int) -> None:
-    """The boundary must be a valid capacity vector, as ``validate_capacity`` asks."""
+    """The sizes must be ints (not bools), and the boundary a valid capacity vector, as ``validate_capacity`` asks."""
+    if any(type(x) is not int for x in (s, b, n)):
+        raise ValueError(f"s, b and n must be ints, got {type(s).__name__}, {type(b).__name__}, {type(n).__name__}")
     if s < 1:
         raise ValueError("the arithmetic boundary needs s >= 1")
     if b < 0 or n < 1:

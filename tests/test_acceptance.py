@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, product
 from parkfn import cli, exact, oracle, pq, twodim, vector
 from parkfn.core import Point, common_points
 from parkfn.oracle import FamilySpec
-from parkfn.pq import PQPair, u0_matrix, u0_prime_matrix
+from parkfn.pq import PQPair, u0_matrix
 from parkfn.twodim import AffineWeightSpec, affine_weight_matrix
 
 
@@ -114,7 +114,7 @@ def test_criterion_5_structural_equivalences():
         for p in range(5):
             for q in range(5):
                 grid = u0_matrix(p, q)
-                grid_prime = u0_prime_matrix(p, q) if p >= 1 and q >= 1 else None
+                grid_prime = twodim.prime_weight_transform(grid) if p >= 1 and q >= 1 else None
                 for a in product(range(q + 1), repeat=p):
                     for b in product(range(p + 1), repeat=q):
                         pair = PQPair(a, b)

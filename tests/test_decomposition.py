@@ -11,7 +11,13 @@ than (0, 0) and the remainder is an increasing pair of shape (p - i, q - j).
 
 These identities relate one closed form to another and use no oracle, so
 they reach sizes no sweep does, and a wrong ppf form beside a right pf form
-cannot pass them.
+cannot pass them.  At b = 0 the remainder is always empty: every member is
+prime, so pf = ppf and ipf = ippf.
+
+The same goes for the families the paper states apart from its
+two-dimensional one: the pq forms are the affine forms on U0, the affine
+grid (0,1,1,0,1,1), and a vector family with arithmetic boundary is the
+affine family on the one-row grid (b,0,0,0,s,t) with q = 0, for any t.
 """
 
 from functools import cache
@@ -19,7 +25,8 @@ from math import comb
 
 import pytest
 
-from parkfn import pq, vector
+from parkfn import pq, twodim, vector
+from parkfn.twodim import AffineWeightSpec
 
 _pf, _ipf = cache(vector.count_pf_arith), cache(vector.count_ipf_arith)
 _ppf, _ippf = cache(vector.count_ppf_arith), cache(vector.count_ippf_arith)
@@ -55,3 +62,35 @@ def test_pq_ipf_is_the_sum_over_prime_first_components():
     for p, q in _nonempty_shapes(39, 39):
         total = sum(_pq_ippf(i, j) * _pq_ipf(p - i, q - j) for i, j in _nonempty_shapes(p, q))
         assert total == _pq_ipf(p, q), (p, q)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_vector_forms_at_b_zero_count_only_primes(s):
+    for n in range(1, 41):
+        assert _pf(s, 0, n) == _ppf(s, 0, n) and _ipf(s, 0, n) == _ippf(s, 0, n), (s, n)
+
+
+_PQ_AND_AFFINE = [
+    (pq.count_pq_pf, twodim.count_affine_pf, 0),
+    (pq.count_pq_ipf, twodim.count_affine_ipf, 0),
+    (pq.count_pq_ppf, twodim.count_affine_ppf, 1),
+    (pq.count_pq_ippf, twodim.count_affine_ippf, 1),
+]
+
+
+@pytest.mark.parametrize("pq_form, affine_form, least", _PQ_AND_AFFINE, ids=["pf", "ipf", "ppf", "ippf"])
+def test_pq_forms_are_the_affine_forms_on_u0(pq_form, affine_form, least):
+    # least: the prime forms need p, q >= 1; pf and ipf are checked at p = 0 or q = 0 too
+    for p in range(least, 41):
+        for q in range(least, 41):
+            assert pq_form(p, q) == affine_form(AffineWeightSpec(0, 1, 1, 0, 1, 1, p, q)), (p, q)
+
+
+@pytest.mark.parametrize("t", (1, 2))
+@pytest.mark.parametrize("s", range(1, 6))
+def test_vector_forms_are_the_affine_forms_on_one_row(s, t):
+    for b in range(5):
+        for n in range(1, 41):
+            row = AffineWeightSpec(b, 0, 0, 0, s, t, n, 0)
+            assert _pf(s, b, n) == twodim.count_affine_pf(row), (s, b, n)
+            assert _ipf(s, b, n) == twodim.count_affine_ipf(row), (s, b, n)

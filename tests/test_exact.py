@@ -32,12 +32,6 @@ def test_binomial_matches_pascal_triangle():
             assert exact.binomial(n, k) == tri[n][k]
 
 
-def test_binomial_negative_upper_argument():
-    # falling-factorial definition: C(-1, k) = (-1)^k
-    assert [exact.binomial(-1, k) for k in range(5)] == [1, -1, 1, -1, 1]
-    assert exact.binomial(-3, 2) == 6
-
-
 def test_binomial_pascal_rule():
     for n in range(1, 15):
         for k in range(1, n + 1):
@@ -114,6 +108,20 @@ def test_closed_forms_are_ints_equal_to_the_all_fraction_evaluation(a, b, c, d, 
         ):
             reference = formula(*args)
         assert type(value) is int and value == reference, (formula.__name__, args)
+
+
+_SIZED_FORMS = [(f, (1, 1, 3)) for f in (vector.count_pf_arith, vector.count_ipf_arith, vector.count_ppf_arith, vector.count_ippf_arith)]
+_SIZED_FORMS += [(f, (2, 2)) for f in (pq.count_pq_pf, pq.count_pq_ipf, pq.count_pq_ppf, pq.count_pq_ippf, pq.count_pq_ppf_sum)]
+
+
+@pytest.mark.parametrize("formula, sizes", _SIZED_FORMS, ids=[f.__name__ for f, _ in _SIZED_FORMS])
+def test_closed_forms_refuse_sizes_that_are_not_ints(formula, sizes):
+    # a bool, a float or a str in any size position is refused, never computed with (True counted as 1, 2.0 as 2)
+    formula(*sizes)
+    for position in range(len(sizes)):
+        for bad in (True, float(sizes[position]), str(sizes[position])):
+            with pytest.raises(ValueError, match="must be ints"):
+                formula(*sizes[:position], bad, *sizes[position + 1 :])
 
 
 def test_as_integer():

@@ -242,6 +242,34 @@ def test_a_space_error_of_any_length_is_search_space_too_large(spec, cap, messag
         assert str(exc.value) == expected
 
 
+_HUGE = 10**5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before Python 3.10.7")
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FamilySpec("classical", n=-_HUGE), lambda: f"classical family needs an int n >= 1, got {-_HUGE}"),
+        (lambda: FamilySpec("pq", p=-_HUGE, q=1), lambda: f"pq family needs ints p, q >= 0, got {-_HUGE}, 1"),
+        (lambda: FamilySpec("classical", n=3, p=_HUGE), lambda: f"the classical family takes no p, got {_HUGE}"),
+        (lambda: FamilySpec("vector", u=(-_HUGE,)), lambda: f"sequence entries must be non-negative integers, got ({-_HUGE},)"),
+        (lambda: FamilySpec("vector", u=(2, 1, _HUGE)), lambda: f"capacity vector must be weakly increasing, got (2, 1, {_HUGE})"),
+        (lambda: AffineWeightSpec(0, 1, 1, 0, 1, 1, True, _HUGE),
+         lambda: f"affine weight parameters must be ints, got (0, 1, 1, 0, 1, 1, True, {_HUGE})"),
+        (lambda: twodim.WeightMatrix(_HUGE, 0, ()), lambda: f"weight grid must be ({_HUGE + 1}) x (1)"),
+    ],
+    ids=["classical-n", "pq-p", "unread-p", "vector-u-entry", "vector-u-order", "affine", "grid"],
+)
+def test_a_refusal_of_any_length_names_the_value_in_full(make, message):
+    # under the default limit of 4300 digits, where str() refuses these ints, the refusal is still the unlimited one
+    with _int_max_str_digits(0):
+        expected = message()
+    with _int_max_str_digits(4300), pytest.raises(ValueError) as exc:
+        make()
+    with _int_max_str_digits(0):
+        assert str(exc.value) == expected
+
+
 def test_count_many_checks_every_cap_before_counting(monkeypatch):
     swept = []
     monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: swept.append(grids) or [(0, 0, 0, 0)] * len(grids))

@@ -10,6 +10,7 @@ from parkfn import pq
 from parkfn.core import Point, common_points
 from parkfn.errors import InconsistentDecomposition, NotParkingFunction
 from parkfn.pq import PQPair
+from parkfn.twodim import prime_weight_transform
 from test_vector import ENTRY_CORRUPTIONS, POSITION_CORRUPTIONS, corrupt_entry, corrupt_positions
 
 
@@ -217,7 +218,7 @@ def test_compose_rejects_every_single_corruption(pair, corruption, data):
 def test_u0_matrix_nodes():
     u0 = pq.u0_matrix(3, 4)
     assert u0.rows[3][2] == (4, 3)
-    u0p = pq.u0_prime_matrix(3, 4)
+    u0p = prime_weight_transform(u0)
     assert u0p.rows[2][0] == (1, 1)
     assert u0p.rows[3][2] == (3, 2)
 
@@ -245,7 +246,7 @@ def test_u0_prime_membership_equivalence():
     from parkfn.twodim import is_u_pf
 
     for p, q in product(range(1, 4), range(1, 4)):
-        u0p = pq.u0_prime_matrix(p, q)
+        u0p = prime_weight_transform(pq.u0_matrix(p, q))
         for pair in all_pairs(p, q):
             assert pq.is_pq_prime(pair) == is_u_pf(pair.a, pair.b, u0p)[0], pair
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from parkfn import twodim
 from parkfn.errors import ConventionUndefined, DegenerateGrid, DimensionMismatch, NonMonotoneWeights
-from parkfn.pq import u0_matrix, u0_prime_matrix
+from parkfn.pq import u0_matrix
 from parkfn.twodim import AffineWeightSpec, WeightMatrix
 
 
@@ -349,7 +349,9 @@ def test_witness_is_lexicographically_first():
 
 
 def test_prime_weight_transform_examples():
-    assert twodim.prime_weight_transform(U0_34()) == u0_prime_matrix(3, 4)
+    # U0' at (3, 4): node (k, l) weighs (l, k) off the axes and (1, 1) on them
+    u0_prime = WeightMatrix(3, 4, tuple(tuple((l, k) if k and l else (1, 1) for k in range(4)) for l in range(5)))
+    assert twodim.prime_weight_transform(U0_34()) == u0_prime
     flat = twodim.affine_weight_matrix(AffineWeightSpec(0, 0, 0, 0, 2, 2, 2, 2))
     assert twodim.prime_weight_transform(flat) == flat
     grid = twodim.affine_weight_matrix(AffineWeightSpec(0, 1, 1, 0, 1, 1, 2, 2))

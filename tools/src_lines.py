@@ -18,18 +18,29 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "parkfn"
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def code_lines(text: str) -> int:
-    """Number of lines of ``text`` that carry code, as the module docstring defines it."""
-    lines: set[int] = set()
+def statements(text: str) -> list[set[int]]:
+    """The code lines of ``text``, as the module docstring defines them, grouped by logical line, in order.
+
+    A logical line is a simple statement or a compound statement's header,
+    however many physical lines it spans.
+    """
+    groups: list[set[int]] = [set()]
     starts_logical = True
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type in _SKIPPED:
-            starts_logical = starts_logical or tok.type == tokenize.NEWLINE
+            if tok.type == tokenize.NEWLINE:
+                starts_logical = True
+                groups.append(set())
             continue
         if not (tok.type == tokenize.STRING and starts_logical):
-            lines.update(range(tok.start[0], tok.end[0] + 1))
+            groups[-1].update(range(tok.start[0], tok.end[0] + 1))
         starts_logical = False
-    return len(lines)
+    return [group for group in groups if group]
+
+
+def code_lines(text: str) -> int:
+    """Number of lines of ``text`` that carry code."""
+    return sum(map(len, statements(text)))
 
 
 def main() -> None:
