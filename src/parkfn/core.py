@@ -23,11 +23,19 @@ class Point(NamedTuple):
 
 
 def shown(value: object) -> str:
-    """``repr(value)``, but each int in it (or in its nested tuples) written through Decimal, which writes an int in
-    full where ``str`` refuses one past Python's int/str digit limit."""
-    if type(value) is tuple:
-        return f"({', '.join(map(shown, value))}{',' if len(value) == 1 else ''})"
-    return str(Decimal(value)) if type(value) is int else repr(value)
+    """``repr(value)``, or, where ``repr`` refuses an int in it past Python's int/str digit limit, the same text
+    with that int (in value itself or nested in its tuples, lists and dicts) written in full through Decimal."""
+    try:
+        return repr(value)
+    except ValueError:  # the digit limit: walk down to the int that exceeds it
+        if type(value) is int:
+            return str(Decimal(value))
+        if type(value) is dict:
+            return "{" + ", ".join(f"{shown(key)}: {shown(item)}" for key, item in value.items()) + "}"
+        if type(value) not in (tuple, list):
+            raise
+        inner = ", ".join(map(shown, value))
+        return f"({inner}{',' if len(value) == 1 else ''})" if type(value) is tuple else f"[{inner}]"
 
 
 def as_seq(entries: Iterable[int]) -> Seq:
@@ -50,7 +58,7 @@ def json_ints(value: object, name: str, length: Optional[int] = None) -> Seq:
     """
     if not isinstance(value, list) or any(type(e) is not int for e in value) or length not in (None, len(value)):
         size = "" if length is None else f"{length} "
-        raise ValueError(f"{name} must be an array of {size}integers, got {value!r}")
+        raise ValueError(f"{name} must be an array of {size}integers, got {shown(value)}")
     return tuple(value)
 
 

@@ -22,19 +22,24 @@ A batch sweeps each distinct grid once.  The grids of one shape
 swept as one stack, built once: every grid rides on the leading axis of one
 DP state, with its prime companion beside it when p >= 1.  The kernel sweeps
 only weakly increasing candidates and weighs each member by its
-rearrangements.  The b-candidates are packed 64 to a ``uint64`` word, so a
-state is a (grid x a-candidate x word) array: an east edge masks whole
-a-rows, a north edge ANDs in one packed b-row.  Both sides follow one block
-rule (``_side_blocks``): the b-candidates come in b-blocks of at most
-``_BLOCK_BITS`` rows, each built once per sweep and packed once for the whole
-stack, and against each b-block the a-candidates come in a-blocks of at most
+rearrangements.  The b-candidates are packed 64 to a ``uint64`` word in their
+word layout (``_word_layout``): a block's rows are grouped by rearrangement
+weight, each weight class a run of rows that starts on a fresh word, so all
+64 bits of a word weigh the same.  A state is a (grid x a-candidate x word)
+array.  It starts from the b-block's packed mask of real rows, so its pad
+bits are 0 and stay 0; an east edge masks whole a-rows, a north edge ANDs in
+one packed b-row.  Both sides follow one block rule: the b-candidates come
+in b-blocks of at most ``_BLOCK_BITS`` bits (``_laid_blocks``: built a
+block of rows at a time, laid out, and cut on word boundaries), each
+packed once for the whole stack, and against each b-block the a-candidates,
+in sorted order (``_side_blocks``), come in a-blocks of at most
 ``_BLOCK_BITS`` candidate pairs (a-rows x the b-block's padded bits) summed
 over the group's grids, each reduced before the next is built.  So memory is
 bounded by one block on each side however large the space and however many
 grids share it: a lone grid and its companion keep a full block's a-rows,
 and a group of g grids 1/g of them.  A group too large for each grid to keep
 one a-row against a full b-block takes b-blocks of
-``64 * max(1, _BLOCK_BITS // (64 * g))`` rows instead; past
+``64 * max(1, _BLOCK_BITS // (64 * g))`` bits instead; past
 ``_BLOCK_BITS // 64`` grids, each holds one a-row and one word of b-bits.
 A side is built in numpy, never from Python tuples
 (``_built_side``): a one-entry side counts up a ``range`` a block at a time
@@ -43,11 +48,13 @@ halves' tables, each table the join of its own halves, and is joined one
 block of rows at a time.  A side's rows are column-major, so each compare
 in ``_packed_edges`` reads one entry of every row from contiguous memory,
 and int8 below bound 128, int64 past it; its weights are int64 while
-n! < 2**63, Python ints past it.  The reduction weighs the unpacked bits
-with ``einsum``, which casts them in buffered chunks, so it holds one byte
-per candidate pair.  The grid's exact dtype is applied once per b-block, to
-the b-weights.  No count or partial sum exceeds the nominal space, so int64
-is exact below 2**63; larger spaces reduce in Python ints.
+n! < 2**63, Python ints past it.  An a-block reduces to the popcount of each
+word (``np.bitwise_count``): the plain counts are one ``einsum`` of the
+popcounts with the a-weights and the word weights, the increasing counts
+the popcounts' sum.  The grid's exact dtype is applied once per b-block, to
+the word weights.  Every product and partial sum it forms is at most a
+grid's count, which never exceeds the nominal space, so int64 is exact
+below 2**63; larger spaces reduce in Python ints, one element per word.
 
 Five caches of 128 entries live as long as the process:
 
@@ -55,11 +62,12 @@ Five caches of 128 entries live as long as the process:
   variants of a grid cost no sweep;
 - ``_kept_side``, the candidate sides: the sorted rows and weights of one
   sequence depend only on its entry bound and length, so each
-  (bound, length) has one entry, whichever side it serves.  A side of at
-  most ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept
-  read-only and whole, even when its blocks take a few rows at a time, and
-  shared by every grid that needs it; a larger side is rebuilt per sweep,
-  one block at a time;
+  (bound, length) has one entry, whichever side it serves, and a b-side a
+  second one, their word layout, gathered from it.  A side of at most
+  ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept read-only
+  and whole, even when its blocks take a few rows at a time, and shared by
+  every grid that needs it; a larger side is rebuilt per sweep, one block
+  at a time, and a b-side laid out per block;
 - ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
   are kept does not rebuild its grid either;
 - ``_binomials``, the small tables of C(r+s, r) a join divides its weights
@@ -87,6 +95,8 @@ from .vector import is_prime_vector_pf, is_vector_pf, validate_capacity
 
 DEFAULT_SEARCH_CAP = 10**8
 
+_READS = {"classical": ("n",), "vector": ("u",), "pq": ("p", "q"), "twodim": ("weights",)}  # the fields each family reads
+
 Instance = tuple[Seq, ...]  # (a,) for one-sequence families, (a, b) for pairs
 Shapes = tuple[tuple[int, int], ...]  # (length, exclusive entry bound) per sequence
 Family = tuple[int, Optional[WeightMatrix], Shapes, Callable[[Instance], bool]]  # space, grid, shapes, member test
@@ -112,7 +122,9 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if type(self.prime) is not bool or type(self.increasing) is not bool:
             raise ValueError(f"prime and increasing must be bools, got {shown(self.prime)}, {shown(self.increasing)}")
-        reads = {"classical": ("n",), "vector": ("u",), "pq": ("p", "q"), "twodim": ("weights",)}.get(self.family, ())
+        reads = _READS.get(self.family) if type(self.family) is str else None
+        if reads is None:
+            raise ValueError(f"unknown family {shown(self.family)}")
         if (self.n, self.u, self.p, self.q, self.weights).count(None) != 5 - len(reads):  # scan only when more or fewer fields are set than it reads
             for field in ("n", "u", "p", "q", "weights"):
                 if field not in reads and getattr(self, field) is not None:
@@ -127,13 +139,11 @@ class FamilySpec:
         elif self.family == "pq":
             if type(self.p) is not int or type(self.q) is not int or self.p < 0 or self.q < 0:
                 raise ValueError(f"pq family needs ints p, q >= 0, got {shown(self.p)}, {shown(self.q)}")
-        elif self.family == "twodim":
+        else:
             if not isinstance(self.weights, WeightMatrix):
                 raise ValueError(f"twodim family needs a WeightMatrix, got {shown(self.weights)}")
             if self.prime and (self.weights.p < 1 or self.weights.q < 1):
                 raise ValueError("twodim primeness needs p, q >= 1")
-        else:
-            raise ValueError(f"unknown family {shown(self.family)}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +288,7 @@ def _prime_companion(grid: WeightMatrix) -> WeightMatrix:
 # Packed grid kernel, vectorized over candidate pairs and stacked grids
 # ---------------------------------------------------------------------------
 
-_BLOCK_BITS = 2**18  # candidate pairs (a-rows x padded b-bits) over a group's grids in a block; a multiple of 64
+_BLOCK_BITS = 2**18  # candidate pairs (a-rows x laid-out b-bits) over a group's grids in a block; a multiple of 64
 _ONES = np.uint64(2**64 - 1)
 _KEPT_GRIDS = 128
 _counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  # the last grids counted, oldest first
@@ -296,19 +306,20 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     stack = grids + [_prime_companion(grid) for grid in grids] if p else grids
     # a full block, or the whole side, while each grid keeps an a-row against one; narrower for a larger group
     b_rows = 64 * max(1, _BLOCK_BITS // (64 * g))
-    a_rows = max(1, _BLOCK_BITS // (64 * -(-min(_multisets(bv, q), b_rows) // 64)) // g)
     # [:g] sums the grids' plain counts, [g:] their prime counts (none when p is 0)
     sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
-    for arr_b, wb in _side_blocks(bv, q, b_rows):
+    for arr_b, valid, wb in _laid_blocks(bv, q, b_rows):
         wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
         east_bound, north = _packed_edges(arr_b, stack)
+        a_rows = max(1, _BLOCK_BITS // (64 * len(valid)) // g)  # against the b-block's padded words
+        # the DP's p+2 states (``_vector_reach``), shared by every a-block against this b-block
+        work = np.empty((p + 2, len(stack), min(a_rows, _multisets(bu, p)), len(valid)), np.uint64)
         for arr_a, wa in _side_blocks(bu, p, a_rows):
-            state = _vector_reach((arr_a[:, :, None] < east_bound[:, None]) * _ONES, north, p, q)
-            # the pad bits past the b-block's last row are dropped here, never counted
-            bits = np.unpackbits(state.view(np.uint8), axis=-1, count=len(arr_b), bitorder="little")
-            sums[: len(stack)] += np.einsum("gij,j->gi", bits, wb) @ wa
-            pops[: len(stack)] += bits.sum(axis=(1, 2), dtype=np.int64)
-            del arr_a, wa, state, bits  # free this block first: a streamed side builds the next block when resumed
+            east = (arr_a[:, :, None] < east_bound[:, None]) * _ONES
+            counts = np.bitwise_count(_vector_reach(east, north, valid, work[:, :, : len(arr_a)]))
+            sums[: len(stack)] += np.einsum("giw,i,w->g", counts, wa, wb)  # every bit of word w weighs wb[w]
+            pops[: len(stack)] += counts.sum(axis=(1, 2), dtype=np.int64)
+            del arr_a, wa, east, counts  # free this block first: a streamed side builds the next block when resumed
     return list(zip(sums[:g].tolist(), pops[:g].tolist(), sums[g:].tolist(), pops[g:].tolist()))
 
 
@@ -318,7 +329,7 @@ def _multisets(bound: int, length: int) -> int:
 
 
 def _side_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A candidate side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
+    """An a-side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
 
     A side of at most ``_BLOCK_BITS // 64`` rows is built once per (bound,
     length) and kept read-only, so the grids that share it slice it; a
@@ -332,29 +343,61 @@ def _side_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarra
     yield from _built_side(bound, length, rows)
 
 
+def _laid_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A b-side in word layout (``_word_layout``): rows, valid words and word weights, ``rows // 64`` words at a time.
+
+    A side of at most ``_BLOCK_BITS // 64`` rows is laid out once per (bound,
+    length) and kept read-only; a larger one is built ``rows`` rows at a time
+    and each block laid out on its own.  Either is cut on word boundaries, so
+    no b-block holds more than ``rows`` bits.
+    """
+    if _multisets(bound, length) <= _BLOCK_BITS // 64:
+        blocks: Iterable[tuple[np.ndarray, ...]] = (_kept_side(bound, length, True),)
+    else:
+        blocks = _built_side(bound, length, rows, True)
+    words = rows // 64
+    for arr, valid, weights in blocks:
+        for start in range(0, len(valid), words):
+            yield arr[64 * start : 64 * (start + words)], valid[start : start + words], weights[start : start + words]
+
+
 @lru_cache(maxsize=128)
-def _kept_side(bound: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every sorted row of a side and its weights, read-only: every caller shares them; the 128 most recently used sides stay."""
-    side = next(_built_side(bound, length, _multisets(bound, length)))
+def _kept_side(bound: int, length: int, laid: bool = False) -> tuple[np.ndarray, ...]:
+    """Every sorted row of a side and its weights, or their word layout if ``laid``, read-only: every caller shares
+    them; the 128 most recently used stay.  The layout is gathered from the kept sorted rows, so a (bound, length)
+    that serves as an a-side and as a b-side is joined once."""
+    if laid:
+        rows, weights = _kept_side(bound, length)
+        source, valid, word_weights = _word_layout(weights)
+        side = rows.T.take(source, axis=1).T, valid, word_weights
+    else:
+        side = next(_built_side(bound, length, _multisets(bound, length)))
     for part in side:
         part.setflags(write=False)
     return side
 
 
-def _built_side(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _built_side(bound: int, length: int, rows: int, laid: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
     """A side's sorted rows, column-major, and their weights, built anew ``rows`` at a time (see the module docstring).
 
     A row's weight is n! over the factorials of its entries' multiplicities.
     A side of at most one entry counts up a range (the empty side is one
     empty row).  A longer one holds the tables of its two halves (each table
     of two or more entries is the join of its own halves, built once) and
-    one block of their join.
+    one block of their join.  If ``laid``, each block comes in its word
+    layout instead: its rows, gathered in slot order, the valid words and
+    the word weights (``_word_layout``).
     """
     n, dtype = _multisets(bound, length), np.int8 if bound < 128 else np.int64
     if length < 2:
         for start in range(0, n, rows):
-            entries = np.arange(start, min(start + rows, n), dtype=dtype)
-            yield entries[:, None][:, :length], np.ones(len(entries), np.int64)
+            entries = np.arange(start, min(start + rows, n), dtype=dtype)[:, None][:, :length]
+            weights = np.ones(len(entries), np.int64)
+            if laid:
+                source, valid, weights = _word_layout(weights)
+                yield entries[source], valid, weights
+            else:
+                yield entries, weights
         return
     ones = np.ones(bound, np.int64)
     tables = {1: (np.arange(bound, dtype=dtype)[None], ones, ones, ones)}
@@ -366,11 +409,32 @@ def _built_side(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray
 
     head, tail = table(length - length // 2), table(length // 2)
     for start in range(0, n, rows):
-        cols, weights, _, _ = _join(head, tail, start, min(start + rows, n))
-        yield cols.T, weights
+        cols, *rest = _join(head, tail, start, min(start + rows, n), laid)
+        yield (cols.T, *rest) if laid else (cols.T, rest[0])
 
 
-def _join(head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np.ndarray, ...]:
+def _word_layout(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a block's rows go so that each weight class is a run of rows that starts on a fresh 64-bit word.
+
+    Returns the row each slot takes (a pad slot takes row 0), the packed
+    mask of the slots that hold a row (0 on every pad bit), and each word's
+    weight, which every row in the word has.  Every row takes one slot.
+    """
+    order = weights.argsort()
+    ranked = weights[order]
+    firsts = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()]  # where each class starts in ``ranked``
+    sizes = [stop - start for start, stop in zip(firsts, firsts[1:] + [len(order)])]
+    words = [-(-size // 64) for size in sizes]
+    source, valid = np.zeros(64 * sum(words), np.intp), []
+    for start, size in zip(firsts, sizes):
+        source[64 * len(valid) : 64 * len(valid) + size] = order[start : start + size]
+        valid += [2**64 - 1] * (size // 64) + [2 ** (size % 64) - 1] * (size % 64 > 0)
+    return source, np.array(valid, np.uint64), np.repeat(ranked[firsts], words)
+
+
+def _join(
+    head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int, laid: bool = False
+) -> tuple[np.ndarray, ...]:
     """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, as a table.
 
     A table is (cols, weights, front runs, back runs): its sorted rows, one
@@ -382,6 +446,8 @@ def _join(head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int
     C(r+s, r), where r is the head row's back run and s the tail row's front
     run if it starts on the same value (else 0); the product before the
     division is at most (d+e)!, so int64 is exact while (d+e)! < 2**63.
+    If ``laid``, the rows are gathered straight into their word layout
+    (``_word_layout``) and come with its valid words and word weights.
     """
     hcols, hweights, hfront, hback = head
     tcols, tweights, tfront, tback = tail
@@ -391,13 +457,18 @@ def _join(head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int
     clipped = np.minimum(np.maximum(edges, start), stop)
     i = np.repeat(np.arange(len(clipped) - 1), clipped[1:] - clipped[:-1])  # each row's head row
     t = np.arange(start + nt, stop + nt) - edges[1:][i]  # and its tail row: every run ends on the tail's last row
-    cols = np.empty((d + e, stop - start), hcols.dtype)
-    np.take(hcols, i, axis=1, out=cols[:d], mode="clip")  # the indices are in range; "raise" would buffer the output
-    np.take(tcols, t, axis=1, out=cols[d:], mode="clip")
-    same = cols[d] == cols[d - 1]
+    same = hcols[-1, i] == tcols[0, t]
     s, r = tfront[t] * same, hback[i]
     binomials = _binomials(d, e)
     weights = comb(d + e, d) * hweights[i].astype(binomials.dtype, copy=False) * tweights[t] // binomials[r, s]
+    if laid:
+        source, valid, word_weights = _word_layout(weights)
+        i, t = i[source], t[source]
+    cols = np.empty((d + e, len(i)), hcols.dtype)
+    np.take(hcols, i, axis=1, out=cols[:d], mode="clip")  # the indices are in range; "raise" would buffer the output
+    np.take(tcols, t, axis=1, out=cols[d:], mode="clip")
+    if laid:
+        return cols, valid, word_weights
     front, back = hfront[i], tback[t]
     return cols, weights, front + s * (front == d), back + r * same * (back == e)
 
@@ -412,33 +483,43 @@ def _binomials(d: int, e: int) -> np.ndarray:
 def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked edges of same-shape grids for ``_vector_reach``: on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l].
 
-    north[l, k, g, 0] packs the b-block's sorted candidates that may take the
-    north edge at (k, l) on grid g, with zero pad bits.  Only the weights of
-    edges that exist are cast: an empty side's channel may hold any int.  An
-    east weight is cast to int64; a north weight is at most the b-side's
-    bound, the last node's v, so it takes the b-rows' own dtype and the
-    compare casts nothing.
+    north[l, k, g, 0] packs the laid-out b-block's rows (a whole number of
+    words) that may take the north edge at (k, l) on grid g.  Only the
+    weights of edges that exist are cast: an empty side's channel may hold
+    any int.  An east weight is cast to int64; a north weight is at most the
+    b-side's bound, the last node's v, so it takes the b-rows' own dtype and
+    the compare casts nothing.
     """
-    p, q, nb = grids[0].p, grids[0].q, len(arr_b)
+    p, q = grids[0].p, grids[0].q
     flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in grids)))
     nodes = np.fromiter(flat, object).reshape(len(grids), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
-    north = np.zeros((q, p + 1, len(grids), 1, 8 * -(-nb // 64)), dtype=np.uint8)
     below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].astype(arr_b.dtype).transpose(1, 2, 0)[..., None, None]
-    north[..., : -(-nb // 8)] = np.packbits(below, axis=-1, bitorder="little")
-    return nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1), north.view(np.uint64)
+    north = np.packbits(below, axis=-1, bitorder="little").view(np.uint64)
+    return nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1), north
 
 
-def _vector_reach(east, north, p: int, q: int):
+def _vector_reach(east: np.ndarray, north: np.ndarray, valid: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Packed reachability of (p, q) for a block on stacked grids: bit j of [g, i] is set iff a path of grid g admits (i, j).
 
-    The state is a (grid x a-candidate x word) array, so one pass serves every grid.
+    east[g, i, k, l] is all ones iff a-candidate i may go east at (k, l) on
+    grid g, else 0.  The state is a (grid x a-candidate x word) array, so one
+    pass serves every grid.  It starts from the b-block's valid mask, so a
+    pad bit stays 0 through every AND and OR.  ``work`` holds p+2 states, the
+    p+1 nodes of one grid row and a scratch state, and is reused by every
+    a-block of a b-block, so no state is allocated per node or per block.
+    The nodes are updated in place: first each keeps what came from the
+    north, then, west to east, each adds what comes from its western
+    neighbour.
     """
-    row = [np.full(east.shape[:2] + north.shape[-1:], _ONES)]
+    p, q = east.shape[2], len(north)
+    row, scratch = work[:-1], work[-1]
+    nodes = list(row)  # nodes[k] is a view of row[k]
+    nodes[0][...] = valid
     for k in range(1, p + 1):
-        row.append(row[k - 1] & east[:, :, k - 1, 0, None])
+        np.bitwise_and(nodes[k - 1], east[:, :, k - 1, 0, None], nodes[k])
     for l in range(1, q + 1):
-        nxt = [row[0] & north[l - 1, 0]]
+        np.bitwise_and(row, north[l - 1], row)
         for k in range(1, p + 1):
-            nxt.append((nxt[k - 1] & east[:, :, k - 1, l, None]) | (row[k] & north[l - 1, k]))
-        row = nxt
-    return row[p]
+            np.bitwise_and(nodes[k - 1], east[:, :, k - 1, l, None], scratch)
+            np.bitwise_or(nodes[k], scratch, nodes[k])
+    return nodes[p]

@@ -25,6 +25,7 @@ from .core import (
     order_statistics,
     path_of_increasing,
     place,
+    shown,
     stable_sort_indices,
     take,
     transpose,
@@ -66,7 +67,7 @@ class PQPair:
         pair = cls(tuple(data["a"]), tuple(data["b"]))
         for key, side, size in (("p", "a", pair.p), ("q", "b", pair.q)):
             if key in data and json_ints([data[key]], f"the declared {key!r}")[0] != size:
-                raise ValueError(f"declared {key} = {data[key]} but |{side}| = {size}")
+                raise ValueError(f"declared {key} = {shown(data[key])} but |{side}| = {size}")
         return pair
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkfn import oracle, pq, twodim, vector
-from parkfn.core import Seq
+from parkfn.core import Seq, json_ints
 from parkfn.errors import SearchSpaceTooLarge
 from parkfn.oracle import FamilySpec
 from parkfn.pq import u0_matrix
@@ -257,8 +257,13 @@ _HUGE = 10**5000
         (lambda: AffineWeightSpec(0, 1, 1, 0, 1, 1, True, _HUGE),
          lambda: f"affine weight parameters must be ints, got (0, 1, 1, 0, 1, 1, True, {_HUGE})"),
         (lambda: twodim.WeightMatrix(_HUGE, 0, ()), lambda: f"weight grid must be ({_HUGE + 1}) x (1)"),
+        (lambda: json_ints([_HUGE, 1.5], "x"), lambda: f"x must be an array of integers, got [{_HUGE}, 1.5]"),
+        (lambda: json_ints({"a": [(_HUGE,)]}, "x"), lambda: f"x must be an array of integers, got {{'a': [({_HUGE},)]}}"),
+        (lambda: pq.PQPair.from_json_dict({"a": [0], "b": [], "p": _HUGE}), lambda: f"declared p = {_HUGE} but |a| = 1"),
+        (lambda: FamilySpec(_HUGE, n=3), lambda: f"unknown family {_HUGE}"),
     ],
-    ids=["classical-n", "pq-p", "unread-p", "vector-u-entry", "vector-u-order", "affine", "grid"],
+    ids=["classical-n", "pq-p", "unread-p", "vector-u-entry", "vector-u-order", "affine", "grid", "json-list", "json-dict",
+         "pq-declared-p", "family"],
 )
 def test_a_refusal_of_any_length_names_the_value_in_full(make, message):
     # under the default limit of 4300 digits, where str() refuses these ints, the refusal is still the unlimited one
@@ -341,27 +346,27 @@ def test_count_many_sweeps_a_group_larger_than_one_stack(monkeypatch):
 
 
 def test_count_many_sweeps_a_large_group_as_one_stack_in_narrower_b_blocks(monkeypatch):
-    # with 256-bit blocks a lone grid keeps two a-rows against the 78-row b-side of two words, too few for three
-    # grids: the group takes 64-row b-blocks of one word, and each is packed once for its stack of six
+    # with 256-bit blocks a lone grid keeps two a-rows against the 78-row b-side, too few for three grids: the group
+    # takes 64-row b-blocks, and each b-block's two weight classes (1 for (x, x), 2 for x < y) start a word each; the
+    # laid-out blocks are cut into one-word b-blocks, each packed once for its stack of six
     specs = _affine_specs((1, 0, 1, 2, 1, 6, 2, 2), (0, 1, 2, 1, 1, 6, 2, 2), (0, 0, 0, 0, 3, 12, 2, 2))
     want = [_lone_count(spec) for spec in specs]
-    packed_edges, side_blocks, stacks, b_rows = oracle._packed_edges, oracle._side_blocks, [], []
+    packed_edges, laid_blocks, stacks, b_rows = oracle._packed_edges, oracle._laid_blocks, [], []
 
     def spy_edges(arr_b, grids):
         stacks.append((len(arr_b), len(grids)))
         return packed_edges(arr_b, grids)
 
     def spy_blocks(bound, length, rows):
-        if (bound, length) == (12, 2):  # the b-side: the a-side is (3, 2)
-            b_rows.append(rows)
-        return side_blocks(bound, length, rows)
+        b_rows.append((bound, length, rows))
+        return laid_blocks(bound, length, rows)
 
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 256)
     monkeypatch.setattr(oracle, "_packed_edges", spy_edges)
-    monkeypatch.setattr(oracle, "_side_blocks", spy_blocks)
+    monkeypatch.setattr(oracle, "_laid_blocks", spy_blocks)
     oracle._counted.clear()
     assert [report.count for report in oracle.count_many(specs)] == want
-    assert b_rows == [64] and stacks == [(64, 6), (14, 6)]
+    assert b_rows == [(12, 2, 64)] and stacks == [(64, 6)] * 4  # 64 + 14 rows: 8 + 56, then 4 + 10 per class
 
 
 def test_count_many_reports_share_their_group_sweep_time():
@@ -462,7 +467,7 @@ def _affine_variants(grid):
         (0, 0, 0, 0, 1, 63, 1, 1),  # nb = 63: one word, one pad bit
         (0, 0, 0, 0, 1, 64, 1, 1),  # nb = 64: exactly one word
         (0, 0, 0, 0, 1, 65, 1, 1),  # nb = 65: one bit into a second word
-        (1, 1, 1, 1, 1, 1, 0, 4),  # p = 0: the DP starts from the all-candidates row
+        (1, 1, 1, 1, 1, 1, 0, 4),  # p = 0: the DP starts from the b-block's valid mask and never goes east
         (1, 0, 1, 1, 2, 1, 4, 0),  # q = 0: one empty b-candidate, 63 pad bits
     ],
 )
@@ -502,14 +507,19 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
         oracle._kept_side.cache_clear()
         for spec in _affine_variants(grid):
             assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
-        kept = [n <= oracle._BLOCK_BITS // 64 for n in (na, nb)]
-        assert oracle._kept_side.cache_info().currsize == sum(kept), grid  # the two sides differ in (bound, length)
+        kept, info = [n <= oracle._BLOCK_BITS // 64 for n in (na, nb)], oracle._kept_side.cache_info()
+        # the two sides differ in (bound, length): a kept a-side keeps its sorted rows, a kept b-side its sorted
+        # rows and their word layout, gathered from them
+        assert info.currsize == kept[0] + 2 * kept[1], grid
+        if kept[1]:
+            oracle._kept_side(weights.max_v, weights.q, True)
+            assert oracle._kept_side.cache_info()[:2] == (info.hits + 1, info.misses), grid
 
 
 def test_kept_sides_refuse_writes():
     arr, weights = oracle._kept_side(4, 3)
     assert oracle._kept_side(4, 3)[0] is arr
-    for part in (arr, weights, *next(oracle._side_blocks(4, 3, 5))):
+    for part in (arr, weights, *next(oracle._side_blocks(4, 3, 5)), *oracle._kept_side(4, 3, True)):
         with pytest.raises(ValueError):
             part[0] = 0
 
@@ -596,6 +606,76 @@ def test_built_side_streams_sorted_rows_and_their_rearrangements(shape):
     assert weights.tolist() == [_rearrangements(row) for row in want]
     assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)
     assert arr.dtype == np.int8
+
+
+def _slots(valid):
+    """The numbers of the set bits of packed words."""
+    return np.flatnonzero(np.unpackbits(valid.view(np.uint8), bitorder="little"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(side_shapes())
+@example((12, 3, 5))  # fewer rows per block than the bound
+@example((10, 3, 4096))  # classes of 120, 90 and 10 rows: the first two span two words each
+@example((2, 63, 4096))  # 32 classes of two rows, a word each
+@example((3, 21, 50))  # 21!: Python-int word weights
+@example((7, 1, 3))  # one entry per row, counted up a range
+@example((5, 0, 1))  # the empty side: one empty row
+def test_word_layout_starts_each_weight_class_on_a_word(shape):
+    bound, length, rows = shape
+    plain = list(oracle._built_side(bound, length, rows))
+    laid = list(oracle._built_side(bound, length, rows, True))
+    assert len(laid) == len(plain)
+    for (arr, valid, word_weights), (rows_in_order, weights) in zip(laid, plain):
+        assert len(arr) == 64 * len(valid) == 64 * len(word_weights) and arr.dtype == rows_in_order.dtype
+        assert word_weights.dtype == weights.dtype
+        slots = _slots(valid)  # the real rows; every other bit, a pad bit, is 0
+        real = [tuple(row) for row in arr[slots].tolist()]
+        assert sorted(real) == [tuple(row) for row in rows_in_order.tolist()]  # a permutation of the block's rows
+        slot_weights = word_weights[slots // 64]
+        assert slot_weights.tolist() == [_rearrangements(row) for row in real]  # each word weighs as its rows do
+        for weight in set(slot_weights.tolist()):
+            run = slots[slot_weights == weight]  # one class: a run of slots from the first bit of a word
+            assert run[0] % 64 == 0 and run.tolist() == list(range(run[0], run[0] + len(run)))
+
+
+def _weighed_members(spec):
+    """The plain count of a twodim spec by definition: its increasing members, each weighed by its rearrangements."""
+    increasing = FamilySpec("twodim", spec.prime, True, weights=spec.weights)
+    return sum(_rearrangements(a) * _rearrangements(b) for a, b in oracle.enumerate_members(increasing, cap=10**30))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 3), st.integers(1, 4),
+       st.sampled_from([64, 128, 256, 2**18]))
+@example(random.Random(1), 0, 3, 4, 64)  # p = 0
+@example(random.Random(2), 3, 0, 4, 64)  # q = 0: a one-row grid
+@example(random.Random(3), 1, 3, 4, 128)  # classes of one, three and six rows on a b-side of 20
+def test_kernel_counts_the_members_of_random_grids(rng, p, q, top, block_bits):
+    grid = random_monotone_matrix(rng, p, q, top)
+    primes = (False, True) if p and q else (False,)
+    specs = [FamilySpec("twodim", prime, increasing, weights=grid) for prime in primes for increasing in (False, True)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_BLOCK_BITS", block_bits)
+        oracle._counted.clear()
+        assert [oracle.count(spec).count for spec in specs] == [len(list(oracle.enumerate_members(spec))) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "grid, block_bits",
+    [
+        ((1, 0, 0, 0, 1, 10, 2, 3), 256),  # b-side (10, 3): 1 + 2 + 2 words, cut into b-blocks of 4 across the last class
+        ((1, 0, 0, 0, 1, 10, 2, 3), 128),  # streamed in 128-row blocks, each laid out on its own
+        ((0, 0, 0, 0, 1, 2, 1, 63), 2**18),  # past 2**63: 64 b-rows in 32 classes, a word each
+    ],
+)
+def test_kernel_weighs_classes_across_words_and_blocks(monkeypatch, grid, block_bits):
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", block_bits)
+    oracle._counted.clear()
+    for spec in _affine_variants(grid):
+        space = oracle.count(spec, cap=10**30).search_space
+        want = len(list(oracle.enumerate_members(spec))) if space <= 10**5 else _weighed_members(spec)
+        assert oracle.count(spec, cap=10**30).count == want, spec
 
 
 @pytest.mark.parametrize("grid", [(0, 1, 1, 0, 1, 1, 21, 1), (0, 1, 1, 0, 1, 1, 1, 21)])
