@@ -35,14 +35,6 @@ class NonIntegralResult(ParkfnError):
     """A closed-form count evaluated to a non-integer; signals formula misuse."""
 
 
-class ConventionUndefined(ParkfnError):
-    """The rising-factorial convention x^(-1) = 1/(x-1) was requested at x = 1."""
-
-
-class ZeroToNegative(ParkfnError):
-    """Zero raised to a negative exponent."""
-
-
 class DegenerateGrid(ParkfnError):
     """A grid operation that needs p, q >= 1 was asked about a degenerate grid."""
 

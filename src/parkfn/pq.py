@@ -4,8 +4,9 @@ The vertical path of b must stay weakly above the reflected horizontal path
 of a.  Membership is decided through the equivalent counting inequalities;
 the geometric test is kept alongside as an independent route.  The prime
 decomposition cuts where the paths meet: twodim's meeting walk on the nodes
-of ``u0_matrix(p, q)``.  Conventions for p = 0 or q = 0 follow the all-zero
-degenerate pairs.
+of ``u0_matrix(p, q)``.  With p = 0 or q = 0 the all-zero pair is the one
+member, and the closed forms count it directly, never through a negative
+exponent.
 """
 
 from __future__ import annotations
@@ -240,9 +241,11 @@ def _check_pq(p: int, q: int, least: int = 0) -> None:
 
 
 def count_pq_pf(p: int, q: int) -> int:
-    """(p+q+1)(p+1)^(q-1)(q+1)^(p-1); rational powers cover p = 0 or q = 0."""
+    """(p+q+1)(p+1)^(q-1)(q+1)^(p-1); with an empty side the all-zero pair is the one member."""
     _check_pq(p, q)
-    return exact.as_integer((p + q + 1) * exact.power(p + 1, q - 1) * exact.power(q + 1, p - 1))
+    if p == 0 or q == 0:
+        return 1
+    return (p + q + 1) * exact.power(p + 1, q - 1) * exact.power(q + 1, p - 1)
 
 
 def count_pq_ipf(p: int, q: int) -> int:

@@ -262,7 +262,7 @@ def count_affine_ippf(spec: AffineWeightSpec) -> int:
     return _affine_prime_count(spec, _rising, factorial(spec.p) * factorial(spec.q))
 
 
-def _rising(x: int, n: int) -> int | Fraction:
+def _rising(x: int, n: int) -> int:
     """(x+1)^(n), the rising factorial that takes the place of x^n in the increasing counts."""
     return exact.rising_factorial(x + 1, n)
 
@@ -270,13 +270,19 @@ def _rising(x: int, n: int) -> int | Fraction:
 def _affine_count(spec: AffineWeightSpec, power, divisor: int) -> int:
     """The pf form with x^n written ``power(x, n)``, divided by ``divisor``.
 
-    Exact rationals handle the degenerate p = 0 or q = 0 reductions, where an
-    exponent of -1 appears; p = q = 0 counts the single empty pair.
+    With an empty side the prefactor holds that side's factor: at q = 0 it
+    is s(t + cp), which cancels (t + cp)^(-1), and at p = 0 it is t(s + bq).
+    What is left is the one-dimensional form lead * x^(n-1) of the other
+    side; p = q = 0 counts the single empty pair.
     """
     a, b, c, d, s, t, p, q = spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
     if p == 0 and q == 0:
         return 1
-    value = (s * t + t * b * q + s * c * p) * power(s + a * p + b * q, p - 1) * power(t + c * p + d * q, q - 1)
+    if q == 0 or p == 0:
+        lead, x, n = (s, s + a * p, p) if q == 0 else (t, t + d * q, q)
+        value = lead * power(x, n - 1)
+    else:
+        value = (s * t + t * b * q + s * c * p) * power(s + a * p + b * q, p - 1) * power(t + c * p + d * q, q - 1)
     return exact.as_integer(Fraction(value, divisor) if divisor > 1 else value)
 
 

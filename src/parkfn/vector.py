@@ -203,7 +203,7 @@ def _check_arith(s: int, b: int, n: int) -> None:
 def count_pf_arith(s: int, b: int, n: int) -> int:
     """Number of parking functions for the boundary u_i = s + b*i: s(s+bn)^(n-1)."""
     _check_arith(s, b, n)
-    return exact.as_integer(s * exact.power(s + b * n, n - 1))
+    return s * exact.power(s + b * n, n - 1)
 
 
 def count_ipf_arith(s: int, b: int, n: int) -> int:

@@ -357,6 +357,21 @@ def test_count_pq_and_twodim(capsys):
     assert code == 0 and out == "12800\n"
 
 
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        (["--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0"], "4\n"),
+        (["--affine", "0,0,0,0,0,1", "--p", "0", "--q", "1", "--increasing"], "1\n"),
+    ],
+    ids=["pf-q0", "ipf-p0"],
+)
+def test_count_degenerate_affine_formula_equals_oracle(capsys, grid, expected):
+    # an empty side whose factor has a zero base (pf) or a rising factorial at 1 (ipf): the form cancels it
+    for method in ("formula", "oracle"):
+        code, out, err = run_cli(capsys, ["count", "--family", "twodim", *grid, "--method", method])
+        assert (code, out, err) == (0, expected, ""), method
+
+
 def test_count_oracle_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys,

@@ -17,7 +17,9 @@ prime, so pf = ppf and ipf = ippf.
 The same goes for the families the paper states apart from its
 two-dimensional one: the pq forms are the affine forms on U0, the affine
 grid (0,1,1,0,1,1), and a vector family with arithmetic boundary is the
-affine family on the one-row grid (b,0,0,0,s,t) with q = 0, for any t.
+affine family on the one-row grid (b,0,0,0,s,t) with q = 0, for any t, and
+on a one-column grid with p = 0 and (d, t) = (b, s), whatever its other
+four values: an all-zero u-channel included, whose factor the form cancels.
 """
 
 from functools import cache
@@ -94,3 +96,14 @@ def test_vector_forms_are_the_affine_forms_on_one_row(s, t):
             row = AffineWeightSpec(b, 0, 0, 0, s, t, n, 0)
             assert _pf(s, b, n) == twodim.count_affine_pf(row), (s, b, n)
             assert _ipf(s, b, n) == twodim.count_affine_ipf(row), (s, b, n)
+
+
+@pytest.mark.parametrize("other", [(0, 0), (1, 0), (2, 3)], ids=["s0b0", "s1b0", "s2b3"])
+@pytest.mark.parametrize("t", range(1, 6))
+def test_vector_forms_are_the_affine_forms_on_one_column(t, other):
+    s, b = other  # the u-channel of the empty a-side, read by no edge
+    for d in range(5):
+        for q in range(1, 41):
+            column = AffineWeightSpec(1, b, 1, d, s, t, 0, q)
+            assert _pf(t, d, q) == twodim.count_affine_pf(column), (t, d, q, other)
+            assert _ipf(t, d, q) == twodim.count_affine_ipf(column), (t, d, q, other)

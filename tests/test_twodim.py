@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkfn import twodim
-from parkfn.errors import ConventionUndefined, DegenerateGrid, DimensionMismatch, NonMonotoneWeights
+from parkfn import oracle, twodim
+from parkfn.errors import DegenerateGrid, DimensionMismatch, NonMonotoneWeights
+from parkfn.oracle import FamilySpec
 from parkfn.pq import u0_matrix
 from parkfn.twodim import AffineWeightSpec, WeightMatrix
 
@@ -466,10 +467,21 @@ def test_count_affine_reduces_to_one_dimension():
         assert twodim.count_affine_ipf(spec) == count_ipf_arith(s, a, p)
 
 
-def test_count_affine_ipf_convention_error():
-    # the p = 0 reduction needs the reciprocal convention, undefined at x = 1
-    with pytest.raises(ConventionUndefined):
-        twodim.count_affine_ipf(AffineWeightSpec(0, 0, 0, 1, 0, 1, 0, 2))
+def test_count_affine_ipf_at_p_zero_cancels_the_empty_side():
+    # s = b = 0 at p = 0 put the rising factorial 1^(-1) into the raw form; the cancelled form counts the oracle's 2
+    assert twodim.count_affine_ipf(AffineWeightSpec(0, 0, 0, 1, 0, 1, 0, 2)) == 2
+
+
+def test_degenerate_affine_counts_equal_the_oracle():
+    # every a..t in 0..2 on the shapes (p, 0) and (0, q): the empty side's factor cancels, a zero base included
+    shapes = [(p, 0) for p in range(4)] + [(0, q) for q in range(1, 4)]
+    for values in product(range(3), repeat=6):
+        for p, q in shapes:
+            spec = AffineWeightSpec(*values, p, q)
+            grid = twodim.affine_weight_matrix(spec)
+            for formula, increasing in ((twodim.count_affine_pf, False), (twodim.count_affine_ipf, True)):
+                counted = oracle.count(FamilySpec("twodim", increasing=increasing, weights=grid)).count
+                assert formula(spec) == counted, (spec, increasing)
 
 
 def test_count_affine_prime_examples():

@@ -65,6 +65,7 @@ CLI_CALLS = (
     (["count", "--family", "vector", "--s", "2", "--b", "1", "--n", "3", "--prime"], None),
     (["count", "--family", "pq", "--p", "2", "--q", "3", "--increasing", "--method", "oracle"], None),
     (["count", "--family", "twodim", *_TWODIM_GRID, "--prime", "--method", "oracle"], None),
+    (["count", "--family", "twodim", "--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0", "--method", "formula"], None),
     (["list", "--family", "classical", "--n", "2"], None),
     (["list", "--family", "vector", "--u", "1,1,3", "--prime"], None),
     (["list", "--family", "pq", "--p", "1", "--q", "2", "--increasing"], None),
