@@ -56,6 +56,21 @@ the word weights.  Every product and partial sum it forms is at most a
 grid's count, which never exceeds the nominal space, so int64 is exact
 below 2**63; larger spaces reduce in Python ints, one element per word.
 
+Only live rows need reach the DP.  The grids of a stack and their
+companions are monotone, so the largest east weight in column k is at row
+q and the largest north weight in row l at column p; their maxima over the
+stack are the tops of the two sides.  A sorted a-row with a[k] at or past
+its k-th top is no member of any grid in the stack, as the k-th east step
+needs a[k] < u(k, l) <= u(k, q); nor is a b-row with b[l] at or past its
+l-th top.  A side whose first top reaches its bound has no such dead row
+and is swept whole.  Otherwise the dead rows are dropped where that removes
+whole DP passes: from an a-side that spans more than one a-block, a kept
+one masked whole and its live rows sliced into full a-blocks, a built one
+block by block (``_join``); and from a streamed b-side, in ``_join``,
+before its word layout.  A kept b-side keeps its one cached layout, dead
+rows included, so no cache is keyed by tops; the nominal space, and so the
+cap, still counts every candidate.
+
 Five caches of 128 entries live as long as the process:
 
 - ``_counted``, the four counts of the last grids counted, so the other
@@ -308,13 +323,17 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     b_rows = 64 * max(1, _BLOCK_BITS // (64 * g))
     # [:g] sums the grids' plain counts, [g:] their prime counts (none when p is 0)
     sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
-    for arr_b, valid, wb in _laid_blocks(bv, q, b_rows):
+    # the tops (see the module docstring) of a side that may drop rows: a streamed b-side, an a-side past one a-block
+    streamed = _multisets(bv, q) > _BLOCK_BITS // 64
+    top_b = np.array([max(grid.rows[l][p][1] for grid in stack) for l in range(q)]) if streamed else None
+    for arr_b, valid, wb in _laid_blocks(bv, q, b_rows, top_b):
         wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
         east_bound, north = _packed_edges(arr_b, stack)
         a_rows = max(1, _BLOCK_BITS // (64 * len(valid)) // g)  # against the b-block's padded words
+        top_a = east_bound[:, :, q].max(axis=0) if _multisets(bu, p) > a_rows else None
         # the DP's p+2 states (``_vector_reach``), shared by every a-block against this b-block
         work = np.empty((p + 2, len(stack), min(a_rows, _multisets(bu, p)), len(valid)), np.uint64)
-        for arr_a, wa in _side_blocks(bu, p, a_rows):
+        for arr_a, wa in _side_blocks(bu, p, a_rows, top_a):
             east = (arr_a[:, :, None] < east_bound[:, None]) * _ONES
             counts = np.bitwise_count(_vector_reach(east, north, valid, work[:, :, : len(arr_a)]))
             sums[: len(stack)] += np.einsum("giw,i,w->g", counts, wa, wb)  # every bit of word w weighs wb[w]
@@ -328,33 +347,45 @@ def _multisets(bound: int, length: int) -> int:
     return comb(bound + length - 1, length) if length else 1
 
 
-def _side_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _side_blocks(
+    bound: int, length: int, rows: int, tops: Optional[np.ndarray] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """An a-side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
 
     A side of at most ``_BLOCK_BITS // 64`` rows is built once per (bound,
     length) and kept read-only, so the grids that share it slice it; a
-    larger one is built anew, one block at a time (``_built_side``).
+    larger one is built anew, one block at a time (``_built_side``).  Given
+    ``tops`` below the bound, the rows at or past them are dropped (see the
+    module docstring): a kept side is masked whole and its live rows sliced
+    into full blocks, a built one is masked block by block.
     """
+    tops = tops if tops is not None and tops[0] < bound else None
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
         arr, weights = _kept_side(bound, length)
+        if tops is not None:
+            live = (arr.T < tops[:, None]).all(axis=0)
+            arr, weights = arr.T.compress(live, axis=1).T, weights[live]  # still column-major
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
-    yield from _built_side(bound, length, rows)
+    yield from _built_side(bound, length, rows, tops=tops)
 
 
-def _laid_blocks(bound: int, length: int, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _laid_blocks(
+    bound: int, length: int, rows: int, tops: Optional[np.ndarray] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A b-side in word layout (``_word_layout``): rows, valid words and word weights, ``rows // 64`` words at a time.
 
     A side of at most ``_BLOCK_BITS // 64`` rows is laid out once per (bound,
-    length) and kept read-only; a larger one is built ``rows`` rows at a time
-    and each block laid out on its own.  Either is cut on word boundaries, so
-    no b-block holds more than ``rows`` bits.
+    length) and kept read-only, whatever ``tops``; a larger one is built
+    ``rows`` rows at a time, drops the rows at or past ``tops`` if they are
+    below the bound, and lays each block out on its own.  Either is cut on
+    word boundaries, so no b-block holds more than ``rows`` bits.
     """
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
         blocks: Iterable[tuple[np.ndarray, ...]] = (_kept_side(bound, length, True),)
     else:
-        blocks = _built_side(bound, length, rows, True)
+        blocks = _built_side(bound, length, rows, True, tops if tops is not None and tops[0] < bound else None)
     words = rows // 64
     for arr, valid, weights in blocks:
         for start in range(0, len(valid), words):
@@ -377,7 +408,9 @@ def _kept_side(bound: int, length: int, laid: bool = False) -> tuple[np.ndarray,
     return side
 
 
-def _built_side(bound: int, length: int, rows: int, laid: bool = False) -> Iterator[tuple[np.ndarray, ...]]:
+def _built_side(
+    bound: int, length: int, rows: int, laid: bool = False, tops: Optional[np.ndarray] = None
+) -> Iterator[tuple[np.ndarray, ...]]:
     """A side's sorted rows, column-major, and their weights, built anew ``rows`` at a time (see the module docstring).
 
     A row's weight is n! over the factorials of its entries' multiplicities.
@@ -386,10 +419,12 @@ def _built_side(bound: int, length: int, rows: int, laid: bool = False) -> Itera
     of two or more entries is the join of its own halves, built once) and
     one block of their join.  If ``laid``, each block comes in its word
     layout instead: its rows, gathered in slot order, the valid words and
-    the word weights (``_word_layout``).
+    the word weights (``_word_layout``).  Given ``tops``, each block keeps
+    only its live rows, those below ``tops`` at every position.
     """
     n, dtype = _multisets(bound, length), np.int8 if bound < 128 else np.int64
     if length < 2:
+        n = n if tops is None else min(n, int(tops[0]))  # the live rows of one entry are those below its top
         for start in range(0, n, rows):
             entries = np.arange(start, min(start + rows, n), dtype=dtype)[:, None][:, :length]
             weights = np.ones(len(entries), np.int64)
@@ -409,7 +444,7 @@ def _built_side(bound: int, length: int, rows: int, laid: bool = False) -> Itera
 
     head, tail = table(length - length // 2), table(length // 2)
     for start in range(0, n, rows):
-        cols, *rest = _join(head, tail, start, min(start + rows, n), laid)
+        cols, *rest = _join(head, tail, start, min(start + rows, n), laid, tops)
         yield (cols.T, *rest) if laid else (cols.T, rest[0])
 
 
@@ -422,7 +457,7 @@ def _word_layout(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     order = weights.argsort()
     ranked = weights[order]
-    firsts = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()]  # where each class starts in ``ranked``
+    firsts = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()][: len(order)]  # where each class starts
     sizes = [stop - start for start, stop in zip(firsts, firsts[1:] + [len(order)])]
     words = [-(-size // 64) for size in sizes]
     source, valid = np.zeros(64 * sum(words), np.intp), []
@@ -433,7 +468,12 @@ def _word_layout(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _join(
-    head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int, laid: bool = False
+    head: tuple[np.ndarray, ...],
+    tail: tuple[np.ndarray, ...],
+    start: int,
+    stop: int,
+    laid: bool = False,
+    tops: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, ...]:
     """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, as a table.
 
@@ -448,6 +488,9 @@ def _join(
     division is at most (d+e)!, so int64 is exact while (d+e)! < 2**63.
     If ``laid``, the rows are gathered straight into their word layout
     (``_word_layout``) and come with its valid words and word weights.
+    Given ``tops``, only the rows below them at every position are kept: a
+    row is live iff its head row is below the first d tops and its tail row
+    below the rest.
     """
     hcols, hweights, hfront, hback = head
     tcols, tweights, tfront, tback = tail
@@ -457,6 +500,9 @@ def _join(
     clipped = np.minimum(np.maximum(edges, start), stop)
     i = np.repeat(np.arange(len(clipped) - 1), clipped[1:] - clipped[:-1])  # each row's head row
     t = np.arange(start + nt, stop + nt) - edges[1:][i]  # and its tail row: every run ends on the tail's last row
+    if tops is not None:
+        live = (hcols < tops[:d, None]).all(axis=0)[i] & (tcols < tops[d:, None]).all(axis=0)[t]
+        i, t = i[live], t[live]
     same = hcols[-1, i] == tcols[0, t]
     s, r = tfront[t] * same, hback[i]
     binomials = _binomials(d, e)

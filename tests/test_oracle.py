@@ -357,9 +357,9 @@ def test_count_many_sweeps_a_large_group_as_one_stack_in_narrower_b_blocks(monke
         stacks.append((len(arr_b), len(grids)))
         return packed_edges(arr_b, grids)
 
-    def spy_blocks(bound, length, rows):
+    def spy_blocks(bound, length, rows, tops):
         b_rows.append((bound, length, rows))
-        return laid_blocks(bound, length, rows)
+        return laid_blocks(bound, length, rows, tops)
 
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 256)
     monkeypatch.setattr(oracle, "_packed_edges", spy_edges)
@@ -676,6 +676,81 @@ def test_kernel_weighs_classes_across_words_and_blocks(monkeypatch, grid, block_
         space = oracle.count(spec, cap=10**30).search_space
         want = len(list(oracle.enumerate_members(spec))) if space <= 10**5 else _weighed_members(spec)
         assert oracle.count(spec, cap=10**30).count == want, spec
+
+
+def _tops(weights):
+    """The largest u at (k, q) per column and v at (p, l) per row over a grid (p, q >= 1) and its prime companion."""
+    p, q, stack = weights.p, weights.q, (weights, twodim.prime_weight_transform(weights))
+    return [max(g.rows[q][k][0] for g in stack) for k in range(p)], [max(g.rows[l][p][1] for g in stack) for l in range(q)]
+
+
+def _below(rows, tops):
+    """Which rows lie below ``tops`` at every position."""
+    return np.all(np.asarray(rows).reshape(len(rows), len(tops)) < np.array(tops, np.int64), axis=1)
+
+
+@pytest.mark.parametrize(
+    "grid, block_bits, live",
+    [
+        ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, (1638, 3003)),  # 1638 of 3003 a-rows; the kept b-side keeps its layout
+        ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, (75, 4862)),  # 75 of 105 a-rows against 4862 of 48620 streamed b-rows
+        ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, (14, 28)),  # both sides streamed: 14 of 21 a-rows, 28 of 56 b-rows
+        ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, (0, 0)),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
+        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, (1, 1)),  # a streamed one-entry a-side keeps the rows below its top, (0,)
+    ],
+)
+def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits, live):
+    # a sorted a with a[k] >= u(k, q), or b with b[l] >= v(p, l), is no member of the grid or its prime companion:
+    # the kernel drops such rows from a side that spans more than one block, save a kept b-side
+    weights = affine_weight_matrix(AffineWeightSpec(*grid))
+    top_a, top_b = _tops(weights)
+    side_blocks, laid_blocks, a_rows, b_rows = oracle._side_blocks, oracle._laid_blocks, [], []
+
+    def spy_side(*args):
+        for arr, wa in side_blocks(*args):
+            a_rows.extend(arr.tolist())
+            yield arr, wa
+
+    def spy_laid(*args):
+        for arr, valid, wb in laid_blocks(*args):
+            b_rows.extend(arr[np.unpackbits(valid.view(np.uint8), bitorder="little").astype(bool)].tolist())
+            yield arr, valid, wb
+
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(oracle, "_side_blocks", spy_side)
+    monkeypatch.setattr(oracle, "_laid_blocks", spy_laid)
+    oracle._counted.clear()
+    aspec = AffineWeightSpec(*grid)
+    closed = (twodim.count_affine_pf, twodim.count_affine_ipf, twodim.count_affine_ppf, twodim.count_affine_ippf)
+    for spec, form in zip(_affine_variants(grid), closed):
+        report = oracle.count(spec, cap=10**30)
+        assert report.count == (len(list(oracle.enumerate_members(spec))) if report.search_space <= 10**5 else form(aspec))
+    assert (len(a_rows), len(b_rows)) == live  # at most one b-block, so each a-row is swept once
+    # the swept rows are exactly the live ones, those below the tops at every position; a kept b-side sweeps all
+    na, nb = (_below(list(combinations_with_replacement(range(bound), len(top))), top).sum()
+              for bound, top in ((weights.max_u, top_a), (weights.max_v, top_b)))
+    kept_b = comb(weights.max_v + weights.q - 1, weights.q) <= block_bits // 64
+    assert _below(a_rows, top_a).all() and len(a_rows) == (na if b_rows else 0)
+    assert kept_b or (_below(b_rows, top_b).all() and len(b_rows) == nb)
+
+
+def test_a_side_with_no_dead_row_is_built_as_before(monkeypatch):
+    # every u and v of the thin grid (0,0,0,0,9,9) is 9, its bound: no row is dead, so its streamed b-side comes
+    # straight from _built_side(..., laid=True) with no tops, and its kept a-side is built whole
+    built_side, calls = oracle._built_side, []
+
+    def spy(bound, length, rows, laid=False, tops=None):
+        calls.append((bound, length, laid, tops))
+        return built_side(bound, length, rows, laid, tops)
+
+    grid = (0, 0, 0, 0, 9, 9, 1, 7)
+    assert comb(9 + 7 - 1, 7) > oracle._BLOCK_BITS // 64  # 6435 b-rows: streamed
+    monkeypatch.setattr(oracle, "_built_side", spy)
+    oracle._counted.clear()
+    oracle._kept_side.cache_clear()
+    spec = FamilySpec("twodim", increasing=True, weights=affine_weight_matrix(AffineWeightSpec(*grid)))
+    assert oracle.count(spec).count == twodim.count_affine_ipf(AffineWeightSpec(*grid))
+    assert calls == [(9, 7, True, None), (9, 1, False, None)]
 
 
 @pytest.mark.parametrize("grid", [(0, 1, 1, 0, 1, 1, 21, 1), (0, 1, 1, 0, 1, 1, 1, 21)])

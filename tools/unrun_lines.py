@@ -66,6 +66,8 @@ CLI_CALLS = (
     (["count", "--family", "pq", "--p", "2", "--q", "3", "--increasing", "--method", "oracle"], None),
     (["count", "--family", "twodim", *_TWODIM_GRID, "--prime", "--method", "oracle"], None),
     (["count", "--family", "twodim", "--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0", "--method", "formula"], None),
+    # a streamed one-entry a-side (5001 rows) with one live row: the kernel keeps only the rows below its top
+    (["count", "--family", "twodim", "--affine", "5000,0,0,0,1,1", "--p", "1", "--q", "1", "--method", "oracle"], None),
     (["list", "--family", "classical", "--n", "2"], None),
     (["list", "--family", "vector", "--u", "1,1,3", "--prime"], None),
     (["list", "--family", "pq", "--p", "1", "--q", "2", "--increasing"], None),
