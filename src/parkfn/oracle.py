@@ -28,11 +28,13 @@ weight, each weight class a run of rows that starts on a fresh word, so all
 64 bits of a word weigh the same.  A state is a (grid x a-candidate x word)
 array.  It starts from the b-block's packed mask of real rows, so its pad
 bits are 0 and stay 0; an east edge masks whole a-rows, a north edge ANDs in
-one packed b-row.  Both sides follow one block rule: the b-candidates come
-in b-blocks of at most ``_BLOCK_BITS`` bits (``_laid_blocks``: built a
-block of rows at a time, laid out, and cut on word boundaries), each
-packed once for the whole stack, and against each b-block the a-candidates,
-in sorted order (``_side_blocks``), come in a-blocks of at most
+one packed b-row.  Both sides come from one source of blocks
+(``_side_blocks``): a block of sorted rows is built, masked to its live
+rows (below), and, on the b-side, then laid out.  The b-candidates come in
+b-blocks of at most ``_BLOCK_BITS`` bits (``_laid_blocks``: each block laid
+out on its own and cut on word boundaries), each packed once for the whole
+stack (``_packed_north``, from the stack's nodes, read once per sweep), and
+against each b-block the a-candidates come in a-blocks of at most
 ``_BLOCK_BITS`` candidate pairs (a-rows x the b-block's padded bits) summed
 over the group's grids, each reduced before the next is built.  So memory is
 bounded by one block on each side however large the space and however many
@@ -45,9 +47,9 @@ A side is built in numpy, never from Python tuples
 (``_built_side``): a one-entry side counts up a ``range`` a block at a time
 and pools nothing; a longer one is the sorted join (``_join``) of its two
 halves' tables, each table the join of its own halves, and is joined one
-block of rows at a time.  A side's rows are column-major, so each compare
-in ``_packed_edges`` reads one entry of every row from contiguous memory,
-and int8 below bound 128, int64 past it; its weights are int64 while
+block of rows at a time.  A side's rows are column-major, laid out or not,
+so each compare reads one entry of every row from contiguous memory, and
+int8 below bound 128, int64 past it; its weights are int64 while
 n! < 2**63, Python ints past it.  An a-block reduces to the popcount of each
 word (``np.bitwise_count``): the plain counts are one ``einsum`` of the
 popcounts with the a-weights and the word weights, the increasing counts
@@ -59,17 +61,18 @@ below 2**63; larger spaces reduce in Python ints, one element per word.
 Only live rows need reach the DP.  The grids of a stack and their
 companions are monotone, so the largest east weight in column k is at row
 q and the largest north weight in row l at column p; their maxima over the
-stack are the tops of the two sides.  A sorted a-row with a[k] at or past
-its k-th top is no member of any grid in the stack, as the k-th east step
-needs a[k] < u(k, l) <= u(k, q); nor is a b-row with b[l] at or past its
-l-th top.  A side whose first top reaches its bound has no such dead row
-and is swept whole.  Otherwise the dead rows are dropped where that removes
-whole DP passes: from an a-side that spans more than one a-block, a kept
-one masked whole and its live rows sliced into full a-blocks, a built one
-block by block (``_join``); and from a streamed b-side, in ``_join``,
-before its word layout.  A kept b-side keeps its one cached layout, dead
-rows included, so no cache is keyed by tops; the nominal space, and so the
-cap, still counts every candidate.
+stack, read from its nodes, are the tops of the two sides.  A sorted a-row
+with a[k] at or past its k-th top is no member of any grid in the stack, as
+the k-th east step needs a[k] < u(k, l) <= u(k, q); nor is a b-row with
+b[l] at or past its l-th top.  A side whose first top reaches its bound has
+no such dead row and is swept whole.  Otherwise ``_side_blocks`` drops the
+dead rows where that removes whole DP passes: from an a-side that spans
+more than one a-block, a kept one masked whole and its live rows sliced
+into full a-blocks, a built one block by block (``_join``); and from a
+streamed b-side, block by block, before each block is laid out.  A kept
+b-side keeps its one cached layout, dead rows included, so no cache is
+keyed by tops; the nominal space, and so the cap, still counts every
+candidate.
 
 Five caches of 128 entries live as long as the process:
 
@@ -78,7 +81,7 @@ Five caches of 128 entries live as long as the process:
 - ``_kept_side``, the candidate sides: the sorted rows and weights of one
   sequence depend only on its entry bound and length, so each
   (bound, length) has one entry, whichever side it serves, and a b-side a
-  second one, their word layout, gathered from it.  A side of at most
+  second one, the word layout of the first.  A side of at most
   ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept read-only
   and whole, even when its blocks take a few rows at a time, and shared by
   every grid that needs it; a larger side is rebuilt per sweep, one block
@@ -96,7 +99,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product, starmap
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -319,16 +322,20 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     p, q, bu, bv, g = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v, len(grids)
     dtype = np.int64 if bu**p * bv**q < 2**63 else object
     stack = grids + [_prime_companion(grid) for grid in grids] if p else grids
+    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in stack)))
+    nodes = np.fromiter(flat, object).reshape(len(stack), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
+    # on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l]; only edges that exist are cast
+    east_bound = nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1)
     # a full block, or the whole side, while each grid keeps an a-row against one; narrower for a larger group
     b_rows = 64 * max(1, _BLOCK_BITS // (64 * g))
     # [:g] sums the grids' plain counts, [g:] their prime counts (none when p is 0)
     sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
-    # the tops (see the module docstring) of a side that may drop rows: a streamed b-side, an a-side past one a-block
-    streamed = _multisets(bv, q) > _BLOCK_BITS // 64
-    top_b = np.array([max(grid.rows[l][p][1] for grid in stack) for l in range(q)]) if streamed else None
+    # the tops (see the module docstring) of a side that may drop rows: a streamed b-side, an a-side past one a-block;
+    # a streamed b-side's bound fits int64, as ``_checked_space`` refuses larger ones
+    top_b = nodes[:, :q, p, 1].max(axis=0).astype(np.int64) if _multisets(bv, q) > _BLOCK_BITS // 64 else None
     for arr_b, valid, wb in _laid_blocks(bv, q, b_rows, top_b):
         wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
-        east_bound, north = _packed_edges(arr_b, stack)
+        north = _packed_north(arr_b, nodes)
         a_rows = max(1, _BLOCK_BITS // (64 * len(valid)) // g)  # against the b-block's padded words
         top_a = east_bound[:, :, q].max(axis=0) if _multisets(bu, p) > a_rows else None
         # the DP's p+2 states (``_vector_reach``), shared by every a-block against this b-block
@@ -350,14 +357,16 @@ def _multisets(bound: int, length: int) -> int:
 def _side_blocks(
     bound: int, length: int, rows: int, tops: Optional[np.ndarray] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """An a-side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
+    """A side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
 
-    A side of at most ``_BLOCK_BITS // 64`` rows is built once per (bound,
-    length) and kept read-only, so the grids that share it slice it; a
-    larger one is built anew, one block at a time (``_built_side``).  Given
-    ``tops`` below the bound, the rows at or past them are dropped (see the
-    module docstring): a kept side is masked whole and its live rows sliced
-    into full blocks, a built one is masked block by block.
+    Every a-side comes from here, and every streamed b-side before its word
+    layout (``_laid_blocks``).  A side of at most ``_BLOCK_BITS // 64`` rows
+    is built once per (bound, length) and kept read-only, so the grids that
+    share it slice it; a larger one is built anew, one block at a time
+    (``_built_side``).  Given ``tops`` below the bound, the rows at or past
+    them are dropped (see the module docstring): a kept side is masked whole
+    and its live rows sliced into full blocks, a built one is masked block
+    by block.
     """
     tops = tops if tops is not None and tops[0] < bound else None
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
@@ -368,7 +377,7 @@ def _side_blocks(
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
-    yield from _built_side(bound, length, rows, tops=tops)
+    yield from _built_side(bound, length, rows, tops)
 
 
 def _laid_blocks(
@@ -377,15 +386,15 @@ def _laid_blocks(
     """A b-side in word layout (``_word_layout``): rows, valid words and word weights, ``rows // 64`` words at a time.
 
     A side of at most ``_BLOCK_BITS // 64`` rows is laid out once per (bound,
-    length) and kept read-only, whatever ``tops``; a larger one is built
-    ``rows`` rows at a time, drops the rows at or past ``tops`` if they are
-    below the bound, and lays each block out on its own.  Either is cut on
-    word boundaries, so no b-block holds more than ``rows`` bits.
+    length) and kept read-only, whatever ``tops``; a larger one takes its
+    blocks of ``rows`` rows from ``_side_blocks``, masked to its live rows,
+    and lays each out on its own.  Either is cut on word boundaries, so no
+    b-block holds more than ``rows`` bits.
     """
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
         blocks: Iterable[tuple[np.ndarray, ...]] = (_kept_side(bound, length, True),)
     else:
-        blocks = _built_side(bound, length, rows, True, tops if tops is not None and tops[0] < bound else None)
+        blocks = starmap(_word_layout, _side_blocks(bound, length, rows, tops))
     words = rows // 64
     for arr, valid, weights in blocks:
         for start in range(0, len(valid), words):
@@ -394,45 +403,33 @@ def _laid_blocks(
 
 @lru_cache(maxsize=128)
 def _kept_side(bound: int, length: int, laid: bool = False) -> tuple[np.ndarray, ...]:
-    """Every sorted row of a side and its weights, or their word layout if ``laid``, read-only: every caller shares
-    them; the 128 most recently used stay.  The layout is gathered from the kept sorted rows, so a (bound, length)
-    that serves as an a-side and as a b-side is joined once."""
-    if laid:
-        rows, weights = _kept_side(bound, length)
-        source, valid, word_weights = _word_layout(weights)
-        side = rows.T.take(source, axis=1).T, valid, word_weights
-    else:
-        side = next(_built_side(bound, length, _multisets(bound, length)))
+    """Every sorted row of a side and its weights, or if ``laid`` their word layout, read-only: every caller shares
+    them; the 128 most recently used stay.  The layout is that of the kept sorted rows, so a (bound, length) that
+    serves as an a-side and as a b-side is joined once, and a kept b-side is laid out once, dead rows included."""
+    side = _word_layout(*_kept_side(bound, length)) if laid else next(_built_side(bound, length, _multisets(bound, length)))
     for part in side:
         part.setflags(write=False)
     return side
 
 
 def _built_side(
-    bound: int, length: int, rows: int, laid: bool = False, tops: Optional[np.ndarray] = None
-) -> Iterator[tuple[np.ndarray, ...]]:
+    bound: int, length: int, rows: int, tops: Optional[np.ndarray] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A side's sorted rows, column-major, and their weights, built anew ``rows`` at a time (see the module docstring).
 
     A row's weight is n! over the factorials of its entries' multiplicities.
     A side of at most one entry counts up a range (the empty side is one
     empty row).  A longer one holds the tables of its two halves (each table
     of two or more entries is the join of its own halves, built once) and
-    one block of their join.  If ``laid``, each block comes in its word
-    layout instead: its rows, gathered in slot order, the valid words and
-    the word weights (``_word_layout``).  Given ``tops``, each block keeps
-    only its live rows, those below ``tops`` at every position.
+    one block of their join.  Given ``tops``, each block keeps only its live
+    rows, those below ``tops`` at every position.
     """
     n, dtype = _multisets(bound, length), np.int8 if bound < 128 else np.int64
     if length < 2:
         n = n if tops is None else min(n, int(tops[0]))  # the live rows of one entry are those below its top
         for start in range(0, n, rows):
             entries = np.arange(start, min(start + rows, n), dtype=dtype)[:, None][:, :length]
-            weights = np.ones(len(entries), np.int64)
-            if laid:
-                source, valid, weights = _word_layout(weights)
-                yield entries[source], valid, weights
-            else:
-                yield entries, weights
+            yield entries, np.ones(len(entries), np.int64)
         return
     ones = np.ones(bound, np.int64)
     tables = {1: (np.arange(bound, dtype=dtype)[None], ones, ones, ones)}
@@ -444,16 +441,17 @@ def _built_side(
 
     head, tail = table(length - length // 2), table(length // 2)
     for start in range(0, n, rows):
-        cols, *rest = _join(head, tail, start, min(start + rows, n), laid, tops)
-        yield (cols.T, *rest) if laid else (cols.T, rest[0])
+        cols, weights, _, _ = _join(head, tail, start, min(start + rows, n), tops)
+        yield cols.T, weights
 
 
-def _word_layout(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a block's rows go so that each weight class is a run of rows that starts on a fresh 64-bit word.
+def _word_layout(arr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's rows laid out so that each weight class is a run of rows that starts on a fresh 64-bit word.
 
-    Returns the row each slot takes (a pad slot takes row 0), the packed
-    mask of the slots that hold a row (0 on every pad bit), and each word's
-    weight, which every row in the word has.  Every row takes one slot.
+    Returns the rows in slot order, column-major like ``arr`` (a pad slot
+    holds row 0), the packed mask of the slots that hold a row (0 on every
+    pad bit), and each word's weight, which every row in the word has.
+    Every row takes one slot.  This is the one place a layout is computed.
     """
     order = weights.argsort()
     ranked = weights[order]
@@ -464,16 +462,11 @@ def _word_layout(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for start, size in zip(firsts, sizes):
         source[64 * len(valid) : 64 * len(valid) + size] = order[start : start + size]
         valid += [2**64 - 1] * (size // 64) + [2 ** (size % 64) - 1] * (size % 64 > 0)
-    return source, np.array(valid, np.uint64), np.repeat(ranked[firsts], words)
+    return arr.T.take(source, axis=1).T, np.array(valid, np.uint64), np.repeat(ranked[firsts], words)
 
 
 def _join(
-    head: tuple[np.ndarray, ...],
-    tail: tuple[np.ndarray, ...],
-    start: int,
-    stop: int,
-    laid: bool = False,
-    tops: Optional[np.ndarray] = None,
+    head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int, tops: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, ...]:
     """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, as a table.
 
@@ -486,8 +479,6 @@ def _join(
     C(r+s, r), where r is the head row's back run and s the tail row's front
     run if it starts on the same value (else 0); the product before the
     division is at most (d+e)!, so int64 is exact while (d+e)! < 2**63.
-    If ``laid``, the rows are gathered straight into their word layout
-    (``_word_layout``) and come with its valid words and word weights.
     Given ``tops``, only the rows below them at every position are kept: a
     row is live iff its head row is below the first d tops and its tail row
     below the rest.
@@ -507,14 +498,9 @@ def _join(
     s, r = tfront[t] * same, hback[i]
     binomials = _binomials(d, e)
     weights = comb(d + e, d) * hweights[i].astype(binomials.dtype, copy=False) * tweights[t] // binomials[r, s]
-    if laid:
-        source, valid, word_weights = _word_layout(weights)
-        i, t = i[source], t[source]
     cols = np.empty((d + e, len(i)), hcols.dtype)
     np.take(hcols, i, axis=1, out=cols[:d], mode="clip")  # the indices are in range; "raise" would buffer the output
     np.take(tcols, t, axis=1, out=cols[d:], mode="clip")
-    if laid:
-        return cols, valid, word_weights
     front, back = hfront[i], tback[t]
     return cols, weights, front + s * (front == d), back + r * same * (back == e)
 
@@ -526,22 +512,17 @@ def _binomials(d: int, e: int) -> np.ndarray:
     return np.array([[comb(r + s, r) for s in range(e + 1)] for r in range(d + 1)], wide)
 
 
-def _packed_edges(arr_b: np.ndarray, grids: list[WeightMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked edges of same-shape grids for ``_vector_reach``: on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l].
+def _packed_north(arr_b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Stacked north edges for ``_vector_reach``: north[l, k, g, 0] packs the laid-out b-block's rows (a whole number
+    of words) that may take the north edge at (k, l) on grid g of ``nodes`` (``nodes[g, l, k] = (u, v)``).
 
-    north[l, k, g, 0] packs the laid-out b-block's rows (a whole number of
-    words) that may take the north edge at (k, l) on grid g.  Only the
-    weights of edges that exist are cast: an empty side's channel may hold
-    any int.  An east weight is cast to int64; a north weight is at most the
-    b-side's bound, the last node's v, so it takes the b-rows' own dtype and
-    the compare casts nothing.
+    Only the weights of edges that exist are cast: an empty side's channel
+    may hold any int.  A north weight is at most the b-side's bound, the last
+    node's v, so it takes the b-rows' own dtype and the compare casts
+    nothing.
     """
-    p, q = grids[0].p, grids[0].q
-    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in grids)))
-    nodes = np.fromiter(flat, object).reshape(len(grids), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
-    below = arr_b.T[:, None, None, None, :] < nodes[:, :q, :, 1].astype(arr_b.dtype).transpose(1, 2, 0)[..., None, None]
-    north = np.packbits(below, axis=-1, bitorder="little").view(np.uint64)
-    return nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1), north
+    below = arr_b.T[:, None, None, None, :] < nodes[:, :-1, :, 1].astype(arr_b.dtype).transpose(1, 2, 0)[..., None, None]
+    return np.packbits(below, axis=-1, bitorder="little").view(np.uint64)
 
 
 def _vector_reach(east: np.ndarray, north: np.ndarray, valid: np.ndarray, work: np.ndarray) -> np.ndarray:

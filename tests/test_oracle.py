@@ -351,18 +351,18 @@ def test_count_many_sweeps_a_large_group_as_one_stack_in_narrower_b_blocks(monke
     # laid-out blocks are cut into one-word b-blocks, each packed once for its stack of six
     specs = _affine_specs((1, 0, 1, 2, 1, 6, 2, 2), (0, 1, 2, 1, 1, 6, 2, 2), (0, 0, 0, 0, 3, 12, 2, 2))
     want = [_lone_count(spec) for spec in specs]
-    packed_edges, laid_blocks, stacks, b_rows = oracle._packed_edges, oracle._laid_blocks, [], []
+    packed_north, laid_blocks, stacks, b_rows = oracle._packed_north, oracle._laid_blocks, [], []
 
-    def spy_edges(arr_b, grids):
-        stacks.append((len(arr_b), len(grids)))
-        return packed_edges(arr_b, grids)
+    def spy_north(arr_b, nodes):
+        stacks.append((len(arr_b), len(nodes)))
+        return packed_north(arr_b, nodes)
 
     def spy_blocks(bound, length, rows, tops):
         b_rows.append((bound, length, rows))
         return laid_blocks(bound, length, rows, tops)
 
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 256)
-    monkeypatch.setattr(oracle, "_packed_edges", spy_edges)
+    monkeypatch.setattr(oracle, "_packed_north", spy_north)
     monkeypatch.setattr(oracle, "_laid_blocks", spy_blocks)
     oracle._counted.clear()
     assert [report.count for report in oracle.count_many(specs)] == want
@@ -624,7 +624,7 @@ def _slots(valid):
 def test_word_layout_starts_each_weight_class_on_a_word(shape):
     bound, length, rows = shape
     plain = list(oracle._built_side(bound, length, rows))
-    laid = list(oracle._built_side(bound, length, rows, True))
+    laid = [oracle._word_layout(*block) for block in plain]
     assert len(laid) == len(plain)
     for (arr, valid, word_weights), (rows_in_order, weights) in zip(laid, plain):
         assert len(arr) == 64 * len(valid) == 64 * len(word_weights) and arr.dtype == rows_in_order.dtype
@@ -637,6 +637,43 @@ def test_word_layout_starts_each_weight_class_on_a_word(shape):
         for weight in set(slot_weights.tolist()):
             run = slots[slot_weights == weight]  # one class: a run of slots from the first bit of a word
             assert run[0] % 64 == 0 and run.tolist() == list(range(run[0], run[0] + len(run)))
+
+
+@st.composite
+def streamed_sides(draw):
+    """A side of 2 to 5000 sorted rows, a b-block size of one to eight words, and weakly increasing tops, some of
+    them at or past the bound: under 64-bit blocks any side of more than one row is streamed."""
+    bound = draw(st.integers(2, 12))
+    length = draw(st.integers(1, 8).filter(lambda length: comb(bound + length - 1, length) <= 5000))
+    tops = sorted(draw(st.lists(st.integers(0, bound + 1), min_size=length, max_size=length)))
+    return bound, length, 64 * draw(st.integers(1, 8)), tops
+
+
+@settings(max_examples=60, deadline=None)
+@given(streamed_sides())
+@example((12, 3, 64, [12, 12, 12]))  # the first top reaches the bound: no row is dead
+@example((12, 3, 128, [2, 5, 9]))  # most rows dead, some blocks wholly
+@example((10, 1, 64, [0]))  # one entry, every row dead
+@example((3, 8, 512, [1, 2, 2, 2, 2, 3, 3, 3]))  # classes of many sizes in one block
+def test_laid_blocks_lay_out_the_live_rows_of_a_streamed_side(side):
+    # a streamed b-side is built a block at a time, masked to the rows below its tops, then laid out
+    bound, length, rows, tops = side
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_BLOCK_BITS", 64)
+        blocks = list(oracle._laid_blocks(bound, length, rows, np.array(tops, np.int64)))
+    real, weights = [], []
+    for arr, valid, word_weights in blocks:
+        assert len(arr) == 64 * len(valid) == 64 * len(word_weights) <= rows  # no b-block holds more than rows bits
+        slots = _slots(valid)
+        slot_weights = word_weights[slots // 64]
+        for weight in set(slot_weights.tolist()):
+            run = slots[slot_weights == weight]  # one class: a run of slots from the first bit of a word
+            assert run[0] % 64 == 0 and run.tolist() == list(range(run[0], run[0] + len(run)))
+        real += [tuple(row) for row in arr[slots].tolist()]
+        weights += slot_weights.tolist()
+    live = [row for row in combinations_with_replacement(range(bound), length) if all(map(int.__lt__, row, tops))]
+    assert sorted(real) == live
+    assert weights == [_rearrangements(row) for row in real]
 
 
 def _weighed_members(spec):
@@ -706,9 +743,12 @@ def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits,
     top_a, top_b = _tops(weights)
     side_blocks, laid_blocks, a_rows, b_rows = oracle._side_blocks, oracle._laid_blocks, [], []
 
-    def spy_side(*args):
-        for arr, wa in side_blocks(*args):
-            a_rows.extend(arr.tolist())
+    def spy_side(bound, length, *args):
+        # only the a-side's blocks: a streamed b-side takes its blocks from _side_blocks too, and where the two sides
+        # share (bound, length) here, the b-side is kept and laid out whole
+        for arr, wa in side_blocks(bound, length, *args):
+            if (bound, length) == (weights.max_u, weights.p):
+                a_rows.extend(arr.tolist())
             yield arr, wa
 
     def spy_laid(*args):
@@ -736,12 +776,12 @@ def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits,
 
 def test_a_side_with_no_dead_row_is_built_as_before(monkeypatch):
     # every u and v of the thin grid (0,0,0,0,9,9) is 9, its bound: no row is dead, so its streamed b-side comes
-    # straight from _built_side(..., laid=True) with no tops, and its kept a-side is built whole
+    # straight from _built_side with no tops, and its kept a-side is built whole
     built_side, calls = oracle._built_side, []
 
-    def spy(bound, length, rows, laid=False, tops=None):
-        calls.append((bound, length, laid, tops))
-        return built_side(bound, length, rows, laid, tops)
+    def spy(bound, length, rows, tops=None):
+        calls.append((bound, length, tops))
+        return built_side(bound, length, rows, tops)
 
     grid = (0, 0, 0, 0, 9, 9, 1, 7)
     assert comb(9 + 7 - 1, 7) > oracle._BLOCK_BITS // 64  # 6435 b-rows: streamed
@@ -750,7 +790,7 @@ def test_a_side_with_no_dead_row_is_built_as_before(monkeypatch):
     oracle._kept_side.cache_clear()
     spec = FamilySpec("twodim", increasing=True, weights=affine_weight_matrix(AffineWeightSpec(*grid)))
     assert oracle.count(spec).count == twodim.count_affine_ipf(AffineWeightSpec(*grid))
-    assert calls == [(9, 7, True, None), (9, 1, False, None)]
+    assert calls == [(9, 7, None), (9, 1, None)]
 
 
 @pytest.mark.parametrize("grid", [(0, 1, 1, 0, 1, 1, 21, 1), (0, 1, 1, 0, 1, 1, 1, 21)])

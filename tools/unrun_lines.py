@@ -11,7 +11,10 @@ before ``parkfn`` is imported, the tool runs:
 
 A code line is one ``tools/src_lines.py`` counts.  A statement counts as run
 if any of its lines ran; one that compiles to no bytecode (``else:``,
-``try:``) counts as run if the statement after it did.  For each file with
+``try:``) counts as run if the statement after it did.  Lines are the unit,
+not branches: a statement holding a conditional expression counts as run if
+either arm ran, so an arm that never runs is not listed (``sys.settrace``
+line events cannot tell the arms apart).  For each file with
 such lines the tool prints ``<file> <unrun> of <code> code lines never
 ran`` and then each of those lines with its number; a last line gives the
 totals.  A workload operation whose check fails is named on stderr.
@@ -53,6 +56,7 @@ CLI_CALLS = (
     (["check", "--family", "vector"], _VECTOR_INSTANCE),
     (["check", "--family", "pq"], _PQ_INSTANCE),
     (["check", "--family", "twodim", *_TWODIM_GRID], _TWODIM_INSTANCE),
+    (["check", "--family", "twodim"], '{"a": [0, 1], "b": [0], "affine": {"a": 0, "b": 1, "c": 1, "d": 0, "s": 1, "t": 1, "p": 2, "q": 1}}'),
     (["simulate", "--family", "classical"], '{"a": [0, 2, 0]}'),
     (["simulate", "--family", "vector"], _VECTOR_INSTANCE),
     (["simulate", "--family", "pq"], _PQ_INSTANCE),
@@ -63,6 +67,7 @@ CLI_CALLS = (
     (["decompose", "--family", "twodim"], _TWODIM_INSTANCE),
     (["count", "--family", "classical", "--n", "4"], None),
     (["count", "--family", "vector", "--s", "2", "--b", "1", "--n", "3", "--prime"], None),
+    (["count", "--family", "vector", "--u", "1,3,5"], None),
     (["count", "--family", "pq", "--p", "2", "--q", "3", "--increasing", "--method", "oracle"], None),
     (["count", "--family", "twodim", *_TWODIM_GRID, "--prime", "--method", "oracle"], None),
     (["count", "--family", "twodim", "--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0", "--method", "formula"], None),
