@@ -69,10 +69,12 @@ no such dead row and is swept whole.  Otherwise ``_side_blocks`` drops the
 dead rows where that removes whole DP passes: from an a-side that spans
 more than one a-block, a kept one masked whole and its live rows sliced
 into full a-blocks, a built one block by block (``_join``); and from a
-streamed b-side, block by block, before each block is laid out.  A kept
-b-side keeps its one cached layout, dead rows included, so no cache is
-keyed by tops; the nominal space, and so the cap, still counts every
-candidate.
+b-side (q >= 1) that is streamed or whose sweep spans more than
+``_BLOCK_BITS`` sorted pairs, a kept one masked whole, a streamed one
+block by block, and either laid out after its mask.  A kept b-side in a
+smaller sweep, or with no dead row, keeps its one cached layout; no cache
+is keyed by tops, and the nominal space, and so the cap, still counts
+every candidate.
 
 Five caches of 128 entries live as long as the process:
 
@@ -80,12 +82,12 @@ Five caches of 128 entries live as long as the process:
   variants of a grid cost no sweep;
 - ``_kept_side``, the candidate sides: the sorted rows and weights of one
   sequence depend only on its entry bound and length, so each
-  (bound, length) has one entry, whichever side it serves, and a b-side a
-  second one, the word layout of the first.  A side of at most
-  ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept read-only
-  and whole, even when its blocks take a few rows at a time, and shared by
-  every grid that needs it; a larger side is rebuilt per sweep, one block
-  at a time, and a b-side laid out per block;
+  (bound, length) has one entry, whichever side it serves, and a b-side
+  swept whole a second one, the word layout of the first.  A side of at
+  most ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept
+  read-only and whole, even when its blocks take a few rows at a time, and
+  shared by every grid that needs it; a larger side is rebuilt per sweep,
+  one block at a time, and a masked b-side, kept or not, laid out anew;
 - ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
   are kept does not rebuild its grid either;
 - ``_binomials``, the small tables of C(r+s, r) a join divides its weights
@@ -330,9 +332,11 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     b_rows = 64 * max(1, _BLOCK_BITS // (64 * g))
     # [:g] sums the grids' plain counts, [g:] their prime counts (none when p is 0)
     sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
-    # the tops (see the module docstring) of a side that may drop rows: a streamed b-side, an a-side past one a-block;
-    # a streamed b-side's bound fits int64, as ``_checked_space`` refuses larger ones
-    top_b = nodes[:, :q, p, 1].max(axis=0).astype(np.int64) if _multisets(bv, q) > _BLOCK_BITS // 64 else None
+    # the tops (see the module docstring) of a side that may drop rows: an a-side past one a-block, and a b-side
+    # (q >= 1) that is streamed, past _BLOCK_BITS // 64 rows, or in a sweep of more than _BLOCK_BITS sorted pairs,
+    # hence max(64, a-rows); a b-side's bound fits int64 when q >= 1, as ``_checked_space`` refuses larger ones
+    masked_b = q and max(64, _multisets(bu, p)) * _multisets(bv, q) > _BLOCK_BITS
+    top_b = nodes[:, :q, p, 1].max(axis=0).astype(np.int64) if masked_b else None
     for arr_b, valid, wb in _laid_blocks(bv, q, b_rows, top_b):
         wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
         north = _packed_north(arr_b, nodes)
@@ -359,7 +363,7 @@ def _side_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """A side's sorted rows, column-major, and their rearrangement weights, ``rows`` at a time.
 
-    Every a-side comes from here, and every streamed b-side before its word
+    Every a-side comes from here, and every masked b-side before its word
     layout (``_laid_blocks``).  A side of at most ``_BLOCK_BITS // 64`` rows
     is built once per (bound, length) and kept read-only, so the grids that
     share it slice it; a larger one is built anew, one block at a time
@@ -385,13 +389,14 @@ def _laid_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A b-side in word layout (``_word_layout``): rows, valid words and word weights, ``rows // 64`` words at a time.
 
-    A side of at most ``_BLOCK_BITS // 64`` rows is laid out once per (bound,
-    length) and kept read-only, whatever ``tops``; a larger one takes its
-    blocks of ``rows`` rows from ``_side_blocks``, masked to its live rows,
-    and lays each out on its own.  Either is cut on word boundaries, so no
-    b-block holds more than ``rows`` bits.
+    A side of at most ``_BLOCK_BITS // 64`` rows with no ``tops`` below its
+    bound is laid out once per (bound, length) and kept read-only; any other
+    takes its blocks of ``rows`` rows from ``_side_blocks``, masked to its
+    live rows, and lays each out on its own, so a masked kept side is laid
+    out anew per sweep.  Either is cut on word boundaries, so no b-block
+    holds more than ``rows`` bits.
     """
-    if _multisets(bound, length) <= _BLOCK_BITS // 64:
+    if _multisets(bound, length) <= _BLOCK_BITS // 64 and (tops is None or tops[0] >= bound):
         blocks: Iterable[tuple[np.ndarray, ...]] = (_kept_side(bound, length, True),)
     else:
         blocks = starmap(_word_layout, _side_blocks(bound, length, rows, tops))
@@ -404,8 +409,9 @@ def _laid_blocks(
 @lru_cache(maxsize=128)
 def _kept_side(bound: int, length: int, laid: bool = False) -> tuple[np.ndarray, ...]:
     """Every sorted row of a side and its weights, or if ``laid`` their word layout, read-only: every caller shares
-    them; the 128 most recently used stay.  The layout is that of the kept sorted rows, so a (bound, length) that
-    serves as an a-side and as a b-side is joined once, and a kept b-side is laid out once, dead rows included."""
+    them; the 128 most recently used stay.  The layout is gathered from the kept sorted rows, so a (bound, length)
+    that serves as an a-side and as a b-side is joined once.  It holds every row, dead ones included, and only a
+    b-side swept whole reads it; a masked b-side lays out its live rows anew (``_laid_blocks``)."""
     side = _word_layout(*_kept_side(bound, length)) if laid else next(_built_side(bound, length, _multisets(bound, length)))
     for part in side:
         part.setflags(write=False)

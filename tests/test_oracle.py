@@ -490,9 +490,10 @@ def test_twodim_kernel_matches_definition_on_non_affine_grids():
 def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
     grids = (
         (2, 1, 0, 1, 1, 1, 2, 9),  # a kept a-side of 105 rows, 5 per block, on a b-side built for the grid
-        (1, 2, 3, 2, 3, 5, 3, 3),  # both sides kept: 364 a-rows, 163 per block
-        (4, 1, 0, 1, 1, 1, 4, 2),  # 7315 a-rows, more than are kept: built block by block
+        (1, 2, 3, 2, 3, 5, 3, 3),  # both sides kept: 364 a-rows, 163 per block; 560560 sorted pairs mask the b-side
+        (4, 1, 0, 1, 1, 1, 4, 2),  # 7315 a-rows, more than are kept: built block by block; 43890 sorted pairs
     )
+    laid_sides = []
     for grid in grids:
         aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
         na, nb = comb(weights.max_u + weights.p - 1, weights.p), comb(weights.max_v + weights.q - 1, weights.q)
@@ -509,11 +510,14 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
             assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
         kept, info = [n <= oracle._BLOCK_BITS // 64 for n in (na, nb)], oracle._kept_side.cache_info()
         # the two sides differ in (bound, length): a kept a-side keeps its sorted rows, a kept b-side its sorted
-        # rows and their word layout, gathered from them
-        assert info.currsize == kept[0] + 2 * kept[1], grid
+        # rows and, unless the sweep masks it (past _BLOCK_BITS sorted pairs, with a dead row), their word layout
+        laid = kept[1] and not (na * nb > oracle._BLOCK_BITS and _tops(weights)[1][0] < weights.max_v)
+        laid_sides.append(laid)
+        assert info.currsize == kept[0] + kept[1] + laid, grid
         if kept[1]:
-            oracle._kept_side(weights.max_v, weights.q, True)
-            assert oracle._kept_side.cache_info()[:2] == (info.hits + 1, info.misses), grid
+            oracle._kept_side(weights.max_v, weights.q, True)  # a missing layout is laid out from the kept sorted rows
+            assert oracle._kept_side.cache_info()[:2] == (info.hits + 1, info.misses + (not laid)), grid
+    assert laid_sides == [False, False, True]
 
 
 def test_kept_sides_refuse_writes():
@@ -729,7 +733,7 @@ def _below(rows, tops):
 @pytest.mark.parametrize(
     "grid, block_bits, live",
     [
-        ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, (1638, 3003)),  # 1638 of 3003 a-rows; the kept b-side keeps its layout
+        ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, (1638, 1638)),  # 1638 of 3003 rows on either side: a kept b-side is masked
         ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, (75, 4862)),  # 75 of 105 a-rows against 4862 of 48620 streamed b-rows
         ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, (14, 28)),  # both sides streamed: 14 of 21 a-rows, 28 of 56 b-rows
         ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, (0, 0)),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
@@ -738,16 +742,17 @@ def _below(rows, tops):
 )
 def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits, live):
     # a sorted a with a[k] >= u(k, q), or b with b[l] >= v(p, l), is no member of the grid or its prime companion:
-    # the kernel drops such rows from a side that spans more than one block, save a kept b-side
+    # the kernel drops such rows from an a-side that spans more than one block, and from a b-side that is streamed or
+    # swept against more than _BLOCK_BITS sorted pairs
     weights = affine_weight_matrix(AffineWeightSpec(*grid))
     top_a, top_b = _tops(weights)
     side_blocks, laid_blocks, a_rows, b_rows = oracle._side_blocks, oracle._laid_blocks, [], []
 
-    def spy_side(bound, length, *args):
-        # only the a-side's blocks: a streamed b-side takes its blocks from _side_blocks too, and where the two sides
-        # share (bound, length) here, the b-side is kept and laid out whole
-        for arr, wa in side_blocks(bound, length, *args):
-            if (bound, length) == (weights.max_u, weights.p):
+    def spy_side(bound, length, rows, tops=None):
+        # only the a-side's blocks: a masked b-side takes its blocks from _side_blocks too, and the two sides may share
+        # (bound, length), as at 5,5; on one grid a b-side is asked for _BLOCK_BITS rows, an a-block for fewer
+        for arr, wa in side_blocks(bound, length, rows, tops):
+            if rows < block_bits:
                 a_rows.extend(arr.tolist())
             yield arr, wa
 
@@ -766,12 +771,76 @@ def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits,
         report = oracle.count(spec, cap=10**30)
         assert report.count == (len(list(oracle.enumerate_members(spec))) if report.search_space <= 10**5 else form(aspec))
     assert (len(a_rows), len(b_rows)) == live  # at most one b-block, so each a-row is swept once
-    # the swept rows are exactly the live ones, those below the tops at every position; a kept b-side sweeps all
+    # the swept rows are exactly the live ones, those below the tops at every position (the b-side of the last grid
+    # is kept and swept whole, but its one row is live)
     na, nb = (_below(list(combinations_with_replacement(range(bound), len(top))), top).sum()
               for bound, top in ((weights.max_u, top_a), (weights.max_v, top_b)))
-    kept_b = comb(weights.max_v + weights.q - 1, weights.q) <= block_bits // 64
     assert _below(a_rows, top_a).all() and len(a_rows) == (na if b_rows else 0)
-    assert kept_b or (_below(b_rows, top_b).all() and len(b_rows) == nb)
+    assert _below(b_rows, top_b).all() and len(b_rows) == nb
+
+
+@st.composite
+def kept_b_sweeps(draw):
+    """A random monotone grid (p, q >= 1) with a dead row on each side, and a ``_BLOCK_BITS`` under which its b-side
+    is kept (at most ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than ``_BLOCK_BITS`` sorted pairs.
+
+    Every node but the last weighs at most 3; the last weighs (bu, bv), bv >= 4, so a b-row with b[0] >= 3 is dead,
+    and bu leaves more than 64 sorted a-rows, as the pairs need, in a space small enough to enumerate.
+    """
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    bu, bv = draw(st.integers(*{1: (65, 90), 2: (11, 13), 3: (7, 8)}[p])), draw(st.integers(4, (30, 7)[q - 1]))
+    rows = [list(row) for row in random_monotone_matrix(draw(st.randoms(use_true_random=False)), p, q, 3).rows]
+    rows[q][p] = (bu, bv)
+    na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
+    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(nb, (na * nb - 1) // 64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(kept_b_sweeps())
+@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (70, 4)))), 64 * 4))  # 4 b-rows, two live
+def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
+    weights, block_bits = sweep
+    bound, length, b_rows = weights.max_v, weights.q, []
+    laid_blocks, top_b = oracle._laid_blocks, _tops(weights)[1]
+
+    def spy_laid(*args):
+        for arr, valid, wb in laid_blocks(*args):
+            b_rows.extend(tuple(row) for row in arr[_slots(valid)].tolist())
+            yield arr, valid, wb
+
+    specs = [FamilySpec("twodim", prime, increasing, weights=weights) for prime in (False, True) for increasing in (False, True)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_BLOCK_BITS", block_bits)
+        patch.setattr(oracle, "_laid_blocks", spy_laid)
+        laid = oracle._kept_side(bound, length, True)
+        before = [part.copy() for part in laid]
+        oracle._counted.clear()
+        counts = [oracle.count(spec).count for spec in specs]
+    assert counts == [len(list(oracle.enumerate_members(spec))) for spec in specs]
+    # the b-rows that reach the DP are exactly the live ones, each once
+    assert sorted(b_rows) == [row for row in combinations_with_replacement(range(bound), length) if _below([row], top_b)[0]]
+    # the cached layout of the whole side is the same entry, unchanged and read-only
+    assert all(part is kept for part, kept in zip(oracle._kept_side(bound, length, True), laid))
+    assert all(np.array_equal(part, copy) and not part.flags.writeable for part, copy in zip(laid, before))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("classical", n=5), FamilySpec("vector", u=(1, 3, 5, 7), prime=True)])
+def test_a_row_grid_past_a_block_of_pairs_takes_no_b_tops(monkeypatch, spec):
+    # a one-row grid (q = 0) has an empty b-side and no b-tops, however many sorted pairs its sweep spans
+    laid_blocks, tops = oracle._laid_blocks, []
+
+    def spy_laid(bound, length, rows, top_b=None):
+        tops.append(top_b)
+        return laid_blocks(bound, length, rows, top_b)
+
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 64)
+    monkeypatch.setattr(oracle, "_laid_blocks", spy_laid)
+    oracle._counted.clear()
+    u = spec.u or tuple(range(1, spec.n + 1))
+    assert comb(u[-1] + len(u) - 1, len(u)) > 64  # the a-side spans several blocks
+    variants = [FamilySpec(spec.family, spec.prime, increasing, n=spec.n, u=spec.u) for increasing in (False, True)]
+    assert [oracle.count(variant).count for variant in variants] == [len(list(oracle.enumerate_members(variant))) for variant in variants]
+    assert tops == [None]
 
 
 def test_a_side_with_no_dead_row_is_built_as_before(monkeypatch):

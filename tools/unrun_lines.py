@@ -73,6 +73,9 @@ CLI_CALLS = (
     (["count", "--family", "twodim", "--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0", "--method", "formula"], None),
     # a streamed one-entry a-side (5001 rows) with one live row: the kernel keeps only the rows below its top
     (["count", "--family", "twodim", "--affine", "5000,0,0,0,1,1", "--p", "1", "--q", "1", "--method", "oracle"], None),
+    # a kept b-side (3003 rows, 1638 live) in a sweep of more than one block of sorted pairs: masked, laid out anew
+    (["count", "--family", "twodim", "--affine", "1,1,1,1,1,1", "--p", "5", "--q", "5", "--method", "oracle",
+      "--cap", "1000000000000"], None),
     (["list", "--family", "classical", "--n", "2"], None),
     (["list", "--family", "vector", "--u", "1,1,3", "--prime"], None),
     (["list", "--family", "pq", "--p", "1", "--q", "2", "--increasing"], None),
