@@ -20,7 +20,10 @@ and sweeps no grid; a pq shape with an empty side gets no grid at all.
 A batch sweeps each distinct grid once.  The grids of one shape
 ``(p, q, max_u, max_v)`` share both candidate sides, so each such group is
 swept as one stack, built once: every grid rides on the leading axis of one
-DP state, with its prime companion beside it when p >= 1.  The kernel sweeps
+DP state, with its prime companion beside it when p >= 1.  A group whose
+kept b-side is masked in a sweep past two blocks of sorted pairs is swept
+as two stacks instead, its grids and then their companions, each on its
+own live rows (``_stack_sums``; see below).  The kernel sweeps
 only weakly increasing candidates and weighs each member by its
 rearrangements.  The b-candidates are packed 64 to a ``uint64`` word in their
 word layout (``_word_layout``): a block's rows are grouped by rearrangement
@@ -47,7 +50,8 @@ A side is built in numpy, never from Python tuples
 (``_built_side``): a one-entry side counts up a ``range`` a block at a time
 and pools nothing; a longer one is the sorted join (``_join``) of its two
 halves' tables, each table the join of its own halves, and is joined one
-block of rows at a time.  A side's rows are column-major, laid out or not,
+block of rows at a time, from the live rows of the two tables alone when
+the side drops rows.  A side's rows are column-major, laid out or not,
 so each compare reads one entry of every row from contiguous memory, and
 int8 below bound 128, int64 past it; its weights are int64 while
 n! < 2**63, Python ints past it.  An a-block reduces to the popcount of each
@@ -58,23 +62,37 @@ the word weights.  Every product and partial sum it forms is at most a
 grid's count, which never exceeds the nominal space, so int64 is exact
 below 2**63; larger spaces reduce in Python ints, one element per word.
 
-Only live rows need reach the DP.  The grids of a stack and their
-companions are monotone, so the largest east weight in column k is at row
-q and the largest north weight in row l at column p; their maxima over the
-stack, read from its nodes, are the tops of the two sides.  A sorted a-row
-with a[k] at or past its k-th top is no member of any grid in the stack, as
-the k-th east step needs a[k] < u(k, l) <= u(k, q); nor is a b-row with
-b[l] at or past its l-th top.  A side whose first top reaches its bound has
+Only live rows need reach the DP.  The grids of a stack are monotone, so
+the largest east weight in column k is at row q and the largest north
+weight in row l at column p; their maxima over the stack, read from its
+nodes, are the tops of the two sides.  A sorted a-row with a[k] at or past
+its k-th top is no member of any grid in the stack, as the k-th east step
+needs a[k] < u(k, l) <= u(k, q); nor is a b-row with b[l] at or past its
+l-th top.  A side whose first top reaches its bound has
 no such dead row and is swept whole.  Otherwise ``_side_blocks`` drops the
 dead rows where that removes whole DP passes: from an a-side that spans
 more than one a-block, a kept one masked whole and its live rows sliced
-into full a-blocks, a built one block by block (``_join``); and from a
-b-side (q >= 1) that is streamed or whose sweep spans more than
-``_BLOCK_BITS`` sorted pairs, a kept one masked whole, a streamed one
-block by block, and either laid out after its mask.  A kept b-side in a
-smaller sweep, or with no dead row, keeps its one cached layout; no cache
-is keyed by tops, and the nominal space, and so the cap, still counts
-every candidate.
+into full a-blocks, a built one by joining the live rows of its halves'
+tables, the head's below the first tops and the tail's below the rest,
+which leaves both sorted and each head row's run of tail rows a run at the
+end; and from a b-side (q >= 1) that is streamed or whose sweep spans more
+than ``_BLOCK_BITS`` sorted pairs, a kept one masked whole, a streamed one
+joined from its live rows, and either laid out after its mask.  A kept
+b-side in a smaller sweep, or with no dead row, keeps its one cached
+layout; no cache is keyed by tops, and the nominal space, and so the cap,
+still counts every candidate.
+
+A prime companion's tops are never above its grid's, as each of its nodes
+takes its weights from a node at or below or west of it, and often far
+below: at ``1,1,1,1,1,1,5,5`` the grid keeps 1638 of 3003 rows a side and
+its companion 429.  A stack of both sweeps the companion on the grid's
+rows, so where a kept b-side is masked in a sweep past two blocks of
+sorted pairs the companions are swept as a stack of their own, on their
+own live rows of both sides, the kept b-side masked and laid out again for
+them.  A streamed b-side would be built twice, and in a smaller sweep the
+second stack's layout and DP calls cost more than its dropped rows save,
+so there, and in every sweep of the shipped verify suites, the grids and
+their companions stay one stack.
 
 Five caches of 128 entries live as long as the process:
 
@@ -86,8 +104,9 @@ Five caches of 128 entries live as long as the process:
   swept whole a second one, the word layout of the first.  A side of at
   most ``_BLOCK_BITS // 64`` rows, the most one a-block takes, is kept
   read-only and whole, even when its blocks take a few rows at a time, and
-  shared by every grid that needs it; a larger side is rebuilt per sweep,
-  one block at a time, and a masked b-side, kept or not, laid out anew;
+  shared by every grid that needs it; a larger side is rebuilt per stack,
+  one block at a time, and a masked b-side, kept or not, laid out anew for
+  each stack;
 - ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
   are kept does not rebuild its grid either;
 - ``_binomials``, the small tables of C(r+s, r) a join divides its weights
@@ -214,9 +233,12 @@ def _seqs(length: int, bound: int, increasing: bool) -> Iterator[Seq]:
 
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
     """Nominal candidate count (one for an empty side, whatever its bound); raises past the cap, or when a side of
-    length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or past it too."""
+    length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or past it too.
+    A negative cap is refused (ValueError): no space is below it."""
     total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
+    if cap < 0:
+        raise ValueError(f"the search cap must be >= 0, got {shown(cap)}")
     if total > cap:
         raise SearchSpaceTooLarge(f"{shown(total)} candidates exceed the cap of {shown(cap)}")
     if (total > sys.maxsize or not total) and (top := max(bound for length, bound in shapes if length)) > sys.maxsize:
@@ -244,14 +266,17 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
 
     Every spec's nominal space is checked against the cap before anything is
     counted.  A grid equal to one of the last ``_KEPT_GRIDS`` counted is not
-    swept again; the others are grouped by shape, one stacked sweep per group
-    (see the module docstring).
+    swept again; the others are grouped by shape, one sweep per group, of
+    one stack or, past two blocks of pairs on a kept b-side, of two: the
+    grids, then their prime companions (see the module docstring).
 
     A report's ``elapsed`` is the wall time of the work that counted it: the
-    stacked sweep of its grid's whole group, shared by every spec of that
-    group, so one call's reports need not add up to its time; 0.0 for a grid
-    counted by an earlier call; the predicate test of its candidate for a
-    spec whose nominal space is at most one.
+    sweep of its grid's whole group, both stacks when there are two, shared
+    by every spec of that group, so one call's reports need not add up to
+    its time; 0.0 for a grid counted by an earlier call; the predicate test
+    of its candidate for a spec whose nominal space is at most one.  A
+    negative ``cap`` is refused (ValueError), as by ``count`` and
+    ``enumerate_members``.
     """
     specs = list(specs)
     families = [_family(spec, cap)[:2] for spec in specs]  # space and grid, not the member tests: a batch may hold thousands
@@ -315,42 +340,62 @@ _counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  
 
 
 def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]]:
-    """The four counts (pf, ipf, ppf, ippf) of every grid of one shape, in one stacked sweep.
+    """The four counts (pf, ipf, ppf, ippf) of every grid of one shape: the grids and their prime companions are
+    swept as one stack, or as two (``_stack_sums``) when a kept b-side is masked in a sweep past two blocks of pairs.
 
     The module docstring gives the design: packed states, blocks, stacks and
     the reduction.  Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the
     tests compare them, and ``is_u_prime``'s two methods.
     """
     p, q, bu, bv, g = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v, len(grids)
-    dtype = np.int64 if bu**p * bv**q < 2**63 else object
     stack = grids + [_prime_companion(grid) for grid in grids] if p else grids
     flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in stack)))
     nodes = np.fromiter(flat, object).reshape(len(stack), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
+    # the b-side may drop rows when q >= 1 and it is streamed, past _BLOCK_BITS // 64 rows, or in a sweep of more than
+    # _BLOCK_BITS sorted pairs, hence max(64, a-rows); past two blocks of pairs a kept one is masked again, cheaply,
+    # so the companions, whose tops are lower, sweep apart on their own live rows; a streamed one would be built
+    # twice, and in a smaller sweep a second stack's layout and DP calls cost more than its dropped rows save
+    pairs = max(64, _multisets(bu, p)) * _multisets(bv, q)
+    masked_b = q and pairs > _BLOCK_BITS
+    apart = p and masked_b and pairs > 2 * _BLOCK_BITS and _multisets(bv, q) <= _BLOCK_BITS // 64
+    # [:g] the grids' plain and increasing counts, [g:] their prime ones (none when p is 0)
+    sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
+    for part in (slice(0, g), slice(g, 2 * g)) if apart else (slice(0, len(stack)),):
+        sums[part], pops[part] = _stack_sums(nodes[part], bu, bv, g, masked_b)
+    return list(zip(sums[:g].tolist(), pops[:g].tolist(), sums[g:].tolist(), pops[g:].tolist()))
+
+
+def _stack_sums(nodes: np.ndarray, bu: int, bv: int, group: int, masked_b: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep of a stack, given by its grids' nodes (``nodes[g, l, k] = (u, v)``): each grid's plain count and
+    its increasing count, over the candidates below (bu, bv).
+
+    ``group`` is how many grids the group holds, companions not counted,
+    which sizes the blocks; the tops of the a-side, and of the b-side when
+    ``masked_b``, are this stack's alone.
+    """
+    q, p = nodes.shape[1] - 1, nodes.shape[2] - 1
+    dtype = np.int64 if bu**p * bv**q < 2**63 else object
     # on grid g, a-candidate i may go east at (k, l) iff a_i[k] < east_bound[g, k, l]; only edges that exist are cast
     east_bound = nodes[:, :, :p, 0].astype(np.int64).transpose(0, 2, 1)
     # a full block, or the whole side, while each grid keeps an a-row against one; narrower for a larger group
-    b_rows = 64 * max(1, _BLOCK_BITS // (64 * g))
-    # [:g] sums the grids' plain counts, [g:] their prime counts (none when p is 0)
-    sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
-    # the tops (see the module docstring) of a side that may drop rows: an a-side past one a-block, and a b-side
-    # (q >= 1) that is streamed, past _BLOCK_BITS // 64 rows, or in a sweep of more than _BLOCK_BITS sorted pairs,
-    # hence max(64, a-rows); a b-side's bound fits int64 when q >= 1, as ``_checked_space`` refuses larger ones
-    masked_b = q and max(64, _multisets(bu, p)) * _multisets(bv, q) > _BLOCK_BITS
+    b_rows = 64 * max(1, _BLOCK_BITS // (64 * group))
+    sums, pops = np.zeros(len(nodes), object), np.zeros(len(nodes), np.int64)
+    # a b-side's bound fits int64 when q >= 1, as ``_checked_space`` refuses larger ones
     top_b = nodes[:, :q, p, 1].max(axis=0).astype(np.int64) if masked_b else None
     for arr_b, valid, wb in _laid_blocks(bv, q, b_rows, top_b):
         wb = wb.astype(dtype, copy=False)  # the one cast to the grid's exact dtype
         north = _packed_north(arr_b, nodes)
-        a_rows = max(1, _BLOCK_BITS // (64 * len(valid)) // g)  # against the b-block's padded words
+        a_rows = max(1, _BLOCK_BITS // (64 * len(valid)) // group)  # against the b-block's padded words
         top_a = east_bound[:, :, q].max(axis=0) if _multisets(bu, p) > a_rows else None
         # the DP's p+2 states (``_vector_reach``), shared by every a-block against this b-block
-        work = np.empty((p + 2, len(stack), min(a_rows, _multisets(bu, p)), len(valid)), np.uint64)
+        work = np.empty((p + 2, len(nodes), min(a_rows, _multisets(bu, p)), len(valid)), np.uint64)
         for arr_a, wa in _side_blocks(bu, p, a_rows, top_a):
             east = (arr_a[:, :, None] < east_bound[:, None]) * _ONES
             counts = np.bitwise_count(_vector_reach(east, north, valid, work[:, :, : len(arr_a)]))
-            sums[: len(stack)] += np.einsum("giw,i,w->g", counts, wa, wb)  # every bit of word w weighs wb[w]
-            pops[: len(stack)] += counts.sum(axis=(1, 2), dtype=np.int64)
+            sums += np.einsum("giw,i,w->g", counts, wa, wb)  # every bit of word w weighs wb[w]
+            pops += counts.sum(axis=(1, 2), dtype=np.int64)
             del arr_a, wa, east, counts  # free this block first: a streamed side builds the next block when resumed
-    return list(zip(sums[:g].tolist(), pops[:g].tolist(), sums[g:].tolist(), pops[g:].tolist()))
+    return sums, pops
 
 
 def _multisets(bound: int, length: int) -> int:
@@ -376,8 +421,8 @@ def _side_blocks(
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
         arr, weights = _kept_side(bound, length)
         if tops is not None:
-            live = (arr.T < tops[:, None]).all(axis=0)
-            arr, weights = arr.T.compress(live, axis=1).T, weights[live]  # still column-major
+            cols, weights = _live((arr.T, weights), tops)
+            arr = cols.T  # still column-major
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
@@ -427,8 +472,11 @@ def _built_side(
     A side of at most one entry counts up a range (the empty side is one
     empty row).  A longer one holds the tables of its two halves (each table
     of two or more entries is the join of its own halves, built once) and
-    one block of their join.  Given ``tops``, each block keeps only its live
-    rows, those below ``tops`` at every position.
+    one block of their join.  Given ``tops``, only the live rows, those
+    below ``tops`` at every position, are joined: the head table keeps its
+    rows below the first tops and the tail table its rows below the rest,
+    both still sorted, so the rows that may follow a head row are still a
+    run at the end of the tail table.
     """
     n, dtype = _multisets(bound, length), np.int8 if bound < 128 else np.int64
     if length < 2:
@@ -445,10 +493,20 @@ def _built_side(
             tables[k] = _join(table(k - k // 2), table(k // 2), 0, _multisets(bound, k))
         return tables[k]
 
-    head, tail = table(length - length // 2), table(length // 2)
+    d = length - length // 2
+    head, tail = table(d), table(length // 2)
+    if tops is not None:
+        head, tail = _live(head, tops[:d]), _live(tail, tops[d:])
+        n = int((tail[0].shape[1] - np.searchsorted(tail[0][0], head[0][-1])).sum())
     for start in range(0, n, rows):
-        cols, weights, _, _ = _join(head, tail, start, min(start + rows, n), tops)
+        cols, weights, _, _ = _join(head, tail, start, min(start + rows, n))
         yield cols.T, weights
+
+
+def _live(table: tuple[np.ndarray, ...], tops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of a join table (see ``_join``) below ``tops`` at every position, still sorted."""
+    live = (table[0] < tops[:, None]).all(axis=0)
+    return table[0].compress(live, axis=1), *(part[live] for part in table[1:])
 
 
 def _word_layout(arr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,9 +529,7 @@ def _word_layout(arr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     return arr.T.take(source, axis=1).T, np.array(valid, np.uint64), np.repeat(ranked[firsts], words)
 
 
-def _join(
-    head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int, tops: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, ...]:
+def _join(head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np.ndarray, ...]:
     """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, as a table.
 
     A table is (cols, weights, front runs, back runs): its sorted rows, one
@@ -485,9 +541,8 @@ def _join(
     C(r+s, r), where r is the head row's back run and s the tail row's front
     run if it starts on the same value (else 0); the product before the
     division is at most (d+e)!, so int64 is exact while (d+e)! < 2**63.
-    Given ``tops``, only the rows below them at every position are kept: a
-    row is live iff its head row is below the first d tops and its tail row
-    below the rest.
+    Every row of ``start`` to ``stop`` is built: a side that drops rows
+    joins tables with the dead rows taken out (``_built_side``).
     """
     hcols, hweights, hfront, hback = head
     tcols, tweights, tfront, tback = tail
@@ -497,9 +552,6 @@ def _join(
     clipped = np.minimum(np.maximum(edges, start), stop)
     i = np.repeat(np.arange(len(clipped) - 1), clipped[1:] - clipped[:-1])  # each row's head row
     t = np.arange(start + nt, stop + nt) - edges[1:][i]  # and its tail row: every run ends on the tail's last row
-    if tops is not None:
-        live = (hcols < tops[:d, None]).all(axis=0)[i] & (tcols < tops[d:, None]).all(axis=0)[t]
-        i, t = i[live], t[live]
     same = hcols[-1, i] == tcols[0, t]
     s, r = tfront[t] * same, hback[i]
     binomials = _binomials(d, e)

@@ -194,10 +194,9 @@ def _check_arith(s: int, b: int, n: int) -> None:
     """The sizes must be ints (not bools), and the boundary a valid capacity vector, as ``validate_capacity`` asks."""
     if any(type(x) is not int for x in (s, b, n)):
         raise ValueError(f"s, b and n must be ints, got {type(s).__name__}, {type(b).__name__}, {type(n).__name__}")
-    if s < 1:
-        raise ValueError("the arithmetic boundary needs s >= 1")
-    if b < 0 or n < 1:
-        raise ValueError("need b >= 0 and n >= 1")
+    for name, value, least in (("s", s, 1), ("b", b, 0), ("n", n, 1)):
+        if value < least:
+            raise ValueError(f"the arithmetic boundary needs {name} >= {least}, got {shown(value)}")
 
 
 def count_pf_arith(s: int, b: int, n: int) -> int:

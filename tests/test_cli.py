@@ -389,6 +389,43 @@ def test_count_cap_env_override(capsys, monkeypatch):
     assert code == 0 and out == "16\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "classical", "--n", "3", "--method", "oracle"],
+        ["list", "--family", "classical", "--n", "2"],
+        ["verify", "--suite", "classical"],
+    ],
+    ids=["count", "list", "verify"],
+)
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+@pytest.mark.parametrize("source", ["flag", "variable"])
+def test_a_negative_cap_exits_one(capsys, monkeypatch, argv, cap, source):
+    # no space is below a negative cap: it is malformed input, refused before any search, from either source
+    if source == "flag":
+        argv = [*argv, "--cap", cap]
+    else:
+        monkeypatch.setenv("PARKFN_SEARCH_CAP", cap)
+    assert run_cli(capsys, argv) == (1, "", f"error: the search cap must be >= 0, got {cap}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--family", "classical", "--n", "0"], "the arithmetic boundary needs n >= 1, got 0"),
+        (["count", "--family", "classical", "--n", "0", "--method", "oracle"], "classical family needs an int n >= 1, got 0"),
+        (["count", "--family", "vector", "--s", "0", "--b", "1", "--n", "3"], "the arithmetic boundary needs s >= 1, got 0"),
+        (["count", "--family", "vector", "--s", "1", "--b", "-2", "--n", "3"], "the arithmetic boundary needs b >= 0, got -2"),
+        (["count", "--family", "vector", "--s", "1", "--b", "1", "--n", "-4", "--prime"],
+         "the arithmetic boundary needs n >= 1, got -4"),
+    ],
+    ids=["classical-formula", "classical-oracle", "vector-s", "vector-b", "vector-n"],
+)
+def test_a_size_out_of_range_is_named_with_its_value(capsys, argv, message):
+    # both routes name the parameter that fails and its value, never a flag the family does not take
+    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 _BIG = "1" + "0" * 4999  # past Python's default limit of 4300 digits for an int<->str conversion
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parkfn import oracle, pq, twodim, vector
-from parkfn.core import Seq, json_ints
+from parkfn import cli, oracle, pq, twodim, vector
+from parkfn.core import Seq, json_ints, shown
 from parkfn.errors import SearchSpaceTooLarge
 from parkfn.oracle import FamilySpec
 from parkfn.pq import u0_matrix
@@ -157,6 +157,19 @@ def test_search_space_cap():
         list(oracle.enumerate_members(FamilySpec("classical", n=12), cap=10_000))
     # the cap bounds candidates, not members
     assert oracle.count(FamilySpec("classical", n=3), cap=27).count == 16
+
+
+@pytest.mark.parametrize("cap", [-1, -(10**5000)], ids=["-1", "past-the-digit-limit"])
+def test_a_negative_cap_is_refused(cap):
+    # no space is below a negative cap, the empty one included: it is a ValueError, not a space past the cap
+    spec = FamilySpec("classical", n=3)
+    for call in (oracle.count, lambda spec, cap: oracle.count_many([spec, spec], cap=cap), oracle.enumerate_members):
+        with pytest.raises(ValueError) as raised:
+            call(spec, cap=cap)
+        assert str(raised.value) == f"the search cap must be >= 0, got {shown(cap)}"
+        assert not isinstance(raised.value, SearchSpaceTooLarge)
+    with pytest.raises(SearchSpaceTooLarge):  # a cap of 0 is a cap that every space exceeds
+        oracle.count(spec, cap=0)
 
 
 def test_pq_grid_is_built_only_to_count_under_the_cap(monkeypatch):
@@ -510,7 +523,9 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
             assert oracle.count(spec, cap=10**30).count == closed[(spec.prime, spec.increasing)], spec
         kept, info = [n <= oracle._BLOCK_BITS // 64 for n in (na, nb)], oracle._kept_side.cache_info()
         # the two sides differ in (bound, length): a kept a-side keeps its sorted rows, a kept b-side its sorted
-        # rows and, unless the sweep masks it (past _BLOCK_BITS sorted pairs, with a dead row), their word layout
+        # rows and, unless the sweep masks it (past _BLOCK_BITS sorted pairs, with a dead row), their word layout;
+        # a masked sweep takes the companions apart, so the layout is read whole iff the grid's own tops spare every
+        # row (the companion's tops are never higher)
         laid = kept[1] and not (na * nb > oracle._BLOCK_BITS and _tops(weights)[1][0] < weights.max_v)
         laid_sides.append(laid)
         assert info.currsize == kept[0] + kept[1] + laid, grid
@@ -610,6 +625,34 @@ def test_built_side_streams_sorted_rows_and_their_rearrangements(shape):
     assert weights.tolist() == [_rearrangements(row) for row in want]
     assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)
     assert arr.dtype == np.int8
+
+
+@st.composite
+def masked_sides(draw):
+    """A side of 2 to 6 entries and at most 5000 sorted rows, a block of 1 to 64 rows, so blocks cut the runs of
+    one head row, and weakly increasing tops, some of them at or past the bound."""
+    bound = draw(st.integers(2, 12))
+    length = draw(st.integers(2, 6).filter(lambda length: comb(bound + length - 1, length) <= 5000))
+    tops = sorted(draw(st.lists(st.integers(0, bound + 1), min_size=length, max_size=length)))
+    return bound, length, draw(st.integers(1, 64)), tops
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_sides())
+@example((12, 3, 5, [12, 12, 13]))  # no top below the bound: every row is live
+@example((12, 4, 7, [0, 5, 9, 12]))  # a first top of 0: every row is dead
+@example((9, 5, 3, [9, 9, 9, 9, 2]))  # only the tail table loses rows
+@example((5, 6, 4, [2, 2, 3, 4, 4, 5]))
+def test_built_side_joins_only_the_live_rows(side):
+    # given tops, a side joins only the live rows of its halves' tables: the rows of the whole side below the tops
+    # at every position, in the same order, with the same weights, never more than ``rows`` a block
+    bound, length, rows, tops = side
+    blocks = list(oracle._built_side(bound, length, rows, np.array(tops, np.int64)))
+    assert all(0 < len(arr) <= rows and len(arr) == len(weights) for arr, weights in blocks)
+    whole, weights = _joined(oracle._built_side(bound, length, rows))
+    live = _below(whole, tops)
+    assert [row for arr, _ in blocks for row in arr.tolist()] == whole[live].tolist()
+    assert [weight for _, part in blocks for weight in part.tolist()] == weights[live].tolist()
 
 
 def _slots(valid):
@@ -719,9 +762,9 @@ def test_kernel_weighs_classes_across_words_and_blocks(monkeypatch, grid, block_
         assert oracle.count(spec, cap=10**30).count == want, spec
 
 
-def _tops(weights):
-    """The largest u at (k, q) per column and v at (p, l) per row over a grid (p, q >= 1) and its prime companion."""
-    p, q, stack = weights.p, weights.q, (weights, twodim.prime_weight_transform(weights))
+def _tops(*stack):
+    """The largest u at (k, q) per column and v at (p, l) per row over a stack of grids of one shape (p, q >= 1)."""
+    p, q = stack[0].p, stack[0].q
     return [max(g.rows[q][k][0] for g in stack) for k in range(p)], [max(g.rows[l][p][1] for g in stack) for l in range(q)]
 
 
@@ -733,32 +776,36 @@ def _below(rows, tops):
 @pytest.mark.parametrize(
     "grid, block_bits, live",
     [
-        ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, (1638, 1638)),  # 1638 of 3003 rows on either side: a kept b-side is masked
-        ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, (75, 4862)),  # 75 of 105 a-rows against 4862 of 48620 streamed b-rows
-        ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, (14, 28)),  # both sides streamed: 14 of 21 a-rows, 28 of 56 b-rows
-        ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, (0, 0)),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
-        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, (1, 1)),  # a streamed one-entry a-side keeps the rows below its top, (0,)
+        # a kept b-side masked past two blocks of pairs: the grid sweeps 1638 of 3003 rows on either side, then its
+        # prime companion, apart, 429
+        ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, [(1638, 1638), (429, 429)]),
+        ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, [(75, 4862)]),  # 75 of 105 a-rows against 4862 of 48620 streamed b-rows
+        ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, [(14, 28)]),  # both sides streamed: 14 of 21 a-rows, 28 of 56 b-rows
+        ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, [(0, 0)]),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
+        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, [(1, 1)]),  # a streamed one-entry a-side keeps the rows below its top, (0,)
+        ((1, 0, 1, 1, 1, 2, 3, 7), 2**18, [(5, 13260)]),  # 5 of 20 a-rows against 13260 of 31824 streamed b-rows
     ],
 )
 def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits, live):
-    # a sorted a with a[k] >= u(k, q), or b with b[l] >= v(p, l), is no member of the grid or its prime companion:
-    # the kernel drops such rows from an a-side that spans more than one block, and from a b-side that is streamed or
-    # swept against more than _BLOCK_BITS sorted pairs
+    # a sorted a with a[k] >= u(k, q), or b with b[l] >= v(p, l), is no member of any grid of the stack: the kernel
+    # drops such rows from an a-side that spans more than one block, and from a b-side that is streamed or swept
+    # against more than _BLOCK_BITS sorted pairs; a streamed b-side sweeps the grid and its companion as one stack
     weights = affine_weight_matrix(AffineWeightSpec(*grid))
-    top_a, top_b = _tops(weights)
-    side_blocks, laid_blocks, a_rows, b_rows = oracle._side_blocks, oracle._laid_blocks, [], []
+    companion = twodim.prime_weight_transform(weights)
+    side_blocks, laid_blocks, swept = oracle._side_blocks, oracle._laid_blocks, []  # per stack, its a-rows and b-rows
 
     def spy_side(bound, length, rows, tops=None):
         # only the a-side's blocks: a masked b-side takes its blocks from _side_blocks too, and the two sides may share
         # (bound, length), as at 5,5; on one grid a b-side is asked for _BLOCK_BITS rows, an a-block for fewer
         for arr, wa in side_blocks(bound, length, rows, tops):
             if rows < block_bits:
-                a_rows.extend(arr.tolist())
+                swept[-1][0].extend(arr.tolist())
             yield arr, wa
 
     def spy_laid(*args):
+        swept.append(([], []))  # each stack lays out its b-side once, before it sweeps any a-block
         for arr, valid, wb in laid_blocks(*args):
-            b_rows.extend(arr[np.unpackbits(valid.view(np.uint8), bitorder="little").astype(bool)].tolist())
+            swept[-1][1].extend(arr[_slots(valid)].tolist())
             yield arr, valid, wb
 
     monkeypatch.setattr(oracle, "_BLOCK_BITS", block_bits)
@@ -770,42 +817,45 @@ def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits,
     for spec, form in zip(_affine_variants(grid), closed):
         report = oracle.count(spec, cap=10**30)
         assert report.count == (len(list(oracle.enumerate_members(spec))) if report.search_space <= 10**5 else form(aspec))
-    assert (len(a_rows), len(b_rows)) == live  # at most one b-block, so each a-row is swept once
-    # the swept rows are exactly the live ones, those below the tops at every position (the b-side of the last grid
-    # is kept and swept whole, but its one row is live)
-    na, nb = (_below(list(combinations_with_replacement(range(bound), len(top))), top).sum()
-              for bound, top in ((weights.max_u, top_a), (weights.max_v, top_b)))
-    assert _below(a_rows, top_a).all() and len(a_rows) == (na if b_rows else 0)
-    assert _below(b_rows, top_b).all() and len(b_rows) == nb
+    assert [(len(a_rows), len(b_rows)) for a_rows, b_rows in swept] == live  # at most one b-block a stack
+    # each stack sweeps exactly its own live rows, those below its own tops at every position (the b-side of the
+    # last grid is kept and swept whole, but its one row is live)
+    for (a_rows, b_rows), stack in zip(swept, [(weights,), (companion,)] if len(live) == 2 else [(weights, companion)]):
+        top_a, top_b = _tops(*stack)
+        na, nb = (_below(list(combinations_with_replacement(range(bound), len(top))), top).sum()
+                  for bound, top in ((weights.max_u, top_a), (weights.max_v, top_b)))
+        assert _below(a_rows, top_a).all() and len(a_rows) == (na if b_rows else 0)
+        assert _below(b_rows, top_b).all() and len(b_rows) == nb
 
 
 @st.composite
 def kept_b_sweeps(draw):
     """A random monotone grid (p, q >= 1) with a dead row on each side, and a ``_BLOCK_BITS`` under which its b-side
-    is kept (at most ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than ``_BLOCK_BITS`` sorted pairs.
+    is kept (at most ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than two blocks of sorted pairs.
 
     Every node but the last weighs at most 3; the last weighs (bu, bv), bv >= 4, so a b-row with b[0] >= 3 is dead,
-    and bu leaves more than 64 sorted a-rows, as the pairs need, in a space small enough to enumerate.
+    and bu leaves more than 128 sorted a-rows, as the pairs need, in a space small enough to enumerate.
     """
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    bu, bv = draw(st.integers(*{1: (65, 90), 2: (11, 13), 3: (7, 8)}[p])), draw(st.integers(4, (30, 7)[q - 1]))
+    bu, bv = draw(st.integers(*{1: (129, 150), 2: (16, 17), 3: (9, 9)}[p])), draw(st.integers(4, (30, 6)[q - 1]))
     rows = [list(row) for row in random_monotone_matrix(draw(st.randoms(use_true_random=False)), p, q, 3).rows]
     rows[q][p] = (bu, bv)
     na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
-    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(nb, (na * nb - 1) // 64))
+    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(nb, (na * nb - 1) // 128))
 
 
 @settings(max_examples=25, deadline=None)
 @given(kept_b_sweeps())
-@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (70, 4)))), 64 * 4))  # 4 b-rows, two live
+@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (140, 4)))), 64 * 4))  # 4 b-rows, two live
 def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
     weights, block_bits = sweep
-    bound, length, b_rows = weights.max_v, weights.q, []
-    laid_blocks, top_b = oracle._laid_blocks, _tops(weights)[1]
+    bound, length, swept = weights.max_v, weights.q, []  # per stack, the b-rows that reach its DP
+    laid_blocks = oracle._laid_blocks
 
     def spy_laid(*args):
+        swept.append([])
         for arr, valid, wb in laid_blocks(*args):
-            b_rows.extend(tuple(row) for row in arr[_slots(valid)].tolist())
+            swept[-1].extend(tuple(row) for row in arr[_slots(valid)].tolist())
             yield arr, valid, wb
 
     specs = [FamilySpec("twodim", prime, increasing, weights=weights) for prime in (False, True) for increasing in (False, True)]
@@ -817,16 +867,83 @@ def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
         oracle._counted.clear()
         counts = [oracle.count(spec).count for spec in specs]
     assert counts == [len(list(oracle.enumerate_members(spec))) for spec in specs]
-    # the b-rows that reach the DP are exactly the live ones, each once
-    assert sorted(b_rows) == [row for row in combinations_with_replacement(range(bound), length) if _below([row], top_b)[0]]
+    # the grid and its prime companion sweep apart, each on exactly the b-rows below its own tops, each once
+    rows = list(combinations_with_replacement(range(bound), length))
+    stacks = (weights, twodim.prime_weight_transform(weights))
+    assert [sorted(b_rows) for b_rows in swept] == [[row for row in rows if _below([row], _tops(grid)[1])[0]] for grid in stacks]
     # the cached layout of the whole side is the same entry, unchanged and read-only
     assert all(part is kept for part, kept in zip(oracle._kept_side(bound, length, True), laid))
     assert all(np.array_equal(part, copy) and not part.flags.writeable for part, copy in zip(laid, before))
 
 
+@st.composite
+def kept_side_sweeps(draw):
+    """A random monotone grid (p, q in 1..2) and a ``_BLOCK_BITS`` under which both its sides are kept but its sweep
+    spans more than two blocks of sorted pairs: each side then has more than 128 sorted rows.
+
+    Every node but the last weighs at most 3; the last weighs (bu, bv), the least bounds past 128 rows a side.
+    """
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    bu, bv = (draw(st.integers(*{1: (129, 134), 2: (16, 17)}[length])) for length in (p, q))
+    rows = [list(row) for row in random_monotone_matrix(draw(st.randoms(use_true_random=False)), p, q, 3).rows]
+    rows[q][p] = (bu, bv)
+    na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
+    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(max(na, nb), (na * nb - 1) // 128))
+
+
+@settings(max_examples=10, deadline=None)
+@given(kept_side_sweeps())
+def test_a_sweep_apart_with_both_sides_kept_counts_as_the_enumeration(sweep):
+    weights, block_bits = sweep
+    stacks, stack_sums = [], oracle._stack_sums
+
+    def spy(nodes, *args):
+        stacks.append(len(nodes))
+        return stack_sums(nodes, *args)
+
+    specs = [FamilySpec("twodim", prime, increasing, weights=weights) for prime in (False, True) for increasing in (False, True)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_BLOCK_BITS", block_bits)
+        patch.setattr(oracle, "_stack_sums", spy)
+        oracle._counted.clear()
+        counts = [oracle.count(spec).count for spec in specs]
+    assert stacks == [1, 1]  # the grid, then its companion
+    assert counts == [len(list(oracle.enumerate_members(spec))) for spec in specs]
+
+
+def test_small_and_streamed_b_sweeps_run_as_one_stack(monkeypatch, capsys):
+    # no sweep of a verify suite spans two blocks of sorted pairs, and a streamed b-side would be built twice: each
+    # sweeps its grids and their companions as one stack
+    groups, stacks, stacked_counts, stack_sums = [], [], oracle._stacked_counts, oracle._stack_sums
+
+    def spy_group(grids):
+        groups.append((len(grids) * (1 + (grids[0].p > 0)), grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v))
+        return stacked_counts(grids)
+
+    def spy_stack(nodes, *args):
+        stacks.append(len(nodes))
+        return stack_sums(nodes, *args)
+
+    monkeypatch.setattr(oracle, "_stacked_counts", spy_group)
+    monkeypatch.setattr(oracle, "_stack_sums", spy_stack)
+    oracle._counted.clear()
+    assert cli.main(["verify", "--suite", "affine-2d"]) == 0
+    capsys.readouterr()
+    assert stacks == [group[0] for group in groups] and max(stacks) > 2
+    # its largest sweep, 560 x 560 sorted pairs, masks its kept b-side in one stack
+    assert (2, 3, 3, 14, 14) in groups and 560 * 560 > oracle._BLOCK_BITS
+    groups.clear()
+    stacks.clear()
+    grid = (2, 1, 0, 1, 1, 1, 2, 9)  # 48620 b-rows, streamed
+    assert comb(10 + 9 - 1, 9) > oracle._BLOCK_BITS // 64
+    assert oracle.count(_affine_variants(grid)[2], cap=10**30).count == twodim.count_affine_ppf(AffineWeightSpec(*grid))
+    assert stacks == [group[0] for group in groups] == [2]
+
+
 @pytest.mark.parametrize("spec", [FamilySpec("classical", n=5), FamilySpec("vector", u=(1, 3, 5, 7), prime=True)])
 def test_a_row_grid_past_a_block_of_pairs_takes_no_b_tops(monkeypatch, spec):
-    # a one-row grid (q = 0) has an empty b-side and no b-tops, however many sorted pairs its sweep spans
+    # a one-row grid (q = 0) has an empty b-side and no b-tops, however many sorted pairs its sweep spans, so it
+    # sweeps its grid and companion as one stack: the spy records each stack's b-tops
     laid_blocks, tops = oracle._laid_blocks, []
 
     def spy_laid(bound, length, rows, top_b=None):
