@@ -21,9 +21,9 @@ A batch sweeps each distinct grid once.  The grids of one shape
 ``(p, q, max_u, max_v)`` share both candidate sides, so each such group is
 swept as one stack, built once: every grid rides on the leading axis of one
 DP state, with its prime companion beside it when p >= 1.  A group whose
-kept b-side is masked in a sweep past two blocks of sorted pairs is swept
-as two stacks instead, its grids and then their companions, each on its
-own live rows (``_stack_sums``; see below).  The kernel sweeps
+kept b-side may drop rows (below) is swept as two stacks instead, its
+grids and then their companions, each on its own live rows
+(``_stack_sums``).  The kernel sweeps
 only weakly increasing candidates and weighs each member by its
 rearrangements.  The b-candidates are packed 64 to a ``uint64`` word in their
 word layout (``_word_layout``): a block's rows are grouped by rearrangement
@@ -86,13 +86,11 @@ A prime companion's tops are never above its grid's, as each of its nodes
 takes its weights from a node at or below or west of it, and often far
 below: at ``1,1,1,1,1,1,5,5`` the grid keeps 1638 of 3003 rows a side and
 its companion 429.  A stack of both sweeps the companion on the grid's
-rows, so where a kept b-side is masked in a sweep past two blocks of
-sorted pairs the companions are swept as a stack of their own, on their
+rows, so where a kept b-side may drop rows, in a sweep past ``_BLOCK_BITS``
+sorted pairs, the companions are swept as a stack of their own, on their
 own live rows of both sides, the kept b-side masked and laid out again for
-them.  A streamed b-side would be built twice, and in a smaller sweep the
-second stack's layout and DP calls cost more than its dropped rows save,
-so there, and in every sweep of the shipped verify suites, the grids and
-their companions stay one stack.
+them.  A streamed b-side would be built twice, so there, and on a kept
+b-side in a smaller sweep, the grids and their companions stay one stack.
 
 Five caches of 128 entries live as long as the process:
 
@@ -267,8 +265,8 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     Every spec's nominal space is checked against the cap before anything is
     counted.  A grid equal to one of the last ``_KEPT_GRIDS`` counted is not
     swept again; the others are grouped by shape, one sweep per group, of
-    one stack or, past two blocks of pairs on a kept b-side, of two: the
-    grids, then their prime companions (see the module docstring).
+    one stack or, where a kept b-side may drop rows, of two: the grids,
+    then their prime companions (see the module docstring).
 
     A report's ``elapsed`` is the wall time of the work that counted it: the
     sweep of its grid's whole group, both stacks when there are two, shared
@@ -341,7 +339,7 @@ _counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  
 
 def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]]:
     """The four counts (pf, ipf, ppf, ippf) of every grid of one shape: the grids and their prime companions are
-    swept as one stack, or as two (``_stack_sums``) when a kept b-side is masked in a sweep past two blocks of pairs.
+    swept as one stack, or as two (``_stack_sums``) when a kept b-side may drop rows.
 
     The module docstring gives the design: packed states, blocks, stacks and
     the reduction.  Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the
@@ -352,12 +350,10 @@ def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]
     flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in stack)))
     nodes = np.fromiter(flat, object).reshape(len(stack), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
     # the b-side may drop rows when q >= 1 and it is streamed, past _BLOCK_BITS // 64 rows, or in a sweep of more than
-    # _BLOCK_BITS sorted pairs, hence max(64, a-rows); past two blocks of pairs a kept one is masked again, cheaply,
-    # so the companions, whose tops are lower, sweep apart on their own live rows; a streamed one would be built
-    # twice, and in a smaller sweep a second stack's layout and DP calls cost more than its dropped rows save
-    pairs = max(64, _multisets(bu, p)) * _multisets(bv, q)
-    masked_b = q and pairs > _BLOCK_BITS
-    apart = p and masked_b and pairs > 2 * _BLOCK_BITS and _multisets(bv, q) <= _BLOCK_BITS // 64
+    # _BLOCK_BITS sorted pairs, hence max(64, a-rows); a kept one is masked again, cheaply, so the companions, whose
+    # tops are lower, sweep apart on their own live rows; a streamed one would be built twice
+    masked_b = q and max(64, _multisets(bu, p)) * _multisets(bv, q) > _BLOCK_BITS
+    apart = p and masked_b and _multisets(bv, q) <= _BLOCK_BITS // 64
     # [:g] the grids' plain and increasing counts, [g:] their prime ones (none when p is 0)
     sums, pops = np.zeros(2 * g, object), np.zeros(2 * g, np.int64)
     for part in (slice(0, g), slice(g, 2 * g)) if apart else (slice(0, len(stack)),):

@@ -776,8 +776,7 @@ def _below(rows, tops):
 @pytest.mark.parametrize(
     "grid, block_bits, live",
     [
-        # a kept b-side masked past two blocks of pairs: the grid sweeps 1638 of 3003 rows on either side, then its
-        # prime companion, apart, 429
+        # a masked kept b-side: the grid sweeps 1638 of 3003 rows on either side, then its prime companion, apart, 429
         ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, [(1638, 1638), (429, 429)]),
         ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, [(75, 4862)]),  # 75 of 105 a-rows against 4862 of 48620 streamed b-rows
         ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, [(14, 28)]),  # both sides streamed: 14 of 21 a-rows, 28 of 56 b-rows
@@ -831,22 +830,28 @@ def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits,
 @st.composite
 def kept_b_sweeps(draw):
     """A random monotone grid (p, q >= 1) with a dead row on each side, and a ``_BLOCK_BITS`` under which its b-side
-    is kept (at most ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than two blocks of sorted pairs.
+    is kept (at most ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than ``_BLOCK_BITS`` sorted pairs,
+    and in some draws (q = 1, p <= 2, bv past 64) its a-side is kept too.
 
     Every node but the last weighs at most 3; the last weighs (bu, bv), bv >= 4, so a b-row with b[0] >= 3 is dead,
-    and bu leaves more than 128 sorted a-rows, as the pairs need, in a space small enough to enumerate.
+    and bu leaves more than 64 sorted a-rows, as the pairs need, in a space small enough to enumerate.
     """
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    bu, bv = draw(st.integers(*{1: (129, 150), 2: (16, 17), 3: (9, 9)}[p])), draw(st.integers(4, (30, 6)[q - 1]))
+    both = q == 1 and p <= 2 and draw(st.booleans())  # more than 64 sorted rows a side leaves room to keep both
+    bu = draw(st.integers(*{1: (65, 90), 2: (11, 13), 3: (7, 8)}[p]))
+    bv = draw(st.integers(*((65, 90) if both else (4, (30, 7)[q - 1]))))
     rows = [list(row) for row in random_monotone_matrix(draw(st.randoms(use_true_random=False)), p, q, 3).rows]
     rows[q][p] = (bu, bv)
     na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
-    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(nb, (na * nb - 1) // 128))
+    least = max(na, nb) if both else nb
+    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(least, (na * nb - 1) // 64))
 
 
 @settings(max_examples=25, deadline=None)
 @given(kept_b_sweeps())
-@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (140, 4)))), 64 * 4))  # 4 b-rows, two live
+@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (70, 4)))), 64 * 4))  # 4 b-rows, two live
+@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (140, 4)))), 64 * 4))  # past two blocks of pairs
+@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (80, 70)))), 64 * 80))  # both sides kept
 def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
     weights, block_bits = sweep
     bound, length, swept = weights.max_v, weights.q, []  # per stack, the b-rows that reach its DP
@@ -876,52 +881,18 @@ def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
     assert all(np.array_equal(part, copy) and not part.flags.writeable for part, copy in zip(laid, before))
 
 
-@st.composite
-def kept_side_sweeps(draw):
-    """A random monotone grid (p, q in 1..2) and a ``_BLOCK_BITS`` under which both its sides are kept but its sweep
-    spans more than two blocks of sorted pairs: each side then has more than 128 sorted rows.
-
-    Every node but the last weighs at most 3; the last weighs (bu, bv), the least bounds past 128 rows a side.
-    """
-    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    bu, bv = (draw(st.integers(*{1: (129, 134), 2: (16, 17)}[length])) for length in (p, q))
-    rows = [list(row) for row in random_monotone_matrix(draw(st.randoms(use_true_random=False)), p, q, 3).rows]
-    rows[q][p] = (bu, bv)
-    na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
-    return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(max(na, nb), (na * nb - 1) // 128))
-
-
-@settings(max_examples=10, deadline=None)
-@given(kept_side_sweeps())
-def test_a_sweep_apart_with_both_sides_kept_counts_as_the_enumeration(sweep):
-    weights, block_bits = sweep
-    stacks, stack_sums = [], oracle._stack_sums
-
-    def spy(nodes, *args):
-        stacks.append(len(nodes))
-        return stack_sums(nodes, *args)
-
-    specs = [FamilySpec("twodim", prime, increasing, weights=weights) for prime in (False, True) for increasing in (False, True)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_BLOCK_BITS", block_bits)
-        patch.setattr(oracle, "_stack_sums", spy)
-        oracle._counted.clear()
-        counts = [oracle.count(spec).count for spec in specs]
-    assert stacks == [1, 1]  # the grid, then its companion
-    assert counts == [len(list(oracle.enumerate_members(spec))) for spec in specs]
-
-
 def test_small_and_streamed_b_sweeps_run_as_one_stack(monkeypatch, capsys):
-    # no sweep of a verify suite spans two blocks of sorted pairs, and a streamed b-side would be built twice: each
-    # sweeps its grids and their companions as one stack
-    groups, stacks, stacked_counts, stack_sums = [], [], oracle._stacked_counts, oracle._stack_sums
+    # a group whose b-side keeps its one cached layout, in a sweep of at most _BLOCK_BITS sorted pairs, as nearly
+    # every group of a verify suite is, sweeps its grids and their companions as one stack, and so does a streamed
+    # b-side, which would be built twice; a kept b-side masked in a larger sweep sweeps its companions apart
+    groups, stacked_counts, stack_sums = [], oracle._stacked_counts, oracle._stack_sums  # per group, its stacks
 
     def spy_group(grids):
-        groups.append((len(grids) * (1 + (grids[0].p > 0)), grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v))
+        groups.append(((grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v), len(grids), []))
         return stacked_counts(grids)
 
     def spy_stack(nodes, *args):
-        stacks.append(len(nodes))
+        groups[-1][2].append(len(nodes))
         return stack_sums(nodes, *args)
 
     monkeypatch.setattr(oracle, "_stacked_counts", spy_group)
@@ -929,15 +900,22 @@ def test_small_and_streamed_b_sweeps_run_as_one_stack(monkeypatch, capsys):
     oracle._counted.clear()
     assert cli.main(["verify", "--suite", "affine-2d"]) == 0
     capsys.readouterr()
-    assert stacks == [group[0] for group in groups] and max(stacks) > 2
-    # its largest sweep, 560 x 560 sorted pairs, masks its kept b-side in one stack
-    assert (2, 3, 3, 14, 14) in groups and 560 * 560 > oracle._BLOCK_BITS
+    apart = []
+    for (p, q, bu, bv), g, stacks in groups:
+        na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
+        assert nb <= oracle._BLOCK_BITS // 64  # every b-side of the suite is kept
+        if p and q and max(64, na) * nb > oracle._BLOCK_BITS:
+            apart.append((p, q, bu, bv))
+            assert stacks == [g, g]
+        else:
+            assert stacks == [g * (1 + (p > 0))]
+    assert max(g for _, g, _ in groups) > 1
+    assert apart == [(3, 3, 14, 14)]  # its largest sweep, 560 x 560 sorted pairs, the one past a block
     groups.clear()
-    stacks.clear()
     grid = (2, 1, 0, 1, 1, 1, 2, 9)  # 48620 b-rows, streamed
     assert comb(10 + 9 - 1, 9) > oracle._BLOCK_BITS // 64
     assert oracle.count(_affine_variants(grid)[2], cap=10**30).count == twodim.count_affine_ppf(AffineWeightSpec(*grid))
-    assert stacks == [group[0] for group in groups] == [2]
+    assert groups == [((2, 9, 14, 10), 1, [2])]  # 105 a-rows and 48620 b-rows: one stack, the grid and its companion
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("classical", n=5), FamilySpec("vector", u=(1, 3, 5, 7), prime=True)])

@@ -73,7 +73,7 @@ CLI_CALLS = (
     (["count", "--family", "twodim", "--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0", "--method", "formula"], None),
     # a streamed one-entry a-side (5001 rows) with one live row: the kernel keeps only the rows below its top
     (["count", "--family", "twodim", "--affine", "5000,0,0,0,1,1", "--p", "1", "--q", "1", "--method", "oracle"], None),
-    # a kept b-side (3003 rows, 1638 live) in a sweep of more than two blocks of sorted pairs: masked, laid out
+    # a kept b-side (3003 rows, 1638 live) in a sweep of more than one block of sorted pairs: masked, laid out
     # anew, and the prime companion swept apart on its own 429 live rows
     (["count", "--family", "twodim", "--affine", "1,1,1,1,1,1", "--p", "5", "--q", "5", "--method", "oracle",
       "--cap", "1000000000000"], None),
