@@ -9,6 +9,7 @@ input, 2 internal disagreement from ``verify``, 3 search space over the cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle, pq, twodim, vector
 from .core import json_ints
-from .errors import ParkfnError, SearchSpaceTooLarge
+from .errors import DegenerateGrid, ParkfnError, SearchSpaceTooLarge
 from .oracle import FamilySpec
 
 EXIT_OK = 0
@@ -48,7 +49,8 @@ def _int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_int(part) for part in text.split(","))
+    """Comma-separated integers; an empty text is the empty list, which each flag's own rule refuses."""
+    return tuple(_int(part) for part in text.split(",")) if text else ()
 
 
 def _load_json(fh) -> object:
@@ -131,14 +133,16 @@ def _params_from_args(args, sets: Sequence[tuple[str, ...]]) -> dict:
 
 
 def _arith_u(s: int, b: int, n: int) -> tuple[int, ...]:
+    """The boundary u_i = s + b*i, once the triple has passed the rule the closed forms check."""
+    vector._check_arith(s, b, n)
     return tuple(s + b * i for i in range(n))
 
 
 def _arith_args(params: dict) -> tuple[int, int, int]:
-    """(s, b, n) of a vector boundary given by the triple or by an arithmetic u."""
+    """(s, b, n) of a vector boundary given by the triple or by an arithmetic u, which must be a capacity vector."""
     if "u" not in params:
         return params["s"], params["b"], params["n"]
-    u = params["u"]
+    u = vector.validate_capacity(params["u"])
     s, b = u[0], (u[1] - u[0] if len(u) > 1 else 0)
     if _arith_u(s, b, len(u)) != u:
         raise ValueError(f"--u {u} is not an arithmetic progression; no closed form applies")
@@ -229,8 +233,9 @@ def _cmd_check(args) -> int:
         twodim.check_pair_shape(a, b, grid.p, grid.q)
         weights = grid if isinstance(grid, twodim.WeightMatrix) else twodim.affine_weight_matrix(grid)
         member, witness = twodim.is_u_pf(a, b, weights)
-        prime = twodim.is_u_prime(a, b, weights, method="direct") if weights.p >= 1 and weights.q >= 1 else None
-        out = {"member": member, "prime": prime}
+        out = {"member": member, "prime": None}
+        with contextlib.suppress(DegenerateGrid):  # a grid with an empty side has no primes
+            out["prime"] = twodim.is_u_prime(a, b, weights, method="direct")
         if witness is not None:
             out["witness"] = witness.path.steps
     _emit(out)

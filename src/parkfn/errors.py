@@ -35,8 +35,8 @@ class NonIntegralResult(ParkfnError):
     """A closed-form count evaluated to a non-integer; signals formula misuse."""
 
 
-class DegenerateGrid(ParkfnError):
-    """A grid operation that needs p, q >= 1 was asked about a degenerate grid."""
+class DegenerateGrid(ParkfnError, ValueError):
+    """A grid operation that needs p, q >= 1 was asked about a degenerate grid: a bad parameter, hence a ValueError."""
 
 
 class NonMonotoneWeights(ParkfnError):

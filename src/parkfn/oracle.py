@@ -126,9 +126,9 @@ import numpy as np
 
 from .core import Seq, shown
 from .errors import SearchSpaceTooLarge
-from .pq import PQPair, is_pq_pf, is_pq_prime, u0_matrix
-from .twodim import WeightMatrix, is_u_pf, is_u_prime, prime_weight_transform
-from .vector import is_prime_vector_pf, is_vector_pf, validate_capacity
+from .pq import PQPair, _check_pq, is_pq_pf, is_pq_prime, u0_matrix
+from .twodim import WeightMatrix, check_prime_shape, is_u_pf, is_u_prime, prime_weight_transform
+from .vector import _check_arith, is_prime_vector_pf, is_vector_pf, validate_capacity
 
 DEFAULT_SEARCH_CAP = 10**8
 
@@ -144,7 +144,12 @@ class FamilySpec:
     """Which family to enumerate, with its parameters and variant flags.
 
     Each family reads its own fields (classical n, vector u, pq p and q,
-    twodim weights) and refuses the others.
+    twodim weights) and refuses the others.  The fields are checked by their
+    family's rule, as the closed forms and the CLI check them: classical n
+    by ``vector._check_arith`` with s = b = 1, vector u by
+    ``vector.validate_capacity``, pq p and q by ``pq._check_pq``, and a
+    twodim spec's primes by ``twodim.check_prime_shape``; every refusal is a
+    ValueError.
     """
 
     family: str  # classical | vector | pq | twodim
@@ -167,20 +172,18 @@ class FamilySpec:
                 if field not in reads and getattr(self, field) is not None:
                     raise ValueError(f"the {self.family} family takes no {field}, got {shown(getattr(self, field))}")
         if self.family == "classical":
-            if type(self.n) is not int or self.n < 1:
-                raise ValueError(f"classical family needs an int n >= 1, got {shown(self.n)}")
+            _check_arith(1, 1, self.n)
         elif self.family == "vector":
             if self.u is None:
                 raise ValueError("vector family needs a capacity vector u")
             object.__setattr__(self, "u", validate_capacity(self.u))
         elif self.family == "pq":
-            if type(self.p) is not int or type(self.q) is not int or self.p < 0 or self.q < 0:
-                raise ValueError(f"pq family needs ints p, q >= 0, got {shown(self.p)}, {shown(self.q)}")
+            _check_pq(self.p, self.q)
         else:
             if not isinstance(self.weights, WeightMatrix):
                 raise ValueError(f"twodim family needs a WeightMatrix, got {shown(self.weights)}")
-            if self.prime and (self.weights.p < 1 or self.weights.q < 1):
-                raise ValueError("twodim primeness needs p, q >= 1")
+            if self.prime:
+                check_prime_shape(self.weights.p, self.weights.q)
 
 
 @dataclass(frozen=True)

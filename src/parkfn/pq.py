@@ -22,7 +22,6 @@ from .core import (
     Point,
     Seq,
     as_seq,
-    json_ints,
     order_statistics,
     path_of_increasing,
     place,
@@ -67,7 +66,9 @@ class PQPair:
     def from_json_dict(cls, data: dict) -> "PQPair":
         pair = cls(tuple(data["a"]), tuple(data["b"]))
         for key, side, size in (("p", "a", pair.p), ("q", "b", pair.q)):
-            if key in data and json_ints([data[key]], f"the declared {key!r}")[0] != size:
+            if key in data and type(data[key]) is not int:  # parsed JSON gives 1.0 and true their own types
+                raise ValueError(f"the declared {key!r} must be an integer, got {shown(data[key])}")
+            if key in data and data[key] != size:
                 raise ValueError(f"declared {key} = {shown(data[key])} but |{side}| = {size}")
         return pair
 
@@ -232,16 +233,17 @@ def u0_matrix(p: int, q: int) -> WeightMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _check_pq(p: int, q: int, least: int = 0) -> None:
-    """p and q must be ints (not bools) of at least ``least``: 0, or 1 for the summation form."""
-    if type(p) is not int or type(q) is not int:
-        raise ValueError(f"p and q must be ints, got {type(p).__name__}, {type(q).__name__}")
-    if p < least or q < least:
-        raise ValueError("the summation form needs p, q >= 1" if least else "p and q must be non-negative")
+def _check_pq(p: int, q: int, least: int = 0, what: str = "the pq family") -> None:
+    """The pq rule, for the closed forms and the oracle: ints (not bools) p, q >= ``least``, 0 but 1 for the summation
+    form.  The refusal names the first size that fails and its value."""
+    if type(p) is not int or p < least:
+        raise ValueError(f"{what} needs an int p >= {least}, got {shown(p)}")
+    if type(q) is not int or q < least:
+        raise ValueError(f"{what} needs an int q >= {least}, got {shown(q)}")
 
 
 def count_pq_pf(p: int, q: int) -> int:
-    """(p+q+1)(p+1)^(q-1)(q+1)^(p-1); with an empty side the all-zero pair is the one member."""
+    """(p+q+1)(p+1)^(q-1)(q+1)^(p-1), p, q as ``_check_pq`` asks; with an empty side the all-zero pair is the one member."""
     _check_pq(p, q)
     if p == 0 or q == 0:
         return 1
@@ -249,14 +251,14 @@ def count_pq_pf(p: int, q: int) -> int:
 
 
 def count_pq_ipf(p: int, q: int) -> int:
-    """Narayana count of increasing pairs: C(n+1,p) C(n+1,q) / (n+1), n = p+q."""
+    """Narayana count of increasing pairs: C(n+1,p) C(n+1,q) / (n+1), n = p+q; p, q as ``_check_pq`` asks."""
     _check_pq(p, q)
     n = p + q
     return exact.as_integer(Fraction(exact.binomial(n + 1, p) * exact.binomial(n + 1, q), n + 1))
 
 
 def count_pq_ippf(p: int, q: int) -> int:
-    """Number of increasing prime pairs; degenerate shapes count their lone member."""
+    """Number of increasing prime pairs; degenerate shapes count their lone member.  p, q as ``_check_pq`` asks."""
     _check_pq(p, q)
     if p == 0 or q == 0:
         return 1 if (p, q) in ((0, 1), (1, 0)) else 0
@@ -265,7 +267,7 @@ def count_pq_ippf(p: int, q: int) -> int:
 
 
 def count_pq_ppf(p: int, q: int) -> int:
-    """Closed-form count of prime pairs, with 0^0 = 1 at p = 1 or q = 1."""
+    """Closed-form count of prime pairs, with 0^0 = 1 at p = 1 or q = 1; p, q as ``_check_pq`` asks."""
     _check_pq(p, q)
     if p == 0 or q == 0:
         return 1 if (p, q) in ((0, 1), (1, 0)) else 0
@@ -277,7 +279,7 @@ def count_pq_ppf(p: int, q: int) -> int:
 
 
 def count_pq_ppf_sum(p: int, q: int) -> int:
-    """Prime-pair count as a double sum over the zero multiplicities (i, j).
+    """Prime-pair count as a double sum over the zero multiplicities (i, j); ``_check_pq`` with p, q >= 1.
 
     Terms with i = p or j = q carry an exponent of -1 whose base can be 0;
     in those terms the coefficient factors exactly as (p-1)(q-1), so the
@@ -287,7 +289,7 @@ def count_pq_ppf_sum(p: int, q: int) -> int:
         i < p, j = q:  C(p,i) (q-1)^(p-i)
         i = p, j = q:  1
     """
-    _check_pq(p, q, least=1)
+    _check_pq(p, q, 1, "the summation form")
     total = 0
     for i in range(1, p + 1):
         for j in range(1, q + 1):

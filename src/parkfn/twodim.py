@@ -37,10 +37,9 @@ class WeightMatrix:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.p) is not int or type(self.q) is not int:
-            raise ValueError(f"grid dimensions must be ints, got {shown(self.p)}, {shown(self.q)}")
-        if self.p < 0 or self.q < 0:
-            raise ValueError("grid dimensions must be non-negative")
+        for name in ("p", "q"):  # the one rule for a grid's sizes, read from JSON or not
+            if type(value := getattr(self, name)) is not int or value < 0:
+                raise ValueError(f"the grid's {name!r} must be an integer >= 0, got {shown(value)}")
         if len(self.rows) != self.q + 1 or any(len(r) != self.p + 1 for r in self.rows):
             raise ValueError(f"weight grid must be ({shown(self.p + 1)}) x ({shown(self.q + 1)})")
         for l in range(self.q + 1):
@@ -78,12 +77,11 @@ class WeightMatrix:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "WeightMatrix":
-        """Parse ``{"p", "q", "nodes"}``; anything but JSON integers raises ValueError."""
+        """Parse ``{"p", "q", "nodes"}``; anything but JSON integers raises ValueError, p or q naming the field."""
         nodes = data.get("nodes") if isinstance(data, dict) else None
         if not isinstance(nodes, list) or not all(isinstance(row, list) for row in nodes):
             raise ValueError("a weight grid must be an object whose 'nodes' is an array of rows")
-        p, q = json_ints([data.get("p"), data.get("q")], "the grid's 'p' and 'q'")
-        return cls(p, q, tuple(tuple(json_ints(node, "a grid node", 2) for node in row) for row in nodes))
+        return cls(data.get("p"), data.get("q"), tuple(tuple(json_ints(node, "a grid node", 2) for node in row) for row in nodes))
 
 
 @dataclass(frozen=True)
@@ -100,18 +98,16 @@ class AffineWeightSpec:
     q: int
 
     def __post_init__(self) -> None:
-        values = (self.a, self.b, self.c, self.d, self.s, self.t, self.p, self.q)
-        if any(type(x) is not int for x in values):
-            raise ValueError(f"affine weight parameters must be ints, got {shown(values)}")
-        if min(values) < 0:
-            raise ValueError("affine weight parameters must be non-negative")
+        for name in "abcdstpq":  # the one rule for an affine grid's values, read from JSON or not
+            if type(value := getattr(self, name)) is not int or value < 0:
+                raise ValueError(f"the affine grid's {name!r} must be an integer >= 0, got {shown(value)}")
 
     @classmethod
     def from_json_dict(cls, data: object) -> "AffineWeightSpec":
-        """Parse ``{"a", ..., "t", "p", "q"}``; anything but JSON integers raises ValueError."""
+        """Parse ``{"a", ..., "t", "p", "q"}``; anything but JSON integers raises ValueError naming the field."""
         if not isinstance(data, dict):
             raise ValueError(f"an affine grid must be a JSON object, got {data!r}")
-        return cls(*json_ints([data.get(key) for key in "abcdstpq"], "the affine grid's a, b, c, d, s, t, p, q"))
+        return cls(*(data.get(key) for key in "abcdstpq"))
 
 
 def affine_weight_matrix(spec: AffineWeightSpec) -> WeightMatrix:
@@ -139,6 +135,13 @@ def _closed_order_statistics(a: Seq, b: Seq, weights: WeightMatrix) -> tuple[lis
     """Sorted a and b, closed by the sentinels max_u and max_v: no edge admits them, so walks stay on the grid."""
     max_u, max_v = weights.rows[-1][-1]
     return [*sorted(a), max_u], [*sorted(b), max_v]
+
+
+def check_prime_shape(p: int, q: int) -> None:
+    """The rule for primes on a grid, for the predicates, the closed forms and the oracle: p, q >= 1.  A grid's p and
+    q are ints >= 0, so the refusal (DegenerateGrid, a ValueError) names the first that is 0."""
+    if p < 1 or q < 1:
+        raise DegenerateGrid(f"primeness needs {'p' if p < 1 else 'q'} >= 1, got 0")
 
 
 def check_pair_shape(a: Sequence[int], b: Sequence[int], p: int, q: int) -> None:
@@ -183,8 +186,7 @@ def prime_weight_transform(weights: WeightMatrix) -> WeightMatrix:
     monotone as U and needs no check.
     """
     p, q, rows = weights.p, weights.q, weights.rows
-    if p < 1 or q < 1:
-        raise DegenerateGrid("the prime transform needs p, q >= 1")
+    check_prime_shape(p, q)
 
     def node(k: int, l: int) -> tuple[int, int]:
         """u from (k, l-1) and v from (k-1, l); on the axes, u from (k, 0) and v from (0, l)."""
@@ -205,8 +207,7 @@ def is_u_prime(a: Sequence[int], b: Sequence[int], weights: WeightMatrix, method
     """
     aa, bb = as_seq(a), as_seq(b)
     p, q = weights.p, weights.q
-    if p < 1 or q < 1:
-        raise DegenerateGrid("primeness is defined for p, q >= 1 only")
+    check_prime_shape(p, q)
     check_pair_shape(aa, bb, p, q)
     if method == "transform":
         return is_u_pf(aa, bb, prime_weight_transform(weights))[0]
@@ -243,22 +244,22 @@ def _meeting(sa: list[int], sb: list[int], rows, k: int, l: int) -> Optional[tup
 
 
 def count_affine_pf(spec: AffineWeightSpec) -> int:
-    """Number of pairs bounded by the affine grid."""
+    """Number of pairs bounded by the affine grid; its values as ``AffineWeightSpec`` asks."""
     return _affine_count(spec, exact.power, 1)
 
 
 def count_affine_ipf(spec: AffineWeightSpec) -> int:
-    """Number of increasing pairs bounded by the affine grid."""
+    """Number of increasing pairs bounded by the affine grid; its values as ``AffineWeightSpec`` asks."""
     return _affine_count(spec, _rising, factorial(spec.p) * factorial(spec.q))
 
 
 def count_affine_ppf(spec: AffineWeightSpec) -> int:
-    """Number of prime pairs for the affine grid (p, q >= 1), with 0^0 = 1."""
+    """Number of prime pairs for the affine grid, with 0^0 = 1; p, q as ``check_prime_shape`` asks."""
     return _affine_prime_count(spec, exact.power, 1)
 
 
 def count_affine_ippf(spec: AffineWeightSpec) -> int:
-    """Number of increasing prime pairs for the affine grid (p, q >= 1)."""
+    """Number of increasing prime pairs for the affine grid; p, q as ``check_prime_shape`` asks."""
     return _affine_prime_count(spec, _rising, factorial(spec.p) * factorial(spec.q))
 
 
@@ -289,8 +290,7 @@ def _affine_count(spec: AffineWeightSpec, power, divisor: int) -> int:
 def _affine_prime_count(spec: AffineWeightSpec, power, divisor: int) -> int:
     """The ppf form with x^n written ``power(x, n)``, divided by ``divisor``."""
     a, b, c, d, s, t, p, q = spec.a, spec.b, spec.c, spec.d, spec.s, spec.t, spec.p, spec.q
-    if p < 1 or q < 1:
-        raise DegenerateGrid("prime counts need p, q >= 1")
+    check_prime_shape(p, q)
     x, y = a * p + b * (q - 1), c * (p - 1) + d * q
     sx, x0, ty, y0 = power(s + x, p - 1), power(x, p - 1), power(t + y, q - 1), power(y, q - 1)
     value = (

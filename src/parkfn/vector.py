@@ -20,14 +20,16 @@ from .errors import InconsistentDecomposition, LengthMismatch, NotParkingFunctio
 
 
 def validate_capacity(u: Sequence[int]) -> Seq:
-    """Check that u is a weakly increasing vector of positive ints, n >= 1."""
-    out = as_seq(u)
+    """The capacity vector rule, for the predicates, the oracle and the CLI: u is a non-empty, weakly increasing
+    tuple of ints (not bools) >= 1."""
+    out = tuple(u)
     if not out:
-        raise ValueError("capacity vector must be non-empty")
-    if out[0] < 1:
-        raise ValueError(f"capacity entries must be >= 1, got {shown(out)}")
-    if any(out[i] > out[i + 1] for i in range(len(out) - 1)):
-        raise ValueError(f"capacity vector must be weakly increasing, got {shown(out)}")
+        raise ValueError(f"the capacity vector u must be non-empty, got {shown(out)}")
+    for x in out:
+        if type(x) is not int or x < 1:
+            raise ValueError(f"the capacity vector u must hold integers >= 1, got {shown(out)}")
+    if list(out) != sorted(out):
+        raise ValueError(f"the capacity vector u must be weakly increasing, got {shown(out)}")
     return out
 
 
@@ -45,15 +47,14 @@ def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
 
 
 def is_prime_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
-    """True iff a is a u-parking function meeting the strict count inequalities.
+    """True iff a is a prime u-parking function: sorted a lies below u' = (u0, u0, u1, ..., u_{n-2}).
 
-    Strictness is required for i = 0..n-2 only, so every length-1 parking
-    function is prime.
+    u' is :func:`prime_reduction`'s boundary, built here from the checked u.
+    Its first two entries are equal, so every length-1 parking function is
+    prime.
     """
     aa, uu = _checked(a, u)
-    sa = sorted(aa)
-    bounded = all(x < bound for x, bound in zip(sa, uu))
-    return bounded and all(bisect_left(sa, uu[i]) > i + 1 for i in range(len(uu) - 1))
+    return all(x < bound for x, bound in zip(sorted(aa), uu[:1] + uu[:-1]))
 
 
 def prime_reduction(u: Sequence[int]) -> Seq:
@@ -191,29 +192,32 @@ def compose(d: VectorPrimeDecomposition) -> tuple[Seq, Seq]:
 
 
 def _check_arith(s: int, b: int, n: int) -> None:
-    """The sizes must be ints (not bools), and the boundary a valid capacity vector, as ``validate_capacity`` asks."""
-    if any(type(x) is not int for x in (s, b, n)):
-        raise ValueError(f"s, b and n must be ints, got {type(s).__name__}, {type(b).__name__}, {type(n).__name__}")
-    for name, value, least in (("s", s, 1), ("b", b, 0), ("n", n, 1)):
-        if value < least:
-            raise ValueError(f"the arithmetic boundary needs {name} >= {least}, got {shown(value)}")
+    """The rule for an arithmetic boundary u_i = s + b*i, for the closed forms, the oracle and the CLI (classical is
+    s = b = 1): ints (not bools) s >= 1, b >= 0 and n >= 1, so that u is a capacity vector.  The refusal names the
+    first size that fails and its value."""
+    if type(s) is not int or s < 1:
+        raise ValueError(f"the arithmetic boundary needs an int s >= 1, got {shown(s)}")
+    if type(b) is not int or b < 0:
+        raise ValueError(f"the arithmetic boundary needs an int b >= 0, got {shown(b)}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"the arithmetic boundary needs an int n >= 1, got {shown(n)}")
 
 
 def count_pf_arith(s: int, b: int, n: int) -> int:
-    """Number of parking functions for the boundary u_i = s + b*i: s(s+bn)^(n-1)."""
+    """Number of parking functions for the boundary u_i = s + b*i: s(s+bn)^(n-1); s, b, n as ``_check_arith`` asks."""
     _check_arith(s, b, n)
     return s * exact.power(s + b * n, n - 1)
 
 
 def count_ipf_arith(s: int, b: int, n: int) -> int:
-    """Number of increasing parking functions for u_i = s + b*i."""
+    """Number of increasing parking functions for u_i = s + b*i; s, b, n as ``_check_arith`` asks."""
     _check_arith(s, b, n)
     m = s + n * (b + 1)
     return exact.as_integer(Fraction(s * exact.binomial(m, n), m))
 
 
 def count_ippf_arith(s: int, b: int, n: int) -> int:
-    """Number of increasing prime parking functions for u_i = s + b*i.
+    """Number of increasing prime parking functions for u_i = s + b*i; s, b, n as ``_check_arith`` asks.
 
     Terms of the numerator may be negative when s < b; its division by n
     goes through exact rationals and is asserted integral.
@@ -224,6 +228,6 @@ def count_ippf_arith(s: int, b: int, n: int) -> int:
 
 
 def count_ppf_arith(s: int, b: int, n: int) -> int:
-    """Number of prime parking functions for u_i = s + b*i, with 0^0 = 1."""
+    """Number of prime parking functions for u_i = s + b*i, with 0^0 = 1; s, b, n as ``_check_arith`` asks."""
     _check_arith(s, b, n)
     return (s - b) * (s + (n - 1) * b) ** (n - 1) + b**n * (n - 1) ** (n - 1)

@@ -275,11 +275,37 @@ def test_decompose_vector_six_car_golden(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check", "decompose"])
 @pytest.mark.parametrize("key", ["p", "q"])
-@pytest.mark.parametrize("value", [True, 1.0, "1", [1]])
+@pytest.mark.parametrize("value", [True, 1.0, "1", [1], 2.0])
 def test_pq_declared_sizes_must_be_json_integers(tmp_path, capsys, command, key, value):
+    # the one field that fails is named with its value, a scalar as a scalar
     path = write_instance(tmp_path, {"a": [0], "b": [0], "p": 1, "q": 1, key: value})
-    code, out, err = run_cli(capsys, [command, "--family", "pq", "--file", path])
-    assert (code, out) == (1, "") and err.startswith(f"error: the declared '{key}' must be")
+    assert run_cli(capsys, [command, "--family", "pq", "--file", path]) == (
+        1, "", f"error: the declared '{key}' must be an integer, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+@pytest.mark.parametrize("value", [True, 1.5, "1", None])
+def test_a_grid_names_its_size_that_is_not_an_integer(tmp_path, capsys, key, value):
+    grid = {"p": 1, "q": 1, "nodes": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], key: value}
+    path = write_instance(tmp_path, {"a": [0], "b": [0], "U": grid})
+    assert run_cli(capsys, ["check", "--family", "twodim", "--file", path]) == (
+        1, "", f"error: the grid's '{key}' must be an integer >= 0, got {value!r}\n"
+    )
+    matrix = write_instance(tmp_path, grid, "grid.json")
+    assert run_cli(capsys, ["count", "--family", "twodim", "--matrix-file", matrix, "--method", "oracle"]) == (
+        1, "", f"error: the grid's '{key}' must be an integer >= 0, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("key", [*"abcdstpq"])
+@pytest.mark.parametrize("value", [True, 1.5, "1", [1]])
+def test_an_affine_grid_names_its_value_that_is_not_an_integer(tmp_path, capsys, key, value):
+    affine = dict(zip("abcdstpq", (0, 1, 1, 0, 1, 1, 1, 1)), **{key: value})
+    path = write_instance(tmp_path, {"a": [0], "b": [0], "affine": affine})
+    assert run_cli(capsys, ["check", "--family", "twodim", "--file", path]) == (
+        1, "", f"error: the affine grid's '{key}' must be an integer >= 0, got {value!r}\n"
+    )
 
 
 def test_decompose_pq_golden(tmp_path, capsys):
@@ -409,21 +435,90 @@ def test_a_negative_cap_exits_one(capsys, monkeypatch, argv, cap, source):
     assert run_cli(capsys, argv) == (1, "", f"error: the search cap must be >= 0, got {cap}\n")
 
 
+@pytest.mark.parametrize("route", [["count", "--method", "formula"], ["count", "--method", "oracle"]], ids=["formula", "oracle"])
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["count", "--family", "classical", "--n", "0"], "the arithmetic boundary needs n >= 1, got 0"),
-        (["count", "--family", "classical", "--n", "0", "--method", "oracle"], "classical family needs an int n >= 1, got 0"),
-        (["count", "--family", "vector", "--s", "0", "--b", "1", "--n", "3"], "the arithmetic boundary needs s >= 1, got 0"),
-        (["count", "--family", "vector", "--s", "1", "--b", "-2", "--n", "3"], "the arithmetic boundary needs b >= 0, got -2"),
-        (["count", "--family", "vector", "--s", "1", "--b", "1", "--n", "-4", "--prime"],
-         "the arithmetic boundary needs n >= 1, got -4"),
+        (["--family", "classical", "--n", "0"], "the arithmetic boundary needs an int n >= 1, got 0"),
+        (["--family", "vector", "--s", "0", "--b", "1", "--n", "3"], "the arithmetic boundary needs an int s >= 1, got 0"),
+        (["--family", "vector", "--s", "1", "--b", "-2", "--n", "3"], "the arithmetic boundary needs an int b >= 0, got -2"),
+        (["--family", "vector", "--s", "1", "--b", "1", "--n", "-4", "--prime"],
+         "the arithmetic boundary needs an int n >= 1, got -4"),
+        (["--family", "vector", "--s", "1", "--b", "1", "--n", "0"], "the arithmetic boundary needs an int n >= 1, got 0"),
+        (["--family", "vector", "--u", "3,2"], "the capacity vector u must be weakly increasing, got (3, 2)"),
+        (["--family", "vector", "--u", "0"], "the capacity vector u must hold integers >= 1, got (0,)"),
+        (["--family", "pq", "--p", "-1", "--q", "3"], "the pq family needs an int p >= 0, got -1"),
+        (["--family", "twodim", "--affine", "0,0,0,0,1,1", "--p", "0", "--q", "0", "--prime"], "primeness needs p >= 1, got 0"),
     ],
-    ids=["classical-formula", "classical-oracle", "vector-s", "vector-b", "vector-n"],
+    ids=["classical", "vector-s", "vector-b", "vector-n", "vector-n-0", "vector-u-order", "vector-u-entry", "pq-p", "twodim-prime"],
 )
-def test_a_size_out_of_range_is_named_with_its_value(capsys, argv, message):
-    # both routes name the parameter that fails and its value, never a flag the family does not take
-    assert run_cli(capsys, argv) == (1, "", f"error: {message}\n")
+def test_a_size_out_of_range_is_named_with_its_value(capsys, route, argv, message):
+    # both routes give the family rule's one line: it names the parameter that fails and its value, never a flag the
+    # family does not take, nor a vector's --s/--b/--n as the entries of the u built from them
+    assert run_cli(capsys, [route[0], *argv, *route[1:]]) == (1, "", f"error: {message}\n")
+
+
+def _sized_refusal(family, least):
+    """Flags giving each size of ``family`` a value at least ``least[name]`` or below it, one at least below."""
+
+    def drawn(values):
+        flags = ["--family", family, *(part for name, value in values.items() for part in (f"--{name}", str(value)))]
+        return flags, [(name, str(value)) for name, value in values.items() if value < least[name]]
+
+    sizes = {name: st.integers(low - 3, low + 3) | st.integers(-(10**30), low) for name, low in least.items()}
+    return st.fixed_dictionaries(sizes).filter(lambda values: any(values[name] < low for name, low in least.items())).map(drawn)
+
+
+def _bad_u(u):
+    return ["--family", "vector", f"--u={','.join(map(str, u))}"], [("u", repr(tuple(u)))]
+
+
+def _empty_side_primes(drawn):
+    affine, p, q = drawn
+    flags = ["--family", "twodim", "--affine", ",".join(map(str, affine)), "--p", str(p), "--q", str(q), "--prime"]
+    return flags, [(name, "0") for name, value in (("p", p), ("q", q)) if value == 0]
+
+
+_FAMILY_REFUSALS = st.one_of(
+    _sized_refusal("pq", {"p": 0, "q": 0}),
+    _sized_refusal("classical", {"n": 1}),
+    _sized_refusal("vector", {"s": 1, "b": 0, "n": 1}),
+    # a --u that is empty, holds a 0, or decreases
+    st.just([]).map(_bad_u),
+    st.lists(st.integers(1, 5), max_size=4).flatmap(lambda u: st.integers(0, len(u)).map(lambda at: u[:at] + [0] + u[at:])).map(_bad_u),
+    st.lists(st.integers(1, 5), min_size=2, max_size=5).filter(lambda u: u != sorted(u)).map(_bad_u),
+    # primes on an affine grid with an empty side
+    st.tuples(st.lists(st.integers(0, 3), min_size=6, max_size=6), st.integers(0, 3), st.integers(0, 3))
+    .filter(lambda drawn: 0 in drawn[1:])
+    .map(_empty_side_primes),
+)
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdout", out := io.StringIO())
+        mp.setattr("sys.stderr", err := io.StringIO())
+        return main(argv), out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FAMILY_REFUSALS)
+@example((["--family", "vector", "--s", "1", "--b", "-1", "--n", "3"], [("b", "-1")]))  # oracle refused "sequence entries"
+@example((["--family", "vector", "--u", "3,2"], [("u", "(3, 2)")]))  # formula refused "b >= 0, got -1"
+@example((["--family", "vector", "--u", "0"], [("u", "(0,)")]))  # formula refused "s >= 1, got 0"
+@example((["--family", "vector", "--s", "1", "--b", "1", "--n", "0"], [("n", "0")]))  # oracle refused an empty u
+@example((["--family", "pq", "--p", "-1", "--q", "3"], [("p", "-1")]))  # formula refused "p and q", with no value
+def test_one_refusal_per_input_on_every_route(drawn):
+    # the family's rule refuses a parameter out of its range with one line, the same from the closed forms, the oracle
+    # and list; the line names a flag given that fails, with its value
+    flags, failing = drawn
+    routes = (["count", "--method", "formula"], ["count", "--method", "oracle"], ["list"])
+    runs = {_run([route[0], *flags, *route[1:]]) for route in routes}
+    assert len(runs) == 1, runs
+    code, out, err = runs.pop()
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+    assert any(re.search(rf"\b{name}\b", err) and err.endswith(f"got {value}\n") for name, value in failing), (err, failing)
 
 
 _BIG = "1" + "0" * 4999  # past Python's default limit of 4300 digits for an int<->str conversion

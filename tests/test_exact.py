@@ -1,5 +1,6 @@
 """Exact-arithmetic primitives: binomials, rising factorials, powers."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -109,17 +110,22 @@ def test_closed_forms_are_ints_equal_to_the_all_fraction_evaluation(a, b, c, d, 
         assert type(value) is int and value == reference, (formula.__name__, args)
 
 
-_SIZED_FORMS = [(f, (1, 1, 3)) for f in (vector.count_pf_arith, vector.count_ipf_arith, vector.count_ppf_arith, vector.count_ippf_arith)]
-_SIZED_FORMS += [(f, (2, 2)) for f in (pq.count_pq_pf, pq.count_pq_ipf, pq.count_pq_ppf, pq.count_pq_ippf, pq.count_pq_ppf_sum)]
+_ARITH = ("the arithmetic boundary", "sbn", (1, 0, 1))  # what the refusal names, each size's name, its least value
+_SIZED_FORMS = [(f, (1, 1, 3), _ARITH) for f in (vector.count_pf_arith, vector.count_ipf_arith, vector.count_ppf_arith, vector.count_ippf_arith)]
+_SIZED_FORMS += [(f, (2, 2), ("the pq family", "pq", (0, 0))) for f in (pq.count_pq_pf, pq.count_pq_ipf, pq.count_pq_ppf, pq.count_pq_ippf)]
+_SIZED_FORMS += [(pq.count_pq_ppf_sum, (2, 2), ("the summation form", "pq", (1, 1)))]
 
 
-@pytest.mark.parametrize("formula, sizes", _SIZED_FORMS, ids=[f.__name__ for f, _ in _SIZED_FORMS])
-def test_closed_forms_refuse_sizes_that_are_not_ints(formula, sizes):
-    # a bool, a float or a str in any size position is refused, never computed with (True counted as 1, 2.0 as 2)
+@pytest.mark.parametrize("formula, sizes, rule", _SIZED_FORMS, ids=[f.__name__ for f, _, _ in _SIZED_FORMS])
+def test_closed_forms_refuse_sizes_that_are_not_ints(formula, sizes, rule):
+    # a bool, a float or a str in any size position is refused, never computed with (True counted as 1, 2.0 as 2);
+    # the one line names that size and its value
     formula(*sizes)
+    what, names, least = rule
     for position in range(len(sizes)):
         for bad in (True, float(sizes[position]), str(sizes[position])):
-            with pytest.raises(ValueError, match="must be ints"):
+            line = f"{what} needs an int {names[position]} >= {least[position]}, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
                 formula(*sizes[:position], bad, *sizes[position + 1 :])
 
 

@@ -262,13 +262,13 @@ _HUGE = 10**5000
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: FamilySpec("classical", n=-_HUGE), lambda: f"classical family needs an int n >= 1, got {-_HUGE}"),
-        (lambda: FamilySpec("pq", p=-_HUGE, q=1), lambda: f"pq family needs ints p, q >= 0, got {-_HUGE}, 1"),
+        (lambda: FamilySpec("classical", n=-_HUGE), lambda: f"the arithmetic boundary needs an int n >= 1, got {-_HUGE}"),
+        (lambda: FamilySpec("pq", p=-_HUGE, q=1), lambda: f"the pq family needs an int p >= 0, got {-_HUGE}"),
         (lambda: FamilySpec("classical", n=3, p=_HUGE), lambda: f"the classical family takes no p, got {_HUGE}"),
-        (lambda: FamilySpec("vector", u=(-_HUGE,)), lambda: f"sequence entries must be non-negative integers, got ({-_HUGE},)"),
-        (lambda: FamilySpec("vector", u=(2, 1, _HUGE)), lambda: f"capacity vector must be weakly increasing, got (2, 1, {_HUGE})"),
-        (lambda: AffineWeightSpec(0, 1, 1, 0, 1, 1, True, _HUGE),
-         lambda: f"affine weight parameters must be ints, got (0, 1, 1, 0, 1, 1, True, {_HUGE})"),
+        (lambda: FamilySpec("vector", u=(-_HUGE,)), lambda: f"the capacity vector u must hold integers >= 1, got ({-_HUGE},)"),
+        (lambda: FamilySpec("vector", u=(2, 1, _HUGE)),
+         lambda: f"the capacity vector u must be weakly increasing, got (2, 1, {_HUGE})"),
+        (lambda: AffineWeightSpec(0, 1, 1, 0, 1, 1, 1, -_HUGE), lambda: f"the affine grid's 'q' must be an integer >= 0, got {-_HUGE}"),
         (lambda: twodim.WeightMatrix(_HUGE, 0, ()), lambda: f"weight grid must be ({_HUGE + 1}) x (1)"),
         (lambda: json_ints([_HUGE, 1.5], "x"), lambda: f"x must be an array of integers, got [{_HUGE}, 1.5]"),
         (lambda: json_ints({"a": [(_HUGE,)]}, "x"), lambda: f"x must be an array of integers, got {{'a': [({_HUGE},)]}}"),
@@ -391,18 +391,20 @@ def test_count_many_reports_share_their_group_sweep_time():
 
 
 def test_family_spec_validation():
-    with pytest.raises(ValueError):
-        FamilySpec("classical")
-    with pytest.raises(ValueError):
-        FamilySpec("classical", n=0)
-    with pytest.raises(ValueError):
-        FamilySpec("vector", u=())
-    with pytest.raises(ValueError):
-        FamilySpec("vector", u=(3, 2))
-    with pytest.raises(ValueError):
-        FamilySpec("pq", p=2)
-    with pytest.raises(ValueError):
-        FamilySpec("twodim", weights=u0_matrix(0, 2), prime=True)
+    # each refusal is its family's rule, the one line the closed forms and the CLI give, and a ValueError
+    refusals = [
+        ({"family": "classical"}, "the arithmetic boundary needs an int n >= 1, got None"),
+        ({"family": "classical", "n": 0}, "the arithmetic boundary needs an int n >= 1, got 0"),
+        ({"family": "vector", "u": ()}, "the capacity vector u must be non-empty, got ()"),
+        ({"family": "vector", "u": (3, 2)}, "the capacity vector u must be weakly increasing, got (3, 2)"),
+        ({"family": "pq", "p": 2}, "the pq family needs an int q >= 0, got None"),
+        ({"family": "twodim", "weights": u0_matrix(0, 2), "prime": True}, "primeness needs p >= 1, got 0"),
+        ({"family": "twodim", "weights": u0_matrix(2, 0), "prime": True}, "primeness needs q >= 1, got 0"),
+    ]
+    for kwargs, line in refusals:
+        with pytest.raises(ValueError) as exc:
+            FamilySpec(**kwargs)
+        assert str(exc.value) == line
     with pytest.raises(ValueError):
         FamilySpec("sandpile", n=3)
     with pytest.raises(ValueError):

@@ -309,11 +309,11 @@ def test_counts_match_brute_force_on_grid():
 
 
 def test_count_preconditions():
-    with pytest.raises(ValueError, match="needs s >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^the arithmetic boundary needs an int s >= 1, got 0$"):
         vector.count_pf_arith(0, 1, 3)
-    with pytest.raises(ValueError, match="needs b >= 0, got -1$"):
+    with pytest.raises(ValueError, match="^the arithmetic boundary needs an int b >= 0, got -1$"):
         vector.count_ipf_arith(1, -1, 3)
     # n >= 1 in all four closed forms, as for capacity vectors and the oracle; the refusal names n and its value
     for formula in (vector.count_pf_arith, vector.count_ipf_arith, vector.count_ppf_arith, vector.count_ippf_arith):
-        with pytest.raises(ValueError, match="needs n >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^the arithmetic boundary needs an int n >= 1, got 0$"):
             formula(1, 1, 0)
