@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 from importlib import resources
 from itertools import product
 from operator import itemgetter
@@ -377,9 +378,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """Each command registers only the options it reads, and its handler as ``run``; the groups it shares are written
-    once, as parents."""
+    once, as parents.  Built on the first call, not at import, and kept: parsing leaves it unchanged, so every later
+    ``main`` in the process reuses it."""
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", required=True, choices=tuple(_FLAG_SETS))
     instance = argparse.ArgumentParser(add_help=False, parents=[family])

@@ -3,10 +3,10 @@
 Binomials are ``math.comb``, for n, k >= 0 only: every closed form checks
 its sizes before it takes one.  Powers and rising factorials take n >= 0
 only: a closed form with an empty side cancels that side's factor before
-it evaluates one.  Only a closed form's final division (never ``/`` on
-ints) goes through ``fractions.Fraction``; the result is asserted
-integral.  Every count in this package is an exact integer, so a
-non-integral result always signals a bug or a misapplied formula.
+it evaluates one.  A closed form's final division (never ``/`` on ints)
+is ``as_integer``, an exact ``divmod`` whose remainder must be 0.  Every
+count in this package is an exact integer, so a non-integral result
+always signals a bug or a misapplied formula.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, prod
 
+from .core import shown
 from .errors import NonIntegralResult
 
 
@@ -36,10 +37,9 @@ def power(x: int, n: int) -> int:
     return x**n
 
 
-def as_integer(value: Fraction | int) -> int:
-    """Collapse an exact rational to an int, or raise NonIntegralResult."""
-    if isinstance(value, int):
-        return value
-    if value.denominator != 1:
-        raise NonIntegralResult(f"expected an integer, got {value}")
-    return value.numerator
+def as_integer(value: Fraction | int, divisor: int = 1) -> int:
+    """value / divisor for a divisor >= 1, exactly: a remainder raises NonIntegralResult."""
+    whole, rest = divmod(value, divisor)
+    if rest:
+        raise NonIntegralResult(f"expected an integer, got {shown(value)} / {shown(divisor)}")
+    return whole

@@ -3,7 +3,12 @@
 This is the ground truth every closed-form count is checked against: it never
 consults a formula, only the membership predicates and the weight grids they
 reduce to.  Entry bounds are the provably sufficient ones: an entry at or
-beyond the bound can never belong to a member.
+beyond the bound can never belong to a member.  The nominal space, which
+the cap bounds, and ``enumerate_members`` take them from the corner node,
+max_u and max_v.  A sweep takes tighter ones (``_edge_bounds``): no edge
+leaves the corner (p, q), so the largest weight an east edge carries is
+u(p-1, q) and a north edge v(p, q-1), and a sorted row with an entry at or
+past its side's is no member.
 
 ``enumerate_members`` is definitional: it walks every candidate tuple in
 lexicographic order (``_seqs``, the only ``itertools`` candidates left) and
@@ -17,9 +22,9 @@ grid's ``_prime_companion``, which matches the prime predicates; the tests
 compare both routes.  A spec of at most one candidate tests it by predicate
 and sweeps no grid; a pq shape with an empty side gets no grid at all.
 
-A batch sweeps each distinct grid once.  The grids of one shape
-``(p, q, max_u, max_v)`` share both candidate sides, so each such group is
-swept as one stack, built once: every grid rides on the leading axis of one
+A batch sweeps each distinct grid once.  The grids of one group
+``(p, q, u(p-1, q), v(p, q-1))`` share both candidate sides, so each group
+is swept as one stack, built once: every grid rides on the leading axis of one
 DP state, with its prime companion beside it when p >= 1.  A group whose
 kept b-side may drop rows (below) is swept as two stacks instead, its
 grids and then their companions, each on its own live rows
@@ -59,8 +64,10 @@ word (``np.bitwise_count``): the plain counts are one ``einsum`` of the
 popcounts with the a-weights and the word weights, the increasing counts
 the popcounts' sum.  The grid's exact dtype is applied once per b-block, to
 the word weights.  Every product and partial sum it forms is at most a
-grid's count, which never exceeds the nominal space, so int64 is exact
-below 2**63; larger spaces reduce in Python ints, one element per word.
+grid's count, which never exceeds the box of its two sides, so int64 is
+exact while that box is below 2**63; larger boxes reduce in Python ints,
+one element per word.  A side of length >= 1 whose bound is 0 has no rows,
+so its group's counts are 0 and it is not swept.
 
 Only live rows need reach the DP.  The grids of a stack are monotone, so
 the largest east weight in column k is at row q and the largest north
@@ -84,7 +91,7 @@ still counts every candidate.
 
 A prime companion's tops are never above its grid's, as each of its nodes
 takes its weights from a node at or below or west of it, and often far
-below: at ``1,1,1,1,1,1,5,5`` the grid keeps 1638 of 3003 rows a side and
+below: at ``1,1,1,1,1,1,5,5`` the grid keeps 1638 of 2002 rows a side and
 its companion 429.  A stack of both sweeps the companion on the grid's
 rows, so where a kept b-side may drop rows, in a sweep past ``_BLOCK_BITS``
 sorted pairs, the companions are swept as a stack of their own, on their
@@ -267,9 +274,11 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
 
     Every spec's nominal space is checked against the cap before anything is
     counted.  A grid equal to one of the last ``_KEPT_GRIDS`` counted is not
-    swept again; the others are grouped by shape, one sweep per group, of
-    one stack or, where a kept b-side may drop rows, of two: the grids,
-    then their prime companions (see the module docstring).
+    swept again; the others are grouped by shape and by the largest weights
+    their east and north edges carry, (p, q, u(p-1, q), v(p, q-1)), one
+    sweep per group, of one stack or, where a kept b-side may drop rows, of
+    two: the grids, then their prime companions (see the module docstring).
+    A group with a side of length >= 1 whose bound is 0 counts 0 unswept.
 
     A report's ``elapsed`` is the wall time of the work that counted it: the
     sweep of its grid's whole group, both stacks when there are two, shared
@@ -288,12 +297,15 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
             continue
         if (four := _counted.pop(grid, None)) is None:  # popped to be stored again as the newest
             swept[grid] = None
-            groups.setdefault((grid.p, grid.q, grid.max_u, grid.max_v), []).append(grid)
+            groups.setdefault((grid.p, grid.q, *_edge_bounds(grid)), []).append(grid)
         else:
             swept[grid], _counted[grid] = (four, 0.0), four
-    for group in groups.values():
+    for (p, q, bu, bv), group in groups.items():
         start = time.perf_counter()
-        counts = _stacked_counts(group)
+        if (bu or not p) and (bv or not q):
+            counts = _stacked_counts(group)
+        else:  # a side of length >= 1 whose every edge weighs 0 has no rows: no pair is a member, nor a prime
+            counts = [(0, 0, 0, 0)] * len(group)
         elapsed = time.perf_counter() - start
         for grid, four in zip(group, counts):
             swept[grid], _counted[grid] = (four, elapsed), four
@@ -320,6 +332,13 @@ def _row_grid(u: Seq) -> WeightMatrix:
     return WeightMatrix._unchecked(len(u), 0, (tuple((x, 1) for x in u + u[-1:]),))
 
 
+def _edge_bounds(grid: WeightMatrix) -> tuple[int, int]:
+    """The largest weights the grid's east and north edges carry, u(p-1, q) and v(p, q-1), its sides' entry bounds;
+    an empty side's is the corner's, as no edge reads it."""
+    corner = grid.rows[-1]
+    return corner[-2][0] if grid.p else corner[-1][0], grid.rows[-2][-1][1] if grid.q else corner[-1][1]
+
+
 def _prime_companion(grid: WeightMatrix) -> WeightMatrix:
     """The grid (p >= 1) whose plain members are ``grid``'s primes: ``prime_weight_transform`` when q >= 1.
 
@@ -341,14 +360,16 @@ _counted: OrderedDict[WeightMatrix, tuple[int, int, int, int]] = OrderedDict()  
 
 
 def _stacked_counts(grids: list[WeightMatrix]) -> list[tuple[int, int, int, int]]:
-    """The four counts (pf, ipf, ppf, ippf) of every grid of one shape: the grids and their prime companions are
-    swept as one stack, or as two (``_stack_sums``) when a kept b-side may drop rows.
+    """The four counts (pf, ipf, ppf, ippf) of every grid of one group (``count_many``), each side built to its
+    edge bound: the grids and their prime companions are swept as one stack, or as two (``_stack_sums``) when a kept
+    b-side may drop rows.
 
     The module docstring gives the design: packed states, blocks, stacks and
     the reduction.  Semantics match ``is_u_pf`` / ``is_u_prime`` exactly; the
     tests compare them, and ``is_u_prime``'s two methods.
     """
-    p, q, bu, bv, g = grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v, len(grids)
+    p, q, g = grids[0].p, grids[0].q, len(grids)
+    bu, bv = _edge_bounds(grids[0])
     stack = grids + [_prime_companion(grid) for grid in grids] if p else grids
     flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(grid.rows for grid in stack)))
     nodes = np.fromiter(flat, object).reshape(len(stack), q + 1, p + 1, 2)  # nodes[g, l, k] = (u, v)
@@ -574,9 +595,9 @@ def _packed_north(arr_b: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     of words) that may take the north edge at (k, l) on grid g of ``nodes`` (``nodes[g, l, k] = (u, v)``).
 
     Only the weights of edges that exist are cast: an empty side's channel
-    may hold any int.  A north weight is at most the b-side's bound, the last
-    node's v, so it takes the b-rows' own dtype and the compare casts
-    nothing.
+    may hold any int.  A north weight is at most the b-side's bound, the
+    last north edge's v(p, q-1), so it takes the b-rows' own dtype and the
+    compare casts nothing.
     """
     below = arr_b.T[:, None, None, None, :] < nodes[:, :-1, :, 1].astype(arr_b.dtype).transpose(1, 2, 0)[..., None, None]
     return np.packbits(below, axis=-1, bitorder="little").view(np.uint64)

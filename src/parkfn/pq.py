@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
@@ -254,7 +253,7 @@ def count_pq_ipf(p: int, q: int) -> int:
     """Narayana count of increasing pairs: C(n+1,p) C(n+1,q) / (n+1), n = p+q; p, q as ``_check_pq`` asks."""
     _check_pq(p, q)
     n = p + q
-    return exact.as_integer(Fraction(exact.binomial(n + 1, p) * exact.binomial(n + 1, q), n + 1))
+    return exact.as_integer(exact.binomial(n + 1, p) * exact.binomial(n + 1, q), n + 1)
 
 
 def count_pq_ippf(p: int, q: int) -> int:
@@ -263,7 +262,7 @@ def count_pq_ippf(p: int, q: int) -> int:
     if p == 0 or q == 0:
         return 1 if (p, q) in ((0, 1), (1, 0)) else 0
     n = p + q - 1
-    return exact.as_integer(Fraction(exact.binomial(n, p - 1) * exact.binomial(n, q - 1), n))
+    return exact.as_integer(exact.binomial(n, p - 1) * exact.binomial(n, q - 1), n)
 
 
 def count_pq_ppf(p: int, q: int) -> int:

@@ -12,7 +12,6 @@ when some bounding path does: membership is one O(p + q) walk, primeness two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
@@ -284,7 +283,7 @@ def _affine_count(spec: AffineWeightSpec, power, divisor: int) -> int:
         value = lead * power(x, n - 1)
     else:
         value = (s * t + t * b * q + s * c * p) * power(s + a * p + b * q, p - 1) * power(t + c * p + d * q, q - 1)
-    return exact.as_integer(Fraction(value, divisor) if divisor > 1 else value)
+    return exact.as_integer(value, divisor)
 
 
 def _affine_prime_count(spec: AffineWeightSpec, power, divisor: int) -> int:
@@ -297,4 +296,4 @@ def _affine_prime_count(spec: AffineWeightSpec, power, divisor: int) -> int:
         (((s + b * q - b) * (t + c * p - c) - b * c * p * q) * ty + c * (b * (p + q - 1) + s - s * p) * y0) * sx
         + (b * (c * (p + q - 1) + t - t * q) * ty - b * c * (p + q - 1) * y0) * x0
     )
-    return exact.as_integer(Fraction(value, divisor) if divisor > 1 else value)
+    return exact.as_integer(value, divisor)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import exact
@@ -213,18 +212,18 @@ def count_ipf_arith(s: int, b: int, n: int) -> int:
     """Number of increasing parking functions for u_i = s + b*i; s, b, n as ``_check_arith`` asks."""
     _check_arith(s, b, n)
     m = s + n * (b + 1)
-    return exact.as_integer(Fraction(s * exact.binomial(m, n), m))
+    return exact.as_integer(s * exact.binomial(m, n), m)
 
 
 def count_ippf_arith(s: int, b: int, n: int) -> int:
     """Number of increasing prime parking functions for u_i = s + b*i; s, b, n as ``_check_arith`` asks.
 
     Terms of the numerator may be negative when s < b; its division by n
-    goes through exact rationals and is asserted integral.
+    is exact (``exact.as_integer``), a floor division asserted remainder-free.
     """
     _check_arith(s, b, n)
     k = (b + 1) * (n - 1)
-    return exact.as_integer(Fraction((s - b) * exact.binomial(s + k, n - 1) + b * exact.binomial(k, n - 1), n))
+    return exact.as_integer((s - b) * exact.binomial(s + k, n - 1) + b * exact.binomial(k, n - 1), n)
 
 
 def count_ppf_arith(s: int, b: int, n: int) -> int:

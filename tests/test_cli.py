@@ -779,8 +779,9 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
 def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls.
     # The 2916 grids share 36 candidate sides; building both sides per grid took 5834 weight calls.
-    # The grids fall into 852 shapes (p, q, max_u, max_v); the 9 with u = v = 1 at every node hold one
-    # candidate, tested by predicate, and each of the other 843 is counted in one stacked sweep.
+    # The grids fall into 592 groups (p, q, u(p-1, q), v(p, q-1)), keyed by the largest weights their east and
+    # north edges carry; the 9 with u = v = 1 at every node hold one candidate, tested by predicate, and the other
+    # 2907 fall into 588 groups, each counted in one stacked sweep (852 shapes (p, q, max_u, max_v) took 843).
     from parkfn import oracle, twodim
 
     calls, build = [], twodim.affine_weight_matrix
@@ -801,9 +802,9 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     assert code == 0 and "11664/11664" in err
     assert len(calls) == 2916
     assert sides and len(sides) == len(set(sides))
-    shapes = [{(grid.p, grid.q, grid.max_u, grid.max_v) for grid in grids} for grids in sweeps]
-    assert len(sweeps) == 843 and all(len(shape) == 1 for shape in shapes)
-    assert len(set().union(*shapes)) == 843 and sum(map(len, sweeps)) == 2907
+    keys = [{(grid.p, grid.q, *oracle._edge_bounds(grid)) for grid in grids} for grids in sweeps]
+    assert len(sweeps) == 588 and all(len(key) == 1 for key in keys)
+    assert len(set().union(*keys)) == 588 and sum(map(len, sweeps)) == 2907
 
 
 def test_verify_memory_stays_bounded():

@@ -134,3 +134,6 @@ def test_as_integer():
     assert exact.as_integer(7) == 7
     with pytest.raises(NonIntegralResult):
         exact.as_integer(Fraction(1, 3))
+    assert exact.as_integer(-12, 4) == -3  # a closed form's final division
+    with pytest.raises(NonIntegralResult, match=r"^expected an integer, got -7 / 2$"):
+        exact.as_integer(-7, 2)

@@ -306,18 +306,18 @@ def _affine_specs(*grids):
     ]
 
 
-# Specs for the batch: grids that share a shape, p = 0 and q = 0 grids, the pq shapes
+# Specs for the batch: grids that share a group, p = 0 and q = 0 grids, the pq shapes
 # with an empty side, counts past int64, and a group whose stack spans several blocks.
 BATCH_SPECS = SMALL_SPECS + _affine_specs(
-    (1, 0, 0, 1, 1, 1, 2, 2),  # shape (2, 2, 3, 3), with the next two
+    (1, 0, 0, 1, 2, 2, 2, 2),  # group (2, 2, 3, 3): u(1, 2) = v(2, 1) = 3, with the next two
     (0, 1, 1, 0, 1, 1, 2, 2),
     (0, 0, 0, 0, 3, 3, 2, 2),
     (1, 1, 1, 1, 1, 1, 0, 2),  # p = 0
     (0, 1, 1, 1, 1, 2, 0, 2),  # p = 0, the same shape
     (1, 0, 1, 1, 2, 1, 3, 0),  # q = 0
     (0, 0, 0, 0, 1, 2, 1, 63),  # pf = 2**63: dtype=object
-    (1, 2, 3, 2, 3, 5, 3, 3),  # shape (3, 3, 12, 20): 364 a-rows, 81 per block of the two
-    (2, 1, 2, 3, 3, 5, 3, 3),
+    (1, 2, 3, 2, 3, 5, 3, 3),  # group (3, 3, 11, 18): 286 a-rows, 113 per block of the two
+    (2, 1, 2, 3, 4, 6, 3, 3),
 )
 _LONE_COUNTS: dict = {}
 
@@ -332,9 +332,10 @@ def _lone_count(spec):
 
 def test_batch_specs_cover_a_group_across_blocks():
     a, b = BATCH_SPECS[-8].weights, BATCH_SPECS[-4].weights
-    assert a != b and (a.p, a.q, a.max_u, a.max_v) == (b.p, b.q, b.max_u, b.max_v)
-    rows = oracle._BLOCK_BITS // (64 * -(-comb(a.max_v + a.q - 1, a.q) // 64))
-    assert comb(a.max_u + a.p - 1, a.p) > rows // 2  # the stack of two takes half a lone grid's rows
+    bu, bv = oracle._edge_bounds(a)
+    assert a != b and (a.p, a.q, bu, bv) == (b.p, b.q, *oracle._edge_bounds(b))
+    rows = oracle._BLOCK_BITS // (64 * -(-comb(bv + a.q - 1, a.q) // 64))
+    assert comb(bu + a.p - 1, a.p) > rows // 2  # the stack of two takes half a lone grid's rows
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,19 +351,24 @@ def test_count_many_equals_lone_counts(specs, rng):
 
 def test_count_many_sweeps_a_group_larger_than_one_stack(monkeypatch):
     # with 128-bit blocks a lone grid keeps two a-rows of one word, fewer than a group of three needs: the group
-    # is still swept as one stack, in 64-row b-blocks, holding one a-row and one word per grid
-    specs = _affine_specs((1, 0, 0, 1, 1, 1, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2), (0, 0, 0, 0, 3, 3, 2, 2))
+    # is still swept as one stack, in 64-row b-blocks, holding one a-row and one word per grid; the three grids
+    # differ, but u(1, 2) = v(2, 1) = 3 on each, so they are one group
+    specs = _affine_specs((1, 0, 0, 1, 2, 2, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2), (0, 0, 0, 0, 3, 3, 2, 2))
     want = [_lone_count(spec) for spec in specs]
+    sweeps, stacked = [], oracle._stacked_counts
     monkeypatch.setattr(oracle, "_BLOCK_BITS", 128)
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: sweeps.append(len(grids)) or stacked(grids))
     oracle._counted.clear()
     assert [report.count for report in oracle.count_many(specs)] == want
+    assert sweeps == [3]
 
 
 def test_count_many_sweeps_a_large_group_as_one_stack_in_narrower_b_blocks(monkeypatch):
     # with 256-bit blocks a lone grid keeps two a-rows against the 78-row b-side, too few for three grids: the group
     # takes 64-row b-blocks, and each b-block's two weight classes (1 for (x, x), 2 for x < y) start a word each; the
-    # laid-out blocks are cut into one-word b-blocks, each packed once for its stack of six
-    specs = _affine_specs((1, 0, 1, 2, 1, 6, 2, 2), (0, 1, 2, 1, 1, 6, 2, 2), (0, 0, 0, 0, 3, 12, 2, 2))
+    # laid-out blocks are cut into one-word b-blocks, each packed once for its stack of six; u(1, 2) = 3 and
+    # v(2, 1) = 12 on all three grids, and the last one's v(2, l) = 12 spares every b-row
+    specs = _affine_specs((1, 0, 1, 2, 2, 8, 2, 2), (0, 1, 2, 1, 1, 7, 2, 2), (0, 0, 0, 0, 3, 12, 2, 2))
     want = [_lone_count(spec) for spec in specs]
     packed_north, laid_blocks, stacks, b_rows = oracle._packed_north, oracle._laid_blocks, [], []
 
@@ -383,11 +389,72 @@ def test_count_many_sweeps_a_large_group_as_one_stack_in_narrower_b_blocks(monke
 
 
 def test_count_many_reports_share_their_group_sweep_time():
-    specs = _affine_specs((1, 0, 0, 1, 1, 1, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2))
+    specs = _affine_specs((1, 0, 0, 1, 2, 2, 2, 2), (0, 1, 1, 0, 1, 1, 2, 2))  # one group: u(1, 2) = v(2, 1) = 3
     oracle._counted.clear()
     elapsed = {report.elapsed for report in oracle.count_many(specs)}
     assert len(elapsed) == 1 and elapsed.pop() > 0
     assert {report.elapsed for report in oracle.count_many(specs)} == {0.0}  # counted before
+
+
+def _four_counts(grid):
+    """The counts of a grid's defined variants, counted in one batch from cold grid caches."""
+    oracle._counted.clear()
+    return [report.count for report in oracle.count_many(_grid_variants(grid))]
+
+
+def _with_corner(grid, corner):
+    """The grid with its corner node (p, q) replaced."""
+    rows = [list(row) for row in grid.rows]
+    rows[-1][-1] = corner
+    return twodim.WeightMatrix(grid.p, grid.q, tuple(map(tuple, rows)))
+
+
+def test_grids_that_differ_only_in_their_corner_are_one_sweep(monkeypatch):
+    # no edge leaves the corner (p, q), so its weights bound no entry: the sides are built to u(p-1, q) = 4 and
+    # v(p, q-1) = 3, and the two grids share them and one sweep, though max_u and max_v differ
+    grid = twodim.WeightMatrix(2, 1, (((1, 0), (2, 1), (2, 3)), ((1, 1), (4, 2), (4, 3))))
+    grids = [grid, _with_corner(grid, (7, 5))]
+    specs = [spec for weights in grids for spec in _grid_variants(weights)]
+    want = [len(list(oracle.enumerate_members(spec))) for spec in specs]
+    sweeps, stacked = [], oracle._stacked_counts
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda group: sweeps.append(group) or stacked(group))
+    oracle._counted.clear()
+    assert [report.count for report in oracle.count_many(specs)] == want
+    assert sweeps == [grids]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), st.integers(0, 3))
+@example(random.Random(4), 2, 2, 3, 0)  # the corner's u alone
+@example(random.Random(5), 1, 0, 0, 3)  # q = 0: the corner's v reads no side
+def test_raising_the_corner_alone_keeps_the_four_counts(rng, p, q, du, dv):
+    # the definition walks the raised corner's larger space, and the kernel sweeps the sides built to the last edges
+    grid = random_monotone_matrix(rng, p, q, 3)
+    u, v = grid.rows[-1][-1]
+    raised = _with_corner(grid, (u + du, v + dv))
+    want = [len(list(oracle.enumerate_members(spec))) for spec in _grid_variants(grid)]
+    assert [len(list(oracle.enumerate_members(spec))) for spec in _grid_variants(raised)] == want
+    assert _four_counts(raised) == _four_counts(grid) == want
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (((0, 1), (0, 1)), ((0, 1), (5, 1))),  # u(0, 1) = 0: the last east edge, and every other, weighs 0
+        (((1, 0), (1, 0)), ((1, 0), (1, 5))),  # v(1, 0) = 0: its north mirror
+    ],
+    ids=["east", "north"],
+)
+def test_a_side_whose_last_edge_weighs_0_counts_0_with_no_sweep(monkeypatch, rows):
+    # the corner's 5 makes the nominal space more than one candidate, so the grid reaches the kernel's grouping,
+    # but the side built to its last edge's weight, 0, has no rows: its four counts are 0 and nothing is swept
+    grid = twodim.WeightMatrix(1, 1, rows)
+    monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: pytest.fail("swept a grid"))
+    oracle._counted.clear()
+    reports = oracle.count_many(_grid_variants(grid))
+    assert all(report.search_space > 1 for report in reports)
+    assert [report.count for report in reports] == [0, 0, 0, 0]
+    assert [len(list(oracle.enumerate_members(spec))) for spec in _grid_variants(grid)] == [0, 0, 0, 0]
 
 
 def test_family_spec_validation():
@@ -469,11 +536,15 @@ def test_twodim_counts_past_int64_are_exact(grid):
     assert counts[0] >= 2**63
 
 
-def _affine_variants(grid):
-    """The oracle.count specs of every defined variant of an affine grid (prime needs p, q >= 1)."""
-    weights = affine_weight_matrix(AffineWeightSpec(*grid))
+def _grid_variants(weights):
+    """The oracle.count specs of every defined variant of a grid (prime needs p, q >= 1)."""
     primes = (False, True) if weights.p >= 1 and weights.q >= 1 else (False,)
     return [FamilySpec("twodim", prime, increasing, weights=weights) for prime in primes for increasing in (False, True)]
+
+
+def _affine_variants(grid):
+    """The oracle.count specs of every defined variant of an affine grid."""
+    return _grid_variants(affine_weight_matrix(AffineWeightSpec(*grid)))
 
 
 @pytest.mark.parametrize(
@@ -503,15 +574,17 @@ def test_twodim_kernel_matches_definition_on_non_affine_grids():
 
 
 def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
+    # each side is built to the largest weight its edges carry: u(p-1, q) for the a-side, v(p, q-1) for the b-side
     grids = (
-        (2, 1, 0, 1, 1, 1, 2, 9),  # a kept a-side of 105 rows, 5 per block, on a b-side built for the grid
-        (1, 2, 3, 2, 3, 5, 3, 3),  # both sides kept: 364 a-rows, 163 per block; 560560 sorted pairs mask the b-side
-        (4, 1, 0, 1, 1, 1, 4, 2),  # 7315 a-rows, more than are kept: built block by block; 43890 sorted pairs
+        (2, 1, 0, 1, 1, 1, 2, 9),  # a kept a-side of 78 rows, 10 per block, on a b-side built for the grid
+        (1, 2, 3, 2, 3, 5, 3, 3),  # both sides kept: 286 a-rows, 227 per block; 326040 sorted pairs mask the b-side
+        (4, 1, 0, 1, 3, 1, 4, 2),  # 4845 a-rows, more than are kept: built block by block; 14535 sorted pairs
     )
     laid_sides = []
     for grid in grids:
         aspec, weights = AffineWeightSpec(*grid), affine_weight_matrix(AffineWeightSpec(*grid))
-        na, nb = comb(weights.max_u + weights.p - 1, weights.p), comb(weights.max_v + weights.q - 1, weights.q)
+        bu, bv = oracle._edge_bounds(weights)
+        na, nb = comb(bu + weights.p - 1, weights.p), comb(bv + weights.q - 1, weights.q)
         assert na > oracle._BLOCK_BITS // (64 * -(-nb // 64))  # the a-candidates span several blocks
         closed = {
             (False, False): twodim.count_affine_pf(aspec),
@@ -528,11 +601,11 @@ def test_packed_twodim_kernel_across_blocks_matches_closed_forms():
         # rows and, unless the sweep masks it (past _BLOCK_BITS sorted pairs, with a dead row), their word layout;
         # a masked sweep takes the companions apart, so the layout is read whole iff the grid's own tops spare every
         # row (the companion's tops are never higher)
-        laid = kept[1] and not (na * nb > oracle._BLOCK_BITS and _tops(weights)[1][0] < weights.max_v)
+        laid = kept[1] and not (na * nb > oracle._BLOCK_BITS and _tops(weights)[1][0] < bv)
         laid_sides.append(laid)
         assert info.currsize == kept[0] + kept[1] + laid, grid
         if kept[1]:
-            oracle._kept_side(weights.max_v, weights.q, True)  # a missing layout is laid out from the kept sorted rows
+            oracle._kept_side(bv, weights.q, True)  # a missing layout is laid out from the kept sorted rows
             assert oracle._kept_side.cache_info()[:2] == (info.hits + 1, info.misses + (not laid)), grid
     assert laid_sides == [False, False, True]
 
@@ -778,13 +851,16 @@ def _below(rows, tops):
 @pytest.mark.parametrize(
     "grid, block_bits, live",
     [
-        # a masked kept b-side: the grid sweeps 1638 of 3003 rows on either side, then its prime companion, apart, 429
+        # a masked kept b-side: the grid sweeps 1638 of 2002 rows on either side, then its prime companion, apart, 429
         ((1, 1, 1, 1, 1, 1, 5, 5), 2**18, [(1638, 1638), (429, 429)]),
-        ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, [(75, 4862)]),  # 75 of 105 a-rows against 4862 of 48620 streamed b-rows
-        ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, [(14, 28)]),  # both sides streamed: 14 of 21 a-rows, 28 of 56 b-rows
+        ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, [(75, 4862)]),  # 75 of 78 a-rows against 4862 of 24310 streamed b-rows
+        ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, [(14, 28)]),  # both sides streamed: 14 of 15 a-rows, 28 of 35 b-rows
         ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, [(0, 0)]),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
-        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, [(1, 1)]),  # a streamed one-entry a-side keeps the rows below its top, (0,)
-        ((1, 0, 1, 1, 1, 2, 3, 7), 2**18, [(5, 13260)]),  # 5 of 20 a-rows against 13260 of 31824 streamed b-rows
+        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, [(1, 1)]),  # u(0, 3) = 1: the a-side's one row, (0,), is below its top
+        ((2, 0, 1, 1, 1, 2, 3, 7), 2**18, [(12, 13260)]),  # 12 of 35 a-rows against 13260 of 19448 streamed b-rows
+        # a one-entry side's one top is its bound, so the grid keeps all 70 a-rows; its companion, apart, sweeps a
+        # streamed one-entry a-side that keeps the rows below its own top, (0,)
+        ((0, 69, 1, 0, 1, 1, 1, 1), 2**7, [(70, 2), (1, 1)]),
     ],
 )
 def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits, live):
@@ -831,19 +907,21 @@ def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits,
 
 @st.composite
 def kept_b_sweeps(draw):
-    """A random monotone grid (p, q >= 1) with a dead row on each side, and a ``_BLOCK_BITS`` under which its b-side
-    is kept (at most ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than ``_BLOCK_BITS`` sorted pairs,
-    and in some draws (q = 1, p <= 2, bv past 64) its a-side is kept too.
+    """A random monotone grid (p, q >= 1) and a ``_BLOCK_BITS`` under which its b-side is kept (at most
+    ``_BLOCK_BITS // 64`` sorted rows) but its sweep spans more than ``_BLOCK_BITS`` sorted pairs, and in some draws
+    (q = 1, p <= 2, bv past 64) its a-side is kept too.
 
-    Every node but the last weighs at most 3; the last weighs (bu, bv), bv >= 4, so a b-row with b[0] >= 3 is dead,
-    and bu leaves more than 64 sorted a-rows, as the pairs need, in a space small enough to enumerate.
+    Every node weighs at most 3 but the last east edge, which weighs bu, the last north edge, which weighs bv >= 4,
+    and the corner (bu, bv): the sides' bounds.  So the companion's b-row with b[0] >= 3 is dead, and the grid's too
+    when q = 2 (at q = 1 its one b-top is bv); bu leaves more than 64 sorted a-rows, as the pairs need, in a space
+    small enough to enumerate.
     """
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     both = q == 1 and p <= 2 and draw(st.booleans())  # more than 64 sorted rows a side leaves room to keep both
     bu = draw(st.integers(*{1: (65, 90), 2: (11, 13), 3: (7, 8)}[p]))
     bv = draw(st.integers(*((65, 90) if both else (4, (30, 7)[q - 1]))))
     rows = [list(row) for row in random_monotone_matrix(draw(st.randoms(use_true_random=False)), p, q, 3).rows]
-    rows[q][p] = (bu, bv)
+    rows[q][p - 1], rows[q - 1][p], rows[q][p] = (bu, rows[q][p - 1][1]), (rows[q - 1][p][0], bv), (bu, bv)
     na, nb = comb(bu + p - 1, p), comb(bv + q - 1, q)
     least = max(na, nb) if both else nb
     return twodim.WeightMatrix(p, q, tuple(map(tuple, rows))), 64 * draw(st.integers(least, (na * nb - 1) // 64))
@@ -851,12 +929,14 @@ def kept_b_sweeps(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(kept_b_sweeps())
-@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (70, 4)))), 64 * 4))  # 4 b-rows, two live
-@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (140, 4)))), 64 * 4))  # past two blocks of pairs
-@example((twodim.WeightMatrix(1, 1, (((0, 0), (1, 2)), ((0, 3), (80, 70)))), 64 * 80))  # both sides kept
+@example((twodim.WeightMatrix(1, 1, (((0, 2), (1, 4)), ((70, 3), (70, 4)))), 64 * 4))  # 4 b-rows, two live on the companion
+@example((twodim.WeightMatrix(1, 1, (((0, 2), (1, 4)), ((140, 3), (140, 4)))), 64 * 4))  # past two blocks of pairs
+@example((twodim.WeightMatrix(1, 1, (((0, 2), (1, 70)), ((80, 3), (80, 70)))), 64 * 80))  # both sides kept
+@example((twodim.WeightMatrix(2, 2, (((0, 1), (1, 1), (1, 2)), ((0, 1), (2, 1), (2, 9)), ((1, 1), (12, 2), (12, 9)))),
+          64 * 45))  # q = 2: the grid drops the b-rows with b[0] >= 2, its companion all but (0, 0)
 def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
     weights, block_bits = sweep
-    bound, length, swept = weights.max_v, weights.q, []  # per stack, the b-rows that reach its DP
+    bound, length, swept = oracle._edge_bounds(weights)[1], weights.q, []  # per stack, the b-rows that reach its DP
     laid_blocks = oracle._laid_blocks
 
     def spy_laid(*args):
@@ -884,13 +964,13 @@ def test_a_kept_b_side_past_a_block_of_pairs_sweeps_its_live_rows(sweep):
 
 
 def test_small_and_streamed_b_sweeps_run_as_one_stack(monkeypatch, capsys):
-    # a group whose b-side keeps its one cached layout, in a sweep of at most _BLOCK_BITS sorted pairs, as nearly
-    # every group of a verify suite is, sweeps its grids and their companions as one stack, and so does a streamed
+    # a group whose b-side keeps its one cached layout, in a sweep of at most _BLOCK_BITS sorted pairs, as every
+    # group of a verify suite does, sweeps its grids and their companions as one stack, and so does a streamed
     # b-side, which would be built twice; a kept b-side masked in a larger sweep sweeps its companions apart
     groups, stacked_counts, stack_sums = [], oracle._stacked_counts, oracle._stack_sums  # per group, its stacks
 
     def spy_group(grids):
-        groups.append(((grids[0].p, grids[0].q, grids[0].max_u, grids[0].max_v), len(grids), []))
+        groups.append(((grids[0].p, grids[0].q, *oracle._edge_bounds(grids[0])), len(grids), []))
         return stacked_counts(grids)
 
     def spy_stack(nodes, *args):
@@ -912,12 +992,16 @@ def test_small_and_streamed_b_sweeps_run_as_one_stack(monkeypatch, capsys):
         else:
             assert stacks == [g * (1 + (p > 0))]
     assert max(g for _, g, _ in groups) > 1
-    assert apart == [(3, 3, 14, 14)]  # its largest sweep, 560 x 560 sorted pairs, the one past a block
+    assert apart == []  # its largest sweep, 364 x 364 sorted pairs, is within a block
     groups.clear()
-    grid = (2, 1, 0, 1, 1, 1, 2, 9)  # 48620 b-rows, streamed
-    assert comb(10 + 9 - 1, 9) > oracle._BLOCK_BITS // 64
+    grid = (1, 1, 1, 1, 1, 1, 5, 5)  # 2002 x 2002 sorted pairs on a kept b-side with dead rows: two stacks
     assert oracle.count(_affine_variants(grid)[2], cap=10**30).count == twodim.count_affine_ppf(AffineWeightSpec(*grid))
-    assert groups == [((2, 9, 14, 10), 1, [2])]  # 105 a-rows and 48620 b-rows: one stack, the grid and its companion
+    assert groups == [((5, 5, 10, 10), 1, [1, 1])]
+    groups.clear()
+    grid = (2, 1, 0, 1, 1, 1, 2, 9)  # 24310 b-rows, streamed
+    assert comb(9 + 9 - 1, 9) > oracle._BLOCK_BITS // 64
+    assert oracle.count(_affine_variants(grid)[2], cap=10**30).count == twodim.count_affine_ppf(AffineWeightSpec(*grid))
+    assert groups == [((2, 9, 12, 9), 1, [2])]  # 78 a-rows and 24310 b-rows: one stack, the grid and its companion
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("classical", n=5), FamilySpec("vector", u=(1, 3, 5, 7), prime=True)])

@@ -71,9 +71,13 @@ CLI_CALLS = (
     (["count", "--family", "pq", "--p", "2", "--q", "3", "--increasing", "--method", "oracle"], None),
     (["count", "--family", "twodim", *_TWODIM_GRID, "--prime", "--method", "oracle"], None),
     (["count", "--family", "twodim", "--affine", "0,0,0,0,2,0", "--p", "2", "--q", "0", "--method", "formula"], None),
-    # a streamed one-entry a-side (5001 rows) with one live row: the kernel keeps only the rows below its top
-    (["count", "--family", "twodim", "--affine", "5000,0,0,0,1,1", "--p", "1", "--q", "1", "--method", "oracle"], None),
-    # a kept b-side (3003 rows, 1638 live) in a sweep of more than one block of sorted pairs: masked, laid out
+    # a streamed one-entry a-side (5001 rows) in a sweep past one block of sorted pairs: the grid sweeps it whole,
+    # its prime companion, apart, keeps only the row below its top, (0,)
+    (["count", "--family", "twodim", "--affine", "0,5000,99,0,1,1", "--p", "1", "--q", "1", "--prime", "--method",
+      "oracle"], None),
+    # u(0, 1) = 0 below a corner of 5: the a-side built to the last east edge's weight has no rows, so nothing is swept
+    (["count", "--family", "twodim", "--affine", "5,0,1,1,0,1", "--p", "1", "--q", "1", "--method", "oracle"], None),
+    # a kept b-side (2002 rows, 1638 live) in a sweep of more than one block of sorted pairs: masked, laid out
     # anew, and the prime companion swept apart on its own 429 live rows
     (["count", "--family", "twodim", "--affine", "1,1,1,1,1,1", "--p", "5", "--q", "5", "--method", "oracle",
       "--cap", "1000000000000"], None),
