@@ -83,9 +83,9 @@ def _read_instance(args) -> dict:
 
 
 def _vector_instance(family: str, data: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(a, u) of a classical or vector instance; classical has u = (1, ..., n)."""
+    """(a, u) of a classical or vector instance; classical has u = (1, ..., n), by the classical rule on n = |a|."""
     a = tuple(data["a"])
-    return a, (tuple(range(1, len(a) + 1)) if family == "classical" else tuple(data["u"]))
+    return a, (_arith_u(1, 1, len(a)) if family == "classical" else tuple(data["u"]))
 
 
 def _resolve_cap(args) -> Optional[int]:

@@ -26,14 +26,14 @@ def binomial(n: int, k: int) -> int:
 def rising_factorial(x: int, n: int) -> int:
     """Rising factorial x^(n) = x(x+1)...(x+n-1) for n >= 0; a negative n raises ValueError."""
     if n < 0:
-        raise ValueError(f"rising_factorial: n must be >= 0, got {n}")
+        raise ValueError(f"rising_factorial: n must be >= 0, got {shown(n)}")
     return prod(range(x, x + n))
 
 
 def power(x: int, n: int) -> int:
     """Exact power x^n for n >= 0, with 0^0 = 1; a negative n raises ValueError."""
     if n < 0:
-        raise ValueError(f"power: n must be >= 0, got {n}")
+        raise ValueError(f"power: n must be >= 0, got {shown(n)}")
     return x**n
 
 

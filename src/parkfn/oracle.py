@@ -3,12 +3,11 @@
 This is the ground truth every closed-form count is checked against: it never
 consults a formula, only the membership predicates and the weight grids they
 reduce to.  Entry bounds are the provably sufficient ones: an entry at or
-beyond the bound can never belong to a member.  The nominal space, which
-the cap bounds, and ``enumerate_members`` take them from the corner node,
-max_u and max_v.  A sweep takes tighter ones (``_edge_bounds``): no edge
-leaves the corner (p, q), so the largest weight an east edge carries is
-u(p-1, q) and a north edge v(p, q-1), and a sorted row with an entry at or
-past its side's is no member.
+beyond the bound can never belong to a member.  Each side has one, the
+largest weight its edges carry (``_edge_bounds``): u(p-1, q) for the east
+edges and v(p, q-1) for the north ones, as no edge leaves the corner
+(p, q).  The nominal space, which the cap bounds, ``enumerate_members``
+and the sweep all read the box below them.
 
 ``enumerate_members`` is definitional: it walks every candidate tuple in
 lexicographic order (``_seqs``, the only ``itertools`` candidates left) and
@@ -66,8 +65,8 @@ the popcounts' sum.  The grid's exact dtype is applied once per b-block, to
 the word weights.  Every product and partial sum it forms is at most a
 grid's count, which never exceeds the box of its two sides, so int64 is
 exact while that box is below 2**63; larger boxes reduce in Python ints,
-one element per word.  A side of length >= 1 whose bound is 0 has no rows,
-so its group's counts are 0 and it is not swept.
+one element per word.  A side of length >= 1 whose bound is 0 has no rows:
+its nominal space is 0, so it is counted by predicate.
 
 Only live rows need reach the DP.  The grids of a stack are monotone, so
 the largest east weight in column k is at row q and the largest north
@@ -195,7 +194,8 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """Outcome of a counting run over the full candidate space."""
+    """Outcome of a counting run over the full candidate space: ``search_space`` is the box below each side's edge
+    bound (``_edge_bounds``), weakly increasing candidates only for an increasing spec."""
 
     spec: FamilySpec
     count: int
@@ -206,14 +206,16 @@ class EnumerationReport:
 def _family(spec: FamilySpec, cap: Optional[int]) -> Family:
     """Nominal space, the grid whose four counts are the family's, candidate shapes, and member test.
 
-    The space is checked against the cap before a pq grid's (p+1)(q+1) nodes
-    are built.  A pq shape with an empty side gets no grid (None): it has
-    exactly one candidate, and counts by predicate.  The predicates are this
-    module's globals at call time.
+    Each shape's bound is its grid's edge bound (``_edge_bounds``): a twodim
+    grid's read from its edges, a pq side's q+1 or p+1, U0's last east and
+    north weights, and a vector side's u[-1].  The space is checked against the
+    cap before a pq grid's (p+1)(q+1) nodes are built.  A pq shape with an
+    empty side gets no grid (None): it has exactly one candidate, and counts
+    by predicate.  The predicates are this module's globals at call time.
     """
     if spec.family == "twodim":
         grid = spec.weights
-        shapes = ((grid.p, grid.max_u), (grid.q, grid.max_v))
+        shapes = tuple(zip((grid.p, grid.q), _edge_bounds(grid)))
         member = (lambda c: is_u_prime(*c, grid, method="direct")) if spec.prime else (lambda c: is_u_pf(*c, grid)[0])
         return _checked_space(spec, shapes, cap), grid, shapes, member
     if spec.family == "pq":
@@ -240,9 +242,9 @@ def _seqs(length: int, bound: int, increasing: bool) -> Iterator[Seq]:
 
 
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
-    """Nominal candidate count (one for an empty side, whatever its bound); raises past the cap, or when a side of
-    length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or past it too.
-    A negative cap is refused (ValueError): no space is below it."""
+    """Nominal candidate count, the box below each side's edge bound (one for an empty side); raises past the cap, or
+    when a side of length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or
+    past it too.  A negative cap is refused (ValueError): no space is below it."""
     total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
     if cap < 0:
@@ -274,11 +276,11 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
 
     Every spec's nominal space is checked against the cap before anything is
     counted.  A grid equal to one of the last ``_KEPT_GRIDS`` counted is not
-    swept again; the others are grouped by shape and by the largest weights
-    their east and north edges carry, (p, q, u(p-1, q), v(p, q-1)), one
-    sweep per group, of one stack or, where a kept b-side may drop rows, of
-    two: the grids, then their prime companions (see the module docstring).
-    A group with a side of length >= 1 whose bound is 0 counts 0 unswept.
+    swept again; the others are grouped by shape and by their edge bounds,
+    (p, q, u(p-1, q), v(p, q-1)), one sweep per group, of one stack or,
+    where a kept b-side may drop rows, of two: the grids, then their prime
+    companions (see the module docstring).  A side of length >= 1 whose
+    bound is 0 makes the space 0, so its spec is counted by predicate.
 
     A report's ``elapsed`` is the wall time of the work that counted it: the
     sweep of its grid's whole group, both stacks when there are two, shared
@@ -300,12 +302,9 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
             groups.setdefault((grid.p, grid.q, *_edge_bounds(grid)), []).append(grid)
         else:
             swept[grid], _counted[grid] = (four, 0.0), four
-    for (p, q, bu, bv), group in groups.items():
+    for group in groups.values():
         start = time.perf_counter()
-        if (bu or not p) and (bv or not q):
-            counts = _stacked_counts(group)
-        else:  # a side of length >= 1 whose every edge weighs 0 has no rows: no pair is a member, nor a prime
-            counts = [(0, 0, 0, 0)] * len(group)
+        counts = _stacked_counts(group)
         elapsed = time.perf_counter() - start
         for grid, four in zip(group, counts):
             swept[grid], _counted[grid] = (four, elapsed), four
@@ -334,9 +333,8 @@ def _row_grid(u: Seq) -> WeightMatrix:
 
 def _edge_bounds(grid: WeightMatrix) -> tuple[int, int]:
     """The largest weights the grid's east and north edges carry, u(p-1, q) and v(p, q-1), its sides' entry bounds;
-    an empty side's is the corner's, as no edge reads it."""
-    corner = grid.rows[-1]
-    return corner[-2][0] if grid.p else corner[-1][0], grid.rows[-2][-1][1] if grid.q else corner[-1][1]
+    an empty side's is 1, as no edge reads it: its one candidate is the empty tuple."""
+    return grid.rows[-1][-2][0] if grid.p else 1, grid.rows[-2][-1][1] if grid.q else 1
 
 
 def _prime_companion(grid: WeightMatrix) -> WeightMatrix:

@@ -64,6 +64,16 @@ def test_check_classical(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"member": True, "prime": False}
 
 
+@pytest.mark.parametrize("command", ["check", "simulate", "decompose"])
+def test_an_empty_classical_instance_is_refused_as_n_0(tmp_path, capsys, command):
+    # a classical instance of length 0 is n = 0, refused by the classical rule as count and list refuse --n 0;
+    # building u = (1, ..., n) by hand refused an empty capacity vector the user never gave
+    path = write_instance(tmp_path, {"a": []})
+    refusal = run_cli(capsys, ["count", "--family", "classical", "--n", "0"])
+    assert refusal == (1, "", "error: the arithmetic boundary needs an int n >= 1, got 0\n")
+    assert run_cli(capsys, [command, "--family", "classical", "--file", path]) == refusal
+
+
 def test_check_pq_golden(tmp_path, capsys):
     prime_pair = write_instance(tmp_path, {"p": 3, "q": 4, "a": [0, 0, 3], "b": [0, 0, 1, 1]})
     code, out, _ = run_cli(capsys, ["check", "--family", "pq", "--file", prime_pair])
@@ -194,12 +204,30 @@ def test_empty_side_ignores_its_bound_and_weights(tmp_path, capsys, grid, comman
 @pytest.mark.parametrize("v", [1, 0])  # with v = 0 the space is 0
 @pytest.mark.parametrize("command", [["count", "--method", "oracle"], ["list"]])
 def test_entry_bounds_past_int64_exit_with_an_error_line(tmp_path, capsys, command, v):
-    # with the cap raised past the nominal space, range(2**70) raised OverflowError while pooling the a-side
-    grid = {"p": 1, "q": 1, "nodes": [[[0, 0], [0, 0]], [[0, 0], [2**70, v]]]}
+    # with the cap raised past the nominal space, range(2**70) raised OverflowError while pooling the a-side; the
+    # last east edge u(0, 1) carries 2**70 and the last north edge v(1, 0) carries v
+    grid = {"p": 1, "q": 1, "nodes": [[[0, 0], [0, v]], [[2**70, 0], [2**70, v]]]}
     path = write_instance(tmp_path, grid, "grid.json")
     argv = [command[0], "--family", "twodim", "--matrix-file", path, *command[1:], "--cap", str(10**32)]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "") and err == f"error: an entry bound of {2**70} exceeds {sys.maxsize}, the largest a sweep can pool\n"
+
+
+@pytest.mark.parametrize("variant", [[], ["--increasing"], ["--prime"], ["--prime", "--increasing"]])
+def test_a_bound_past_int64_on_the_corner_alone_bounds_no_entry(tmp_path, capsys, variant):
+    # no edge leaves the corner (1, 1), so its 2**70 bounds no entry: every edge weighs 0, the space is 0, and both
+    # commands give the definition's members under the default cap
+    from parkfn import oracle, twodim
+
+    grid = {"p": 1, "q": 1, "nodes": [[[0, 0], [0, 0]], [[0, 0], [2**70, 1]]]}
+    path = write_instance(tmp_path, grid, "grid.json")
+    spec = oracle.FamilySpec("twodim", "--prime" in variant, "--increasing" in variant,
+                             weights=twodim.WeightMatrix.from_json_dict(grid))
+    members = list(oracle.enumerate_members(spec))
+    lines = "".join(json.dumps({"a": list(a), "b": list(b)}, separators=(",", ":")) + "\n" for a, b in members)
+    argv = ["--family", "twodim", "--matrix-file", path, *variant]
+    assert run_cli(capsys, ["count", *argv, "--method", "oracle"]) == (0, f"{len(members)}\n", "")
+    assert run_cli(capsys, ["list", *argv]) == (0, lines, "")
 
 
 def test_list_twodim_prime(capsys):
@@ -780,8 +808,10 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     # the four quantities of a point share its WeightMatrix; building it per row took 11664 calls.
     # The 2916 grids share 36 candidate sides; building both sides per grid took 5834 weight calls.
     # The grids fall into 592 groups (p, q, u(p-1, q), v(p, q-1)), keyed by the largest weights their east and
-    # north edges carry; the 9 with u = v = 1 at every node hold one candidate, tested by predicate, and the other
-    # 2907 fall into 588 groups, each counted in one stacked sweep (852 shapes (p, q, max_u, max_v) took 843).
+    # north edges carry. The 25 grids of the 9 groups whose edges all weigh 1 have an edge box of one candidate,
+    # tested by predicate, and the other 2891 fall into 583 groups, each counted in one stacked sweep. A space
+    # read from the corner node sent 16 of the 25 to the sweep, in 588 groups; 852 shapes (p, q, max_u, max_v)
+    # took 843.
     from parkfn import oracle, twodim
 
     calls, build = [], twodim.affine_weight_matrix
@@ -803,8 +833,8 @@ def test_verify_builds_one_affine_grid_per_point(capsys, monkeypatch):
     assert len(calls) == 2916
     assert sides and len(sides) == len(set(sides))
     keys = [{(grid.p, grid.q, *oracle._edge_bounds(grid)) for grid in grids} for grids in sweeps]
-    assert len(sweeps) == 588 and all(len(key) == 1 for key in keys)
-    assert len(set().union(*keys)) == 588 and sum(map(len, sweeps)) == 2907
+    assert len(sweeps) == 583 and all(len(key) == 1 for key in keys)
+    assert len(set().union(*keys)) == 583 and sum(map(len, sweeps)) == 2891
 
 
 def test_verify_memory_stays_bounded():

@@ -69,10 +69,11 @@ def test_power_values():
 
 
 def test_negative_exponents_are_refused():
-    # a closed form with an empty side cancels that side's factor, so no x^(-n) or x^(-1) convention is needed
+    # a closed form with an empty side cancels that side's factor, so no x^(-n) or x^(-1) convention is needed;
+    # -10**5000 is past Python's int/str digit limit, and is still named in the refusal, not refused by str()
     for primitive in (exact.power, exact.rising_factorial):
         for x in (0, 1, 4):
-            for n in (-1, -2):
+            for n in (-1, -2, -10**5000):
                 with pytest.raises(ValueError, match="n must be >= 0"):
                     primitive(x, n)
 

@@ -5,7 +5,7 @@ import random
 import sys
 import tracemalloc
 from itertools import combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -231,7 +231,7 @@ def _int_max_str_digits(limit):
         sys.set_int_max_str_digits(old)
 
 
-_HUGE_BOUND_GRID = twodim.WeightMatrix(1, 1, (((0, 0), (0, 0)), ((0, 0), (10**5000, 1))))
+_HUGE_BOUND_GRID = twodim.WeightMatrix(1, 1, (((0, 0), (0, 0)), ((10**5000, 0), (10**5000, 1))))  # on u(0, 1)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before Python 3.10.7")
@@ -428,13 +428,33 @@ def test_grids_that_differ_only_in_their_corner_are_one_sweep(monkeypatch):
 @example(random.Random(4), 2, 2, 3, 0)  # the corner's u alone
 @example(random.Random(5), 1, 0, 0, 3)  # q = 0: the corner's v reads no side
 def test_raising_the_corner_alone_keeps_the_four_counts(rng, p, q, du, dv):
-    # the definition walks the raised corner's larger space, and the kernel sweeps the sides built to the last edges
+    # no edge leaves the corner, so the raised grid has the same edge bounds: the same space, the same members in
+    # the definition's walk and the same counts from the kernel
     grid = random_monotone_matrix(rng, p, q, 3)
     u, v = grid.rows[-1][-1]
     raised = _with_corner(grid, (u + du, v + dv))
     want = [len(list(oracle.enumerate_members(spec))) for spec in _grid_variants(grid)]
     assert [len(list(oracle.enumerate_members(spec))) for spec in _grid_variants(raised)] == want
     assert _four_counts(raised) == _four_counts(grid) == want
+    spaces = [[report.search_space for report in oracle.count_many(_grid_variants(g))] for g in (grid, raised)]
+    assert spaces[0] == spaces[1]
+
+
+def test_a_search_space_is_the_box_below_its_edge_bounds():
+    # one entry bound per side, read from the edges of the spec's grid: a twodim grid, U0 for pq, a row grid for a
+    # vector family; the pq shapes with an empty side have no grid
+    for spec in BATCH_SPECS:
+        if spec.family == "pq" and not (spec.p and spec.q):
+            continue
+        if spec.family == "twodim":
+            grid = spec.weights
+        elif spec.family == "pq":
+            grid = u0_matrix(spec.p, spec.q)
+        else:
+            grid = oracle._row_grid(spec.u or tuple(range(1, spec.n + 1)))
+        sides = tuple(zip(oracle._edge_bounds(grid), (grid.p, grid.q)))
+        box = prod(oracle._multisets(*side) if spec.increasing else side[0] ** side[1] for side in sides)
+        assert oracle.count(spec, cap=10**30).search_space == box, spec
 
 
 @pytest.mark.parametrize(
@@ -446,13 +466,13 @@ def test_raising_the_corner_alone_keeps_the_four_counts(rng, p, q, du, dv):
     ids=["east", "north"],
 )
 def test_a_side_whose_last_edge_weighs_0_counts_0_with_no_sweep(monkeypatch, rows):
-    # the corner's 5 makes the nominal space more than one candidate, so the grid reaches the kernel's grouping,
-    # but the side built to its last edge's weight, 0, has no rows: its four counts are 0 and nothing is swept
+    # the side's entry bound is its last edge's weight, 0, whatever the corner's 5: the side has no rows, so the
+    # nominal space is 0, and the four counts are 0 by predicate, with no sweep
     grid = twodim.WeightMatrix(1, 1, rows)
     monkeypatch.setattr(oracle, "_stacked_counts", lambda grids: pytest.fail("swept a grid"))
     oracle._counted.clear()
     reports = oracle.count_many(_grid_variants(grid))
-    assert all(report.search_space > 1 for report in reports)
+    assert all(report.search_space == 0 for report in reports)
     assert [report.count for report in reports] == [0, 0, 0, 0]
     assert [len(list(oracle.enumerate_members(spec))) for spec in _grid_variants(grid)] == [0, 0, 0, 0]
 
@@ -856,7 +876,8 @@ def _below(rows, tops):
         ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, [(75, 4862)]),  # 75 of 78 a-rows against 4862 of 24310 streamed b-rows
         ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, [(14, 28)]),  # both sides streamed: 14 of 15 a-rows, 28 of 35 b-rows
         ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, [(0, 0)]),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
-        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, [(1, 1)]),  # u(0, 3) = 1: the a-side's one row, (0,), is below its top
+        # u(0, 3) = 1: the a-side's one row, (0,), is below its top, against 5 of 10 masked b-rows, below v(1, l) = l+1
+        ((1, 0, 0, 1, 1, 1, 1, 3), 2**8, [(1, 5)]),
         ((2, 0, 1, 1, 1, 2, 3, 7), 2**18, [(12, 13260)]),  # 12 of 35 a-rows against 13260 of 19448 streamed b-rows
         # a one-entry side's one top is its bound, so the grid keeps all 70 a-rows; its companion, apart, sweeps a
         # streamed one-entry a-side that keeps the rows below its own top, (0,)

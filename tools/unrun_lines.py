@@ -75,7 +75,8 @@ CLI_CALLS = (
     # its prime companion, apart, keeps only the row below its top, (0,)
     (["count", "--family", "twodim", "--affine", "0,5000,99,0,1,1", "--p", "1", "--q", "1", "--prime", "--method",
       "oracle"], None),
-    # u(0, 1) = 0 below a corner of 5: the a-side built to the last east edge's weight has no rows, so nothing is swept
+    # u(0, 1) = 0 below a corner of 5: the a-side's bound is the last east edge's weight, 0, so the space is 0 and
+    # the spec is counted by predicate, with no sweep
     (["count", "--family", "twodim", "--affine", "5,0,1,1,0,1", "--p", "1", "--q", "1", "--method", "oracle"], None),
     # a kept b-side (2002 rows, 1638 live) in a sweep of more than one block of sorted pairs: masked, laid out
     # anew, and the prime companion swept apart on its own 429 live rows
