@@ -876,12 +876,14 @@ def _below(rows, tops):
         ((2, 1, 0, 1, 1, 1, 2, 9), 2**18, [(75, 4862)]),  # 75 of 78 a-rows against 4862 of 24310 streamed b-rows
         ((1, 1, 1, 1, 1, 1, 2, 3), 2**8, [(14, 28)]),  # both sides streamed: 14 of 15 a-rows, 28 of 35 b-rows
         ((0, 0, 0, 1, 1, 0, 2, 3), 2**6, [(0, 0)]),  # v(p, 0) = 0: every b-row is dead, and no a-block is swept
-        # u(0, 3) = 1: the a-side's one row, (0,), is below its top, against 5 of 10 masked b-rows, below v(1, l) = l+1
-        ((1, 0, 0, 1, 1, 1, 1, 3), 2**8, [(1, 5)]),
+        # every edge weighs 1: the space is one candidate, counted by predicate, and no stack is swept
+        ((1, 0, 0, 0, 1, 1, 1, 3), 2**6, []),
         ((2, 0, 1, 1, 1, 2, 3, 7), 2**18, [(12, 13260)]),  # 12 of 35 a-rows against 13260 of 19448 streamed b-rows
         # a one-entry side's one top is its bound, so the grid keeps all 70 a-rows; its companion, apart, sweeps a
         # streamed one-entry a-side that keeps the rows below its own top, (0,)
         ((0, 69, 1, 0, 1, 1, 1, 1), 2**7, [(70, 2), (1, 1)]),
+        # u(0, 3) = 1: the a-side's one row, (0,), is below its top, against 5 of 10 masked b-rows, below v(1, l) = l+1
+        ((1, 0, 0, 1, 1, 1, 1, 3), 2**8, [(1, 5)]),
     ],
 )
 def test_rows_at_or_past_a_top_never_reach_the_dp(monkeypatch, grid, block_bits, live):
