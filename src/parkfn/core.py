@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InconsistentDecomposition, NotIncreasing, OutOfRange
@@ -77,24 +77,35 @@ def stable_sort_indices(s: Sequence[int]) -> tuple[int, ...]:
 
 
 def take(seq: Seq, indices: Sequence[int], shift: int) -> tuple[Seq, frozenset[int]]:
-    """One component cut from ``seq``: its entries at ``indices``, in index order less ``shift``, and the index set."""
-    return tuple(seq[i] - shift for i in sorted(indices)), frozenset(indices)
+    """One component cut from ``seq``: its entries at ``indices``, in index order less ``shift``, and the index set.
+
+    The decompositions pass a run of stable ranks, so each side is sorted
+    once by value and each component's few indices once by position.
+    """
+    if not indices:  # the empty side of a pq atom
+        return (), frozenset()
+    return tuple([seq[i] - shift for i in sorted(indices)]), frozenset(indices)
 
 
 def place(n: int, parts: Sequence[tuple[Seq, frozenset[int], int]]) -> Seq:
     """Inverse of :func:`take`: the length-``n`` sequence with each part's entries, plus its shift, at its positions.
 
-    Raises InconsistentDecomposition unless the position sets partition
-    ``range(n)``, one position per entry; nothing else checks positions.
+    Each position is checked as it is written: an int (not a bool) in
+    ``range(n)`` that no part wrote before, paired with an entry of its part
+    (a part with more positions than entries, or fewer, is refused); then no
+    position may be left unwritten, so the entry counts add up to ``n`` and
+    the position sets partition ``range(n)``.  Any other position set raises
+    InconsistentDecomposition; nothing else checks positions.
     """
-    if any(len(entries) != len(positions) for entries, positions, _ in parts) or sorted(
-        chain.from_iterable(positions for _, positions, _ in parts)
-    ) != list(range(n)):
-        raise InconsistentDecomposition(f"position sets do not partition 0..{n - 1} one per entry")
-    out = [0] * n
+    out: list = [None] * n
     for entries, positions, shift in parts:
-        for i, value in zip(sorted(positions), entries):
-            out[i] = value + shift
+        if positions or entries:  # an empty part (one side of a pq atom) writes nothing
+            for i, value in zip_longest(sorted(positions), entries):  # None pads the shorter, and is refused
+                if type(i) is not int or not 0 <= i < n or out[i] is not None or value is None:
+                    raise InconsistentDecomposition(f"positions {shown(positions)} are not free ints in 0..{n - 1}")
+                out[i] = value + shift
+    if None in out:
+        raise InconsistentDecomposition(f"position sets do not partition 0..{n - 1} one per entry")
     return tuple(out)
 
 

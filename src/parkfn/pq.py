@@ -167,47 +167,52 @@ class _U0Row(int):
 def decompose_pq(pair: PQPair) -> PQPrimeDecomposition:
     """Cut a pair where its two paths meet: twodim's meeting walk on ``u0_matrix(p, q)``, chained from (0,0) to (p,q).
 
-    Between consecutive cut points, each side keeps the original indices of
-    the entries whose ranks fall in the segment (A and B label sets) and is
-    rebased by the segment's lower-left corner; a purely vertical segment
-    yields an empty a-side, a purely horizontal one an empty b-side.
+    Each side is sorted once, into its stable ranks, and its order
+    statistics are read off them.  Between consecutive cut points, each
+    side keeps the original indices of the entries whose ranks fall in the
+    segment (A and B label sets) and is rebased by the segment's lower-left
+    corner; a purely vertical segment yields an empty a-side, a purely
+    horizontal one an empty b-side.
     """
-    p, q = pair.p, pair.q
-    sa, sb = [*sorted(pair.a), q + 1], [*sorted(pair.b), p + 1]  # closed by U0's top corner (q+1, p+1)
+    a, b, p, q = pair.a, pair.b, pair.p, pair.q
+    ranks_a, ranks_b = stable_sort_indices(a), stable_sort_indices(b)
+    sa, sb = [a[r] for r in ranks_a] + [q + 1], [b[r] for r in ranks_b] + [p + 1]  # closed by U0's top corner
     rows = tuple(map(_U0Row, range(1, q + 2)))
-    cuts = [Point(0, 0)]
-    while cuts[-1] != (p, q):
-        if (node := _meeting(sa, sb, rows, *cuts[-1])) is None:
-            raise NotParkingFunction(f"{(pair.a, pair.b)} is not a (p,q)-parking function")
-        cuts.append(Point(*node))
-    ranks_a, ranks_b = stable_sort_indices(pair.a), stable_sort_indices(pair.b)
-    components = []
-    for (x0, y0), (x1, y1) in zip(cuts, cuts[1:]):
-        comp_a, a_pos = take(pair.a, ranks_a[x0:x1], y0)
-        comp_b, b_pos = take(pair.b, ranks_b[y0:y1], x0)
+    cuts, components, x0, y0 = [Point(0, 0)], [], 0, 0
+    while x0 != p or y0 != q:
+        if (node := _meeting(sa, sb, rows, x0, y0)) is None:
+            raise NotParkingFunction(f"{(a, b)} is not a (p,q)-parking function")
+        x1, y1 = node
+        comp_a, a_pos = take(a, ranks_a[x0:x1], y0)
+        comp_b, b_pos = take(b, ranks_b[y0:y1], x0)
         components.append(PQComponent(comp_a, comp_b, a_pos, b_pos))
+        cuts.append(Point(x1, y1))
+        x0, y0 = x1, y1
     return PQPrimeDecomposition(tuple(components), tuple(cuts))
 
 
 def compose_pq(d: PQPrimeDecomposition) -> PQPair:
     """Rebuild the pair from a decomposition; inverse of :func:`decompose_pq`.
 
-    The cut points must chain from (0,0) by the component shapes and each
-    component must be prime; :func:`core.place` then checks the position
-    sets.  A decomposition with no components yields the empty pair.
+    The cut points must be int pairs chaining from (0,0) by the component
+    shapes, and each component must be prime, its entries non-negative ints
+    (else ValueError); :func:`core.place` then checks the position sets.
+    Anything else raises InconsistentDecomposition.  A decomposition with no
+    components yields the empty pair.
     """
-    cuts = [(0, 0)]
+    p = q = 0
+    cuts, a_parts, b_parts = [(0, 0)], [], []
     for comp in d.components:
-        cuts.append((cuts[-1][0] + len(comp.a), cuts[-1][1] + len(comp.b)))
-    if tuple(d.cut_points) != tuple(cuts):
-        raise InconsistentDecomposition(f"cut points must chain as {tuple(cuts)}")
+        a_parts.append((comp.a, comp.a_positions, q))
+        b_parts.append((comp.b, comp.b_positions, p))
+        p, q = p + len(comp.a), q + len(comp.b)
+        cuts.append((p, q))
+    if tuple(d.cut_points) != tuple(cuts) or not all(type(x) is type(y) is int for x, y in d.cut_points):
+        raise InconsistentDecomposition(f"cut points must chain as the ints {tuple(cuts)}")
     for comp in d.components:
         if not _sorted_prime(sorted(as_seq(comp.a)), sorted(as_seq(comp.b))):
             raise InconsistentDecomposition(f"component {(comp.a, comp.b)} is not prime")
-    p, q = cuts[-1]
-    a = place(p, [(comp.a, comp.a_positions, y0) for comp, (_, y0) in zip(d.components, cuts)])
-    b = place(q, [(comp.b, comp.b_positions, x0) for comp, (x0, _) in zip(d.components, cuts)])
-    return PQPair(a, b)
+    return PQPair(place(p, a_parts), place(q, b_parts))
 
 
 # ---------------------------------------------------------------------------

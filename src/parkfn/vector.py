@@ -101,18 +101,15 @@ def split_points(a: Sequence[int], u: Sequence[int]) -> tuple[Point, ...]:
     """Points of {(0,0), (u_0,1), ..., (u_{n-1},n)} lying on the path of a.
 
     These are the cut points of the prime decomposition; a parking function
-    is prime exactly when only the two endpoints appear.
+    is prime exactly when only the two endpoints appear.  (u_i, i+1) lies on
+    the path when exactly i+1 entries lie below u_i: i+1 = n, or the next
+    order statistic is not below u_i.  :func:`decompose` cuts by this rule.
     """
-    return _split_points(*_checked(a, u))
-
-
-def _split_points(aa: Seq, uu: Seq) -> tuple[Point, ...]:
-    """:func:`split_points` of a checked pair."""
-    sa = sorted(aa)
+    aa, uu = _checked(a, u)
+    sa = sorted(aa) + [uu[-1]]  # closed by u's last entry, so (u_{n-1}, n) is on the path
     if not all(x < bound for x, bound in zip(sa, uu)):
         raise NotParkingFunction(f"{aa} is not a parking function for {uu}")
-    # (u_i, i+1) is on the path when exactly i+1 entries lie below u_i
-    return (Point(0, 0),) + tuple(Point(uu[i], i + 1) for i in range(len(uu)) if bisect_left(sa, uu[i]) == i + 1)
+    return (Point(0, 0),) + tuple(Point(x, i + 1) for i, x in enumerate(uu) if sa[i + 1] >= x)
 
 
 @dataclass(frozen=True)
@@ -148,41 +145,48 @@ class VectorPrimeDecomposition:
 def decompose(a: Sequence[int], u: Sequence[int]) -> VectorPrimeDecomposition:
     """Cut a u-parking function into its prime components at the split points.
 
-    Component j keeps the original positions of its entries (the label set
-    B_j, read bottom-to-top along the path) and is rebased by the x-offset of
-    its left cut point, so the shuffle sum can be inverted exactly.
+    One pass over the stable ranks of a (its order statistics read off them)
+    checks each order statistic against u and cuts after rank i when
+    :func:`split_points`'s rule puts (u_i, i+1) on the path.  Component j
+    keeps the original positions of its entries (the label set B_j, read
+    bottom-to-top along the path) and is rebased by the x-offset of its left
+    cut point, so the shuffle sum can be inverted exactly.
     """
     aa, uu = _checked(a, u)
-    cuts = _split_points(aa, uu)
     ranks = stable_sort_indices(aa)
-    components = []
-    for (x0, y0), (_, y1) in zip(cuts, cuts[1:]):
-        comp_a, positions = take(aa, ranks[y0:y1], x0)
-        components.append(VectorComponent(comp_a, tuple(x - x0 for x in uu[y0:y1]), positions))
-    return VectorPrimeDecomposition(tuple(components), tuple(x0 for x0, _ in cuts[:-1]))
+    sa = [aa[r] for r in ranks] + [uu[-1]]  # closed as in split_points: a cut follows the last rank
+    components, offsets, x0, y0 = [], [], 0, 0
+    for i, bound in enumerate(uu):
+        if sa[i] >= bound:
+            raise NotParkingFunction(f"{aa} is not a parking function for {uu}")
+        if sa[i + 1] >= bound:
+            comp_a, positions = take(aa, ranks[y0 : i + 1], x0)
+            components.append(VectorComponent(comp_a, tuple([x - x0 for x in uu[y0 : i + 1]]), positions))
+            offsets.append(x0)
+            x0, y0 = bound, i + 1
+    return VectorPrimeDecomposition(tuple(components), tuple(offsets))
 
 
 def compose(d: VectorPrimeDecomposition) -> tuple[Seq, Seq]:
     """Rebuild (a, u) from a decomposition; inverse of :func:`decompose`.
 
-    Each component must be prime, its offset the sum of the ``u[-1]`` before
-    it; :func:`core.place` then checks the position sets.
+    Each offset must be the int sum of the ``u[-1]`` before it, and each
+    component prime, with one boundary entry per entry, its entries and
+    boundary as :func:`is_prime_vector_pf` asks (else ValueError);
+    :func:`core.place` then checks the position sets.  Anything else raises
+    InconsistentDecomposition.
     """
     if len(d.components) != len(d.offsets) or not d.components:
         raise InconsistentDecomposition("component and offset lists disagree")
-    expected_offset = 0
-    parts, u = [], []
+    parts, u = [], [0]  # u[-1] is the cumulative shift, the int the next offset must be
     for comp, offset in zip(d.components, d.offsets):
-        if len(comp.a) != len(comp.u):
-            raise InconsistentDecomposition("component sizes disagree")
-        if offset != expected_offset:
-            raise InconsistentDecomposition(f"offset {offset} != cumulative shift {expected_offset}")
-        if not is_prime_vector_pf(comp.a, comp.u):
+        if type(offset) is not int or offset != u[-1]:
+            raise InconsistentDecomposition(f"offset {shown(offset)} is not the int cumulative shift {u[-1]}")
+        if len(comp.a) != len(comp.u) or not is_prime_vector_pf(comp.a, comp.u):
             raise InconsistentDecomposition(f"component {comp.a} is not prime for {comp.u}")
         parts.append((comp.a, comp.positions, offset))
-        u.extend(entry + offset for entry in comp.u)
-        expected_offset = offset + comp.u[-1]
-    return place(len(u), parts), tuple(u)
+        u += [entry + offset for entry in comp.u]
+    return place(len(u) - 1, parts), tuple(u[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from parkfn import core, oracle, pq, twodim, vector
 from parkfn.core import LatticePath, Point
-from parkfn.errors import DimensionMismatch, NotIncreasing, OutOfRange
+from parkfn.errors import DimensionMismatch, InconsistentDecomposition, NotIncreasing, OutOfRange
 
 step_words = st.text(alphabet="NE", max_size=12)
 small_seqs = st.lists(st.integers(0, 8), max_size=7)
@@ -139,3 +139,43 @@ def test_as_seq_accepts_exactly_non_negative_ints(entries, at, other):
     for bad in (entries[:at] + [other] + entries[at:], entries + [-1]):
         with pytest.raises(ValueError):
             core.as_seq(bad)
+
+
+@given(st.data())
+def test_place_inverts_take_on_any_partition(data):
+    seq = tuple(data.draw(st.lists(st.integers(0, 9), max_size=8)))
+    n = len(seq)
+    order = data.draw(st.permutations(range(n)))
+    ends = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    blocks = [order[i:j] for i, j in zip([0, *ends], [*ends, n])]  # empty blocks included
+    shifts = data.draw(st.lists(st.integers(-5, 5), min_size=len(blocks), max_size=len(blocks)))
+    parts = [(*core.take(seq, block, shift), shift) for block, shift in zip(blocks, shifts)]
+    for (entries, positions, shift), block in zip(parts, blocks):
+        assert positions == frozenset(block)
+        assert entries == tuple(seq[i] - shift for i in sorted(block))
+    assert core.place(n, parts) == seq
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [((5,), frozenset({0}), 0), ((6, 7), frozenset({0, 1}), 0)],  # position 0 written twice, no position left over
+        [((5,), frozenset({0}), 0), ((6,), frozenset({0}), 0)],  # position 0 twice, position 1 never
+        [((5, 6), frozenset({0}), 0), ((7,), frozenset({1}), 0)],  # two entries, one position
+        [((5,), frozenset({0}), 0), ((6,), frozenset({2}), 0)],  # out of range
+        [((5,), frozenset({-1}), 0), ((6,), frozenset({0}), 0)],  # negative, though -1 indexes the free last slot
+        [((5,), frozenset({False}), 0), ((6,), frozenset({1}), 0)],  # a bool equal to 0
+        [((5,), frozenset({0.0}), 0), ((6,), frozenset({1}), 0)],  # a float equal to 0
+        [((5,), frozenset({0}), 0)],  # position 1 never written
+        [((5,), frozenset({0, 1}), 0), ((6,), frozenset({1}), 0)],  # one position too many, every position written
+        [((5, 6), frozenset({0, 1}), 0), ((7,), frozenset(), 0)],  # an entry with no position
+        [((5, 6), frozenset({0, 1}), 0), ((), frozenset({1}), 0)],  # a position with no entry
+    ],
+    ids=[
+        "twice-full", "twice", "short", "past-n", "negative", "bool", "float", "unwritten", "long", "no-position",
+        "no-entry",
+    ],
+)
+def test_place_refuses_position_sets_that_do_not_partition(parts):
+    with pytest.raises(InconsistentDecomposition):
+        core.place(2, parts)

@@ -20,9 +20,16 @@ grid (0,1,1,0,1,1), and a vector family with arithmetic boundary is the
 affine family on the one-row grid (b,0,0,0,s,t) with q = 0, for any t, and
 on a one-column grid with p = 0 and (d, t) = (b, s), whatever its other
 four values: an all-zero u-channel included, whose factor the form cancels.
+
+The decompositions themselves are pinned byte for byte: the sha256 of the
+sorted-key JSON of every small member's decomposition, so component order,
+positions and offsets cannot drift.
 """
 
+import hashlib
+import json
 from functools import cache
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -107,3 +114,27 @@ def test_vector_forms_are_the_affine_forms_on_one_column(t, other):
             column = AffineWeightSpec(1, b, 1, d, s, t, 0, q)
             assert _pf(t, d, q) == twodim.count_affine_pf(column), (t, d, q, other)
             assert _ipf(t, d, q) == twodim.count_affine_ipf(column), (t, d, q, other)
+
+
+def _digest(decompositions) -> str:
+    return hashlib.sha256(json.dumps([d.to_json_dict() for d in decompositions], sort_keys=True).encode()).hexdigest()
+
+
+def test_decompositions_of_small_members_are_pinned():
+    vectors = [
+        vector.decompose(a, u)
+        for n in range(1, 5)
+        for u in combinations_with_replacement(range(1, 5), n)
+        for a in product(range(u[-1]), repeat=n)
+        if vector.is_vector_pf(a, u)
+    ]
+    pairs = [
+        pq.decompose_pq(pair)
+        for p in range(4)
+        for q in range(4)
+        for pair in (pq.PQPair(a, b) for a in product(range(q + 1), repeat=p) for b in product(range(p + 1), repeat=q))
+        if pq.is_pq_pf(pair)
+    ]
+    assert (len(vectors), len(pairs)) == (4234, 2335)
+    assert _digest(vectors) == "a14caff6ce74e55c8ba42805b4d1df041c7b4b1780124e2376e1e938e914b77b"
+    assert _digest(pairs) == "aa7250de469b1fb5d646a6b38b673ae0d31c46d3726cabd51f604f3e7bb5336e"

@@ -11,7 +11,7 @@ from parkfn.core import Point, common_points
 from parkfn.errors import InconsistentDecomposition, NotParkingFunction
 from parkfn.pq import PQPair
 from parkfn.twodim import prime_weight_transform
-from test_vector import ENTRY_CORRUPTIONS, POSITION_CORRUPTIONS, corrupt_entry, corrupt_positions
+from test_vector import ENTRY_CORRUPTIONS, POSITION_CORRUPTIONS, corrupt_entry, corrupt_positions, retyped
 
 
 def all_pairs(p, q):
@@ -187,7 +187,11 @@ def test_compose_rejects_inconsistent_input():
         pq.compose_pq(shuffled)
 
 
-@given(pq_members(), st.sampled_from(("reorder", "offset", *POSITION_CORRUPTIONS, *ENTRY_CORRUPTIONS)), st.data())
+@given(
+    pq_members(),
+    st.sampled_from(("reorder", "offset", "offset_type", *POSITION_CORRUPTIONS, *ENTRY_CORRUPTIONS)),
+    st.data(),
+)
 def test_compose_rejects_every_single_corruption(pair, corruption, data):
     # the entry checks raise ValueError, every structural one InconsistentDecomposition
     pick = lambda values: data.draw(st.sampled_from(values))
@@ -202,6 +206,9 @@ def test_compose_rejects_every_single_corruption(pair, corruption, data):
     elif corruption == "offset":
         i = pick(range(len(cuts)))
         cuts[i] = Point(*(c + step for c, step in zip(cuts[i], pick([(-1, 0), (1, 0), (0, -1), (0, 1)]))))
+    elif corruption == "offset_type":
+        i, j = pick(range(len(cuts))), pick([0, 1])
+        cuts[i] = cuts[i]._replace(**{"xy"[j]: retyped(cuts[i][j], pick)})
     elif corruption in ENTRY_CORRUPTIONS:
         assume(comps)
         comps = corrupt_entry(comps, ("a", "b"), corruption, pick)

@@ -1,7 +1,7 @@
 """Vector parking functions: recognition, simulation, primeness, decomposition, counts."""
 
 from dataclasses import replace
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given
@@ -193,6 +193,17 @@ def test_compose_rejects_inconsistent_input():
     overlapping = vector.VectorPrimeDecomposition((d.components[0], d.components[0]), d.offsets)
     with pytest.raises(InconsistentDecomposition):
         vector.compose(overlapping)
+    first = d.components[0]
+    with pytest.raises(InconsistentDecomposition):  # sizes disagree
+        vector.compose(replace(d, components=(replace(first, u=first.u[:-1]), *d.components[1:])))
+    # positions and offsets equal to the right ints but of another type
+    for positions in ({False, 2, 3}, {0.0, 2, 3}):
+        comp = replace(first, positions=frozenset(positions))
+        with pytest.raises(InconsistentDecomposition):
+            vector.compose(replace(d, components=(comp, *d.components[1:])))
+    for offsets in ((0.0, 3), (False, 3), (0, 3.0)):
+        with pytest.raises(InconsistentDecomposition):
+            vector.compose(replace(d, offsets=offsets))
 
 
 @st.composite
@@ -202,12 +213,18 @@ def vector_members(draw):
     return tuple(draw(st.permutations([draw(st.integers(0, x - 1)) for x in u]))), u
 
 
-POSITION_CORRUPTIONS = ("move", "duplicate", "drop", "out_of_range")
+POSITION_CORRUPTIONS = ("move", "duplicate", "drop", "out_of_range", "bool_position", "float_position")
 ENTRY_CORRUPTIONS = {"bool": lambda x: x > 0, "float": float, "negative": lambda x: -1 - x}
 
 
+def retyped(x, pick):
+    """``x`` as the float equal to it, or, when it is 0 or 1, possibly as the equal bool."""
+    return pick([float(x), bool(x)] if x in (0, 1) else [float(x)])
+
+
 def corrupt_positions(comps, field, n, corruption, pick):
-    """``comps`` with one position of their ``field`` sets moved to another component, duplicated into one, dropped or put out of range."""
+    """``comps`` with one position of their ``field`` sets moved to another component, duplicated into one, dropped,
+    put out of range, or replaced by the bool or float equal to it."""
     sets = [set(getattr(comp, field)) for comp in comps]
     held = [i for i, positions in enumerate(sets) if positions]
     others = {"move": range(len(sets)), "duplicate": held}.get(corruption)
@@ -225,6 +242,9 @@ def corrupt_positions(comps, field, n, corruption, pick):
         sets[i].remove(x)
         if corruption == "out_of_range":
             sets[i].add(pick([-1, n, n + 3]))
+        elif corruption != "drop":
+            assume(corruption == "float_position" or x < 2)
+            sets[i].add(bool(x) if corruption == "bool_position" else float(x))
     return [replace(comp, **{field: frozenset(positions)}) for comp, positions in zip(comps, sets)]
 
 
@@ -237,7 +257,11 @@ def corrupt_entry(comps, fields, corruption, pick):
     return comps[:i] + [replace(comps[i], **{field: tuple(entries)})] + comps[i + 1 :]
 
 
-@given(vector_members(), st.sampled_from(("reorder", "offset", *POSITION_CORRUPTIONS, *ENTRY_CORRUPTIONS)), st.data())
+@given(
+    vector_members(),
+    st.sampled_from(("reorder", "offset", "offset_type", *POSITION_CORRUPTIONS, *ENTRY_CORRUPTIONS)),
+    st.data(),
+)
 def test_compose_rejects_every_single_corruption(member, corruption, data):
     # the entry checks raise ValueError, every structural one InconsistentDecomposition
     pick = lambda values: data.draw(st.sampled_from(values))
@@ -250,12 +274,22 @@ def test_compose_rejects_every_single_corruption(member, corruption, data):
         comps[i : i + 2] = comps[i + 1], comps[i]
     elif corruption == "offset":
         offsets[pick(range(len(offsets)))] += pick([-1, 1])
+    elif corruption == "offset_type":
+        k = pick(range(len(offsets)))
+        offsets[k] = retyped(offsets[k], pick)
     elif corruption in ENTRY_CORRUPTIONS:
         comps = corrupt_entry(comps, ("a", "u"), corruption, pick)
     else:
         comps = corrupt_positions(comps, "positions", len(member[0]), corruption, pick)
     with pytest.raises(ValueError if corruption in ENTRY_CORRUPTIONS else InconsistentDecomposition):
         vector.compose(vector.VectorPrimeDecomposition(tuple(comps), tuple(offsets)))
+
+
+@given(vector_members())
+def test_split_points_are_the_cut_points_of_decompose(member):
+    d = vector.decompose(*member)
+    heights = accumulate((len(comp.a) for comp in d.components), initial=0)
+    assert vector.split_points(*member) == tuple(map(Point, (*d.offsets, member[1][-1]), heights))
 
 
 # -- counting formulas -------------------------------------------------------
