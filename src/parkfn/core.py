@@ -95,12 +95,17 @@ def place(n: int, parts: Sequence[tuple[Seq, frozenset[int], int]]) -> Seq:
     (a part with more positions than entries, or fewer, is refused); then no
     position may be left unwritten, so the entry counts add up to ``n`` and
     the position sets partition ``range(n)``.  Any other position set raises
-    InconsistentDecomposition; nothing else checks positions.
+    InconsistentDecomposition, one whose types cannot be sorted included;
+    nothing else checks positions.
     """
     out: list = [None] * n
     for entries, positions, shift in parts:
         if positions or entries:  # an empty part (one side of a pq atom) writes nothing
-            for i, value in zip_longest(sorted(positions), entries):  # None pads the shorter, and is refused
+            try:
+                ordered = sorted(positions)
+            except TypeError:  # positions of types that do not compare, an int and a str say: refused below
+                ordered = [None]
+            for i, value in zip_longest(ordered, entries):  # None pads the shorter, and is refused
                 if type(i) is not int or not 0 <= i < n or out[i] is not None or value is None:
                     raise InconsistentDecomposition(f"positions {shown(positions)} are not free ints in 0..{n - 1}")
                 out[i] = value + shift

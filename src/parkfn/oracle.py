@@ -53,12 +53,16 @@ one a-row against a full b-block takes b-blocks of
 A side is built in numpy, never from Python tuples
 (``_built_side``): a one-entry side counts up a ``range`` a block at a time
 and pools nothing; a longer one is the sorted join (``_join``) of its two
-halves' tables, each table the join of its own halves, and is joined one
-block of rows at a time, from the live rows of the two tables alone when
-the side drops rows.  A side's rows are column-major, laid out or not,
-so each compare reads one entry of every row from contiguous memory, and
-int8 below bound 128, int64 past it; its weights are int64 while
-n! < 2**63, Python ints past it.  An a-block reduces to the popcount of each
+halves' tables, each table the sorted rows of its own length, the join of
+its own halves, and is joined one block of rows at a time, from the live
+rows of the two tables alone when the side drops rows.  A table holds rows
+alone: each block a side yields is weighed on its own (``_weights``), every
+row by its rearrangements, n! over the factorials of its entries'
+multiplicities, read off the runs of equal entries in its sorted columns.
+A side's rows are column-major, laid out or not, so each compare reads
+one entry of every row from contiguous memory, and int8 below bound 128,
+int64 past it; its weights are int64 while n! < 2**63, Python ints past
+it.  An a-block reduces to the popcount of each
 word (``np.bitwise_count``): the plain counts are one ``einsum`` of the
 popcounts with the a-weights and the word weights, the increasing counts
 the popcounts' sum.  The grid's exact dtype is applied once per b-block, to
@@ -98,7 +102,7 @@ own live rows of both sides, the kept b-side masked and laid out again for
 them.  A streamed b-side would be built twice, so there, and on a kept
 b-side in a smaller sweep, the grids and their companions stay one stack.
 
-Five caches of 128 entries live as long as the process:
+Four caches of 128 entries live as long as the process:
 
 - ``_counted``, the four counts of the last grids counted, so the other
   variants of a grid cost no sweep;
@@ -112,9 +116,7 @@ Five caches of 128 entries live as long as the process:
   one block at a time, and a masked b-side, kept or not, laid out anew for
   each stack;
 - ``u0_matrix`` and ``_row_grid``, the grids, so a count whose four counts
-  are kept does not rebuild its grid either;
-- ``_binomials``, the small tables of C(r+s, r) a join divides its weights
-  by, one per pair of half lengths.
+  are kept does not rebuild its grid either.
 """
 
 from __future__ import annotations
@@ -244,11 +246,12 @@ def _seqs(length: int, bound: int, increasing: bool) -> Iterator[Seq]:
 def _checked_space(spec: FamilySpec, shapes: Shapes, cap: Optional[int]) -> int:
     """Nominal candidate count, the box below each side's edge bound (one for an empty side); raises past the cap, or
     when a side of length >= 1 has a bound past ``sys.maxsize``, which ``range`` cannot pool: the space is then 0 or
-    past it too.  A negative cap is refused (ValueError): no space is below it."""
+    past it too.  A cap that is not an int >= 0, a bool included, is refused (ValueError): no space is below a
+    negative one."""
     total = prod(_multisets(bound, length) if spec.increasing else bound**length for length, bound in shapes)
     cap = DEFAULT_SEARCH_CAP if cap is None else cap
-    if cap < 0:
-        raise ValueError(f"the search cap must be >= 0, got {shown(cap)}")
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"the search cap must be an int >= 0, got {shown(cap)}")
     if total > cap:
         raise SearchSpaceTooLarge(f"{shown(total)} candidates exceed the cap of {shown(cap)}")
     if (total > sys.maxsize or not total) and (top := max(bound for length, bound in shapes if length)) > sys.maxsize:
@@ -287,8 +290,8 @@ def count_many(specs: Iterable[FamilySpec], *, cap: Optional[int] = None) -> lis
     by every spec of that group, so one call's reports need not add up to
     its time; 0.0 for a grid counted by an earlier call; the predicate test
     of its candidate for a spec whose nominal space is at most one.  A
-    negative ``cap`` is refused (ValueError), as by ``count`` and
-    ``enumerate_members``.
+    ``cap`` that is not an int >= 0 is refused (ValueError), as by ``count``
+    and ``enumerate_members``.
     """
     specs = list(specs)
     families = [_family(spec, cap)[:2] for spec in specs]  # space and grid, not the member tests: a batch may hold thousands
@@ -431,16 +434,16 @@ def _side_blocks(
     is built once per (bound, length) and kept read-only, so the grids that
     share it slice it; a larger one is built anew, one block at a time
     (``_built_side``).  Given ``tops`` below the bound, the rows at or past
-    them are dropped (see the module docstring): a kept side is masked whole
-    and its live rows sliced into full blocks, a built one is masked block
-    by block.
+    them are dropped (``_live``; see the module docstring): a kept side's
+    rows and weights are masked whole and its live rows sliced into full
+    blocks, a built one joins only the live rows of its halves' tables.
     """
     tops = tops if tops is not None and tops[0] < bound else None
     if _multisets(bound, length) <= _BLOCK_BITS // 64:
         arr, weights = _kept_side(bound, length)
         if tops is not None:
-            cols, weights = _live((arr.T, weights), tops)
-            arr = cols.T  # still column-major
+            live = _live(arr.T, tops)
+            arr, weights = arr.T.compress(live, axis=1).T, weights[live]  # still column-major
         for start in range(0, len(arr), rows):
             yield arr[start : start + rows], weights[start : start + rows]
         return
@@ -484,47 +487,59 @@ def _kept_side(bound: int, length: int, laid: bool = False) -> tuple[np.ndarray,
 def _built_side(
     bound: int, length: int, rows: int, tops: Optional[np.ndarray] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """A side's sorted rows, column-major, and their weights, built anew ``rows`` at a time (see the module docstring).
+    """A side's sorted rows, column-major, and their weights (``_weights``), built anew ``rows`` at a time.
 
-    A row's weight is n! over the factorials of its entries' multiplicities.
     A side of at most one entry counts up a range (the empty side is one
     empty row).  A longer one holds the tables of its two halves (each table
     of two or more entries is the join of its own halves, built once) and
-    one block of their join.  Given ``tops``, only the live rows, those
-    below ``tops`` at every position, are joined: the head table keeps its
-    rows below the first tops and the tail table its rows below the rest,
-    both still sorted, so the rows that may follow a head row are still a
-    run at the end of the tail table.
+    one block of their join.  Given ``tops``, only the live rows (``_live``)
+    are joined: the head table keeps its rows below the first tops and the
+    tail table its rows below the rest, both still sorted, so the rows that
+    may follow a head row are still a run at the end of the tail table.
     """
     n, dtype = _multisets(bound, length), np.int8 if bound < 128 else np.int64
     if length < 2:
         n = n if tops is None else min(n, int(tops[0]))  # the live rows of one entry are those below its top
-        for start in range(0, n, rows):
-            entries = np.arange(start, min(start + rows, n), dtype=dtype)[:, None][:, :length]
-            yield entries, np.ones(len(entries), np.int64)
-        return
-    ones = np.ones(bound, np.int64)
-    tables = {1: (np.arange(bound, dtype=dtype)[None], ones, ones, ones)}
+        blocks = (np.arange(start, min(start + rows, n), dtype=dtype)[None][:length] for start in range(0, n, rows))
+    else:
+        tables = {1: np.arange(bound, dtype=dtype)[None]}
 
-    def table(k: int) -> tuple[np.ndarray, ...]:
-        if k not in tables:
-            tables[k] = _join(table(k - k // 2), table(k // 2), 0, _multisets(bound, k))
-        return tables[k]
+        def table(k: int) -> np.ndarray:
+            if k not in tables:
+                tables[k] = _join(table(k - k // 2), table(k // 2), 0, _multisets(bound, k))
+            return tables[k]
 
-    d = length - length // 2
-    head, tail = table(d), table(length // 2)
-    if tops is not None:
-        head, tail = _live(head, tops[:d]), _live(tail, tops[d:])
-        n = int((tail[0].shape[1] - np.searchsorted(tail[0][0], head[0][-1])).sum())
-    for start in range(0, n, rows):
-        cols, weights, _, _ = _join(head, tail, start, min(start + rows, n))
-        yield cols.T, weights
+        d = length - length // 2
+        head, tail = table(d), table(length // 2)
+        if tops is not None:
+            head, tail = head.compress(_live(head, tops[:d]), axis=1), tail.compress(_live(tail, tops[d:]), axis=1)
+            n = int((tail.shape[1] - np.searchsorted(tail[0], head[-1])).sum())
+        blocks = (_join(head, tail, start, min(start + rows, n)) for start in range(0, n, rows))
+    for cols in blocks:
+        yield cols.T, _weights(cols)
 
 
-def _live(table: tuple[np.ndarray, ...], tops: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows of a join table (see ``_join``) below ``tops`` at every position, still sorted."""
-    live = (table[0] < tops[:, None]).all(axis=0)
-    return table[0].compress(live, axis=1), *(part[live] for part in table[1:])
+def _live(cols: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """Which of the column-major sorted rows ``cols`` are live: below ``tops`` at every position."""
+    return (cols < tops[:, None]).all(axis=0)
+
+
+def _weights(cols: np.ndarray) -> np.ndarray:
+    """Each column-major sorted row's rearrangements, n! over the factorials of its entries' multiplicities.
+
+    ``runs`` counts each entry's place in its run of equal entries, so the
+    product of the runs is the product of the factorials.  The first 20
+    factors multiply to at most 20! < 2**63; only a row longer than 20
+    entries goes on in Python ints.  So the weights are int64 while
+    n! < 2**63, Python ints past it.
+    """
+    runs, factorials = np.ones(cols.shape[1], np.int64), np.ones(cols.shape[1], np.int64)
+    for j in range(1, len(cols)):
+        runs *= cols[j] == cols[j - 1]
+        runs += 1
+        factorials = factorials.astype(object) if j == 20 else factorials
+        factorials *= runs
+    return factorial(len(cols)) // factorials if len(cols) > 1 else factorials  # a row of n <= 1 entries weighs 1
 
 
 def _word_layout(arr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -547,45 +562,26 @@ def _word_layout(arr: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     return arr.T.take(source, axis=1).T, np.array(valid, np.uint64), np.repeat(ranked[firsts], words)
 
 
-def _join(head: tuple[np.ndarray, ...], tail: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, as a table.
+def _join(head: np.ndarray, tail: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` to ``stop`` of the sorted rows that join a ``head`` row to a ``tail`` row, column-major.
 
-    A table is (cols, weights, front runs, back runs): its sorted rows, one
-    entry per row of ``cols``, each row's weight, and how many of its entries
-    equal its first and its last one.  The tail rows that may follow a head
-    row are those whose first entry is at least its last, a run at the end
-    of the sorted tail table, so the joined rows of consecutive head rows are
-    consecutive runs.  The joined weight is C(d+e, d) * w_head * w_tail over
-    C(r+s, r), where r is the head row's back run and s the tail row's front
-    run if it starts on the same value (else 0); the product before the
-    division is at most (d+e)!, so int64 is exact while (d+e)! < 2**63.
-    Every row of ``start`` to ``stop`` is built: a side that drops rows
-    joins tables with the dead rows taken out (``_built_side``).
+    A table is the column-major array of its sorted rows.  The tail rows
+    that may follow a head row are those whose first entry is at least its
+    last, a run at the end of the sorted tail table, so the joined rows of
+    consecutive head rows are consecutive runs.  Every row of ``start`` to
+    ``stop`` is built: a side that drops rows joins tables with the dead rows
+    taken out (``_built_side``).
     """
-    hcols, hweights, hfront, hback = head
-    tcols, tweights, tfront, tback = tail
-    d, e, nt = len(hcols), len(tcols), tcols.shape[1]
-    edges = np.zeros(hcols.shape[1] + 1, np.int64)  # where each head row's run begins, and the last one ends
-    np.cumsum(nt - np.searchsorted(tcols[0], hcols[-1]), out=edges[1:])
+    d, nt = len(head), tail.shape[1]
+    edges = np.zeros(head.shape[1] + 1, np.int64)  # where each head row's run begins, and the last one ends
+    np.cumsum(nt - np.searchsorted(tail[0], head[-1]), out=edges[1:])
     clipped = np.minimum(np.maximum(edges, start), stop)
     i = np.repeat(np.arange(len(clipped) - 1), clipped[1:] - clipped[:-1])  # each row's head row
     t = np.arange(start + nt, stop + nt) - edges[1:][i]  # and its tail row: every run ends on the tail's last row
-    same = hcols[-1, i] == tcols[0, t]
-    s, r = tfront[t] * same, hback[i]
-    binomials = _binomials(d, e)
-    weights = comb(d + e, d) * hweights[i].astype(binomials.dtype, copy=False) * tweights[t] // binomials[r, s]
-    cols = np.empty((d + e, len(i)), hcols.dtype)
-    np.take(hcols, i, axis=1, out=cols[:d], mode="clip")  # the indices are in range; "raise" would buffer the output
-    np.take(tcols, t, axis=1, out=cols[d:], mode="clip")
-    front, back = hfront[i], tback[t]
-    return cols, weights, front + s * (front == d), back + r * same * (back == e)
-
-
-@lru_cache(maxsize=128)
-def _binomials(d: int, e: int) -> np.ndarray:
-    """C(r+s, r) at [r, s] for r <= d and s <= e, in the dtype of a joined weight of d+e entries."""
-    wide = np.int64 if factorial(d + e) < 2**63 else object
-    return np.array([[comb(r + s, r) for s in range(e + 1)] for r in range(d + 1)], wide)
+    cols = np.empty((d + len(tail), len(i)), head.dtype)
+    np.take(head, i, axis=1, out=cols[:d], mode="clip")  # the indices are in range; "raise" would buffer the output
+    np.take(tail, t, axis=1, out=cols[d:], mode="clip")
+    return cols
 
 
 def _packed_north(arr_b: np.ndarray, nodes: np.ndarray) -> np.ndarray:

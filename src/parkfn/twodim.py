@@ -41,6 +41,7 @@ class WeightMatrix:
                 raise ValueError(f"the grid's {name!r} must be an integer >= 0, got {shown(value)}")
         if len(self.rows) != self.q + 1 or any(len(r) != self.p + 1 for r in self.rows):
             raise ValueError(f"weight grid must be ({shown(self.p + 1)}) x ({shown(self.q + 1)})")
+        object.__setattr__(self, "rows", tuple(tuple(map(tuple, row)) for row in self.rows))  # lists do not hash
         for l in range(self.q + 1):
             for k in range(self.p + 1):
                 uu, vv = self.rows[l][k]

@@ -460,7 +460,7 @@ def test_a_negative_cap_exits_one(capsys, monkeypatch, argv, cap, source):
         argv = [*argv, "--cap", cap]
     else:
         monkeypatch.setenv("PARKFN_SEARCH_CAP", cap)
-    assert run_cli(capsys, argv) == (1, "", f"error: the search cap must be >= 0, got {cap}\n")
+    assert run_cli(capsys, argv) == (1, "", f"error: the search cap must be an int >= 0, got {cap}\n")
 
 
 @pytest.mark.parametrize("route", [["count", "--method", "formula"], ["count", "--method", "oracle"]], ids=["formula", "oracle"])

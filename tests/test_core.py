@@ -170,10 +170,11 @@ def test_place_inverts_take_on_any_partition(data):
         [((5,), frozenset({0, 1}), 0), ((6,), frozenset({1}), 0)],  # one position too many, every position written
         [((5, 6), frozenset({0, 1}), 0), ((7,), frozenset(), 0)],  # an entry with no position
         [((5, 6), frozenset({0, 1}), 0), ((), frozenset({1}), 0)],  # a position with no entry
+        [((5, 6), frozenset({0, "1"}), 0)],  # an int and a str, which do not compare
     ],
     ids=[
         "twice-full", "twice", "short", "past-n", "negative", "bool", "float", "unwritten", "long", "no-position",
-        "no-entry",
+        "no-entry", "mixed-types",
     ],
 )
 def test_place_refuses_position_sets_that_do_not_partition(parts):

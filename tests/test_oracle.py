@@ -159,14 +159,18 @@ def test_search_space_cap():
     assert oracle.count(FamilySpec("classical", n=3), cap=27).count == 16
 
 
-@pytest.mark.parametrize("cap", [-1, -(10**5000)], ids=["-1", "past-the-digit-limit"])
+@pytest.mark.parametrize(
+    "cap", [-1, -(10**5000), True, False, 100.5, "10"],
+    ids=["-1", "past-the-digit-limit", "True", "False", "float", "str"],
+)
 def test_a_negative_cap_is_refused(cap):
-    # no space is below a negative cap, the empty one included: it is a ValueError, not a space past the cap
+    # no space is below a negative cap, the empty one included, and a cap that is no int (a bool, a float, a str) is
+    # no cap: each is a ValueError, not a space past the cap
     spec = FamilySpec("classical", n=3)
     for call in (oracle.count, lambda spec, cap: oracle.count_many([spec, spec], cap=cap), oracle.enumerate_members):
         with pytest.raises(ValueError) as raised:
             call(spec, cap=cap)
-        assert str(raised.value) == f"the search cap must be >= 0, got {shown(cap)}"
+        assert str(raised.value) == f"the search cap must be an int >= 0, got {shown(cap)}"
         assert not isinstance(raised.value, SearchSpaceTooLarge)
     with pytest.raises(SearchSpaceTooLarge):  # a cap of 0 is a cap that every space exceeds
         oracle.count(spec, cap=0)
@@ -674,12 +678,6 @@ def _joined(blocks):
     return (np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _table(rows):
-    """A join table of explicit sorted rows: columns, weights, and the runs of each row's first and last entry."""
-    runs = [[row.count(row[0]) for row in rows], [row.count(row[-1]) for row in rows]]
-    return np.array(rows, np.int8).T, np.array([_rearrangements(row) for row in rows]), *map(np.array, runs)
-
-
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 6, 20, 21])  # 20! < 2**63 < 21!
 def test_vectorised_weights_match_rearrangements(length):
     rows = list(combinations_with_replacement(range(5), length))
@@ -687,12 +685,33 @@ def test_vectorised_weights_match_rearrangements(length):
     assert arr.tolist() == [list(row) for row in rows]
     assert weights.tolist() == [_rearrangements(row) for row in rows]
     assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)  # int64 at its natural width
-    if length >= 20:  # all distinct: the weight is length! itself, the largest product a join forms
-        head, tail = _table([tuple(range(length // 2))]), _table([tuple(range(length // 2, length))])
-        cols, weights, _, _ = oracle._join(head, tail, 0, 1)
-        assert cols.T.tolist() == [list(range(length))]
+    if length >= 20:  # all distinct: the weight is length! itself, the largest a row of its length has
+        weights = oracle._weights(np.arange(length, dtype=np.int8)[:, None])
         assert weights.tolist() == [factorial(length)]
         assert weights.dtype == (np.int64 if factorial(length) < 2**63 else object)
+
+
+@st.composite
+def sorted_rows(draw):
+    """1 to 20 sorted rows of 0 to 70 entries below a bound of 1 to 300, as a side of that bound holds them: int8
+    below bound 128, int64 past it."""
+    length, bound = draw(st.integers(0, 70)), draw(st.integers(1, 300))
+    row = st.lists(st.integers(0, bound - 1), min_size=length, max_size=length).map(sorted)
+    return draw(st.lists(row, min_size=1, max_size=20)), np.int8 if bound < 128 else np.int64
+
+
+@settings(max_examples=100, deadline=None)
+@given(sorted_rows())
+@example(([[0] * 70, list(range(70))], np.int8))  # every entry equal: weight 1; all distinct: 70!
+@example(([[]], np.int8))  # the empty row
+@example(([[5] * 10 + [200] * 10, [1] * 20], np.int64))  # 20 entries, the longest rows with int64 weights
+@example(([[0] * 21, [0] * 10 + [1] * 11], np.int8))  # 21 entries: Python ints, though both weights are small
+def test_weights_are_the_rearrangements_of_each_row(side):
+    # n! over the factorials of the multiplicities, int64 iff n! < 2**63
+    rows, dtype = side
+    weights = oracle._weights(np.array(rows, dtype).reshape(len(rows), len(rows[0])).T)
+    assert weights.tolist() == [_rearrangements(row) for row in rows]
+    assert weights.dtype == (np.int64 if factorial(len(rows[0])) < 2**63 else object)
 
 
 @st.composite

@@ -239,6 +239,18 @@ def test_grids_accept_only_int_values(value, field, k, l, channel):
             WeightMatrix(p, q, u0_matrix(2, 2).rows)
 
 
+def test_a_grid_built_from_lists_is_the_grid_of_its_tuples():
+    # lists passed every check, then the oracle's caches raised TypeError: unhashable type: 'list'
+    listed = WeightMatrix(1, 1, [[[1, 1], (2, 1)], [(1, 2), [3, 3]]])
+    plain = WeightMatrix(1, 1, (((1, 1), (2, 1)), ((1, 2), (3, 3))))
+    assert listed == plain and hash(listed) == hash(plain) and listed.rows == plain.rows
+    oracle._counted.clear()  # so the grid of lists is swept, not found
+    for prime, increasing in product((False, True), repeat=2):
+        specs = [FamilySpec("twodim", prime, increasing, weights=grid) for grid in (listed, plain)]
+        assert oracle.count(specs[0]).count == oracle.count(specs[1]).count, (prime, increasing)
+    assert WeightMatrix(1, 0, [[(3, 1), (3, 1)]]) == WeightMatrix(1, 0, (((3, 1), (3, 1)),))
+
+
 @given(st.lists(st.integers(0, 3), min_size=6, max_size=6), st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
 def test_grids_built_unchecked_pass_the_check(coeffs, p, q, rng):
     # affine_weight_matrix, prime_weight_transform and u0_matrix skip the node-by-node check of WeightMatrix

@@ -213,7 +213,7 @@ def vector_members(draw):
     return tuple(draw(st.permutations([draw(st.integers(0, x - 1)) for x in u]))), u
 
 
-POSITION_CORRUPTIONS = ("move", "duplicate", "drop", "out_of_range", "bool_position", "float_position")
+POSITION_CORRUPTIONS = ("move", "duplicate", "drop", "out_of_range", "bool_position", "float_position", "str_position")
 ENTRY_CORRUPTIONS = {"bool": lambda x: x > 0, "float": float, "negative": lambda x: -1 - x}
 
 
@@ -224,7 +224,7 @@ def retyped(x, pick):
 
 def corrupt_positions(comps, field, n, corruption, pick):
     """``comps`` with one position of their ``field`` sets moved to another component, duplicated into one, dropped,
-    put out of range, or replaced by the bool or float equal to it."""
+    put out of range, or replaced by the bool or float equal to it or by its str."""
     sets = [set(getattr(comp, field)) for comp in comps]
     held = [i for i, positions in enumerate(sets) if positions]
     others = {"move": range(len(sets)), "duplicate": held}.get(corruption)
@@ -242,6 +242,8 @@ def corrupt_positions(comps, field, n, corruption, pick):
         sets[i].remove(x)
         if corruption == "out_of_range":
             sets[i].add(pick([-1, n, n + 3]))
+        elif corruption == "str_position":
+            sets[i].add(str(x))
         elif corruption != "drop":
             assume(corruption == "float_position" or x < 2)
             sets[i].add(bool(x) if corruption == "bool_position" else float(x))
